@@ -5,10 +5,13 @@ An interpolant-free approximant is assembled directly from samples,
     Qf(x) = sum_j f(x_j) * prod_r w_r psi_{2 m_r + 2}(x_r - x_{j,r}; c_r),
 
 with weights w_r = 2 pi / N_r (the grid spacing) and shapes coupled to the
-mesh as c_r = gamma_r * 2 pi / N_r.  Evaluation truncates each dimension's
-node window where the kernel envelope falls below 1e-15 of its peak, which
-keeps the per-point cost independent of N; a dense-summation path is kept
-as the correctness oracle.
+mesh as c_r = gamma_r * 2 pi / N_r.  Evaluation contracts the samples
+separably against one kernel matrix per dimension: one (sparse) matrix
+product for the largest dimension, then elementwise per-point contractions
+for the others.  Each dimension's node window is truncated where the kernel
+envelope falls below 1e-15 of its peak, and that truncation window sets the
+sparsity of the dimension's matrix (dense when the window spans the axis).
+A windowed dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids, sharing one deduplicated
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .grid import (
     CombinationTerm,
@@ -80,7 +84,6 @@ class SparseQuasiInterpolant:
 
     spec: SparseGridSpec
     terms: tuple[tuple[CombinationTerm, QuasiInterpolant], ...]
-    sample_store: dict[DyadicKey, float]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +263,6 @@ def build_sparse(
     keys = sparse_grid_points(spec)
     points = np.array([dyadic_key_angles(k) for k in keys], dtype=float)
     values = _sample_function(f, points)
-    store = {k: float(v) for k, v in zip(keys, values)}
 
     enc = _encode_keys(keys, max_level, spec.dims)
     order = np.argsort(enc)
@@ -277,7 +279,7 @@ def build_sparse(
             samples,
         )
         terms.append((term, qi))
-    return SparseQuasiInterpolant(spec=spec, terms=tuple(terms), sample_store=store)
+    return SparseQuasiInterpolant(spec=spec, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +308,13 @@ def _dim_window(
 
 
 def _evaluate_windowed(
-    q: QuasiInterpolant,
-    pts: np.ndarray,
-    halfwidths: Sequence[int],
-    window_cache: dict | None = None,
+    q: QuasiInterpolant, pts: np.ndarray, halfwidths: Sequence[int]
 ) -> np.ndarray:
-    """Windowed summation, chunked over points.
-
-    ``window_cache`` lets combination terms sharing per-dimension grids
-    reuse the (index, kernel) windows; keys carry everything the window
-    depends on.
-    """
+    """Windowed summation, chunked over points (the truncation oracle)."""
     d = q.grid.dims
     window = [min(2 * hw + 1, n) for hw, n in zip(halfwidths, q.grid.counts)]
     volume = int(np.prod(window))
-    windows = []
-    for r in range(d):
-        key = (r, q.grid.counts[r], q.kernel.params[r], halfwidths[r])
-        if window_cache is not None and key in window_cache:
-            windows.append(window_cache[key])
-        else:
-            win = _dim_window(q, pts, r, halfwidths[r])
-            if window_cache is not None:
-                window_cache[key] = win
-            windows.append(win)
+    windows = [_dim_window(q, pts, r, halfwidths[r]) for r in range(d)]
 
     out = np.empty(pts.shape[0])
     chunk = max(1, _CHUNK_ELEMS // max(volume, 1))
@@ -352,6 +337,54 @@ def _evaluate_windowed(
     return out
 
 
+def _axis_matrix(q: QuasiInterpolant, pts: np.ndarray, r: int):
+    """P x n_r kernel matrix of dimension r from its truncated window.
+
+    Dense when the window spans the axis (its columns are then in node
+    order); otherwise CSR with exactly 2 hw + 1 entries per row, which are
+    distinct nodes because the window is shorter than the axis.
+    """
+    hw = q.stencil_halfwidths[r]
+    idx, kern = _dim_window(q, pts, r, hw)
+    n = q.grid.counts[r]
+    if 2 * hw + 1 >= n:
+        return kern
+    indptr = np.arange(0, kern.size + 1, kern.shape[1])
+    return sparse.csr_matrix(
+        (kern.ravel(), idx.ravel(), indptr), shape=(kern.shape[0], n)
+    )
+
+
+def _evaluate_separable(
+    q: QuasiInterpolant, pts: np.ndarray, matrix_cache: dict
+) -> np.ndarray:
+    """Contract the samples axis by axis against per-axis kernel matrices.
+
+    The largest axis goes through one (sparse) matrix product against the
+    samples; the remaining, shorter axes are contracted elementwise per
+    point, innermost first.  ``matrix_cache`` lets combination terms that
+    share a per-dimension grid share its matrix; keys carry everything the
+    matrix depends on.
+    """
+    d = q.grid.dims
+    mats = []
+    for r in range(d):
+        key = (r, q.grid.counts[r], q.kernel.params[r], q.stencil_halfwidths[r])
+        if key not in matrix_cache:
+            matrix_cache[key] = _axis_matrix(q, pts, r)
+        mats.append(matrix_cache[key])
+    big = int(np.argmax(q.grid.counts))
+    rest = [r for r in range(d) if r != big]
+    samples = np.moveaxis(q.samples, big, 0).reshape(q.grid.counts[big], -1)
+    acc = (mats[big] @ samples).reshape(
+        (pts.shape[0],) + tuple(q.grid.counts[r] for r in rest)
+    )
+    for r in reversed(rest):
+        kern = mats[r].toarray() if sparse.issparse(mats[r]) else mats[r]
+        acc = np.einsum("p...j,pj->p...", acc, kern)
+    return acc
+
+
 def _as_points(points, dims: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -360,30 +393,41 @@ def _as_points(points, dims: int) -> np.ndarray:
         raise ValueError(f"points must have shape (n, {dims})")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points must be finite")
-    return pts
+    # exact for points already in [0, 2 pi); keeps the window arithmetic
+    # (x / h rounded to int64, x - h * node) accurate for any finite x
+    return np.remainder(pts, TWO_PI)
 
 
 def evaluate(q, points) -> np.ndarray:
     """Evaluate a (sparse) quasi-interpolant at a batch of points.
 
-    Full and anisotropic interpolants use the truncated per-dimension node
-    window with periodic wrap-around; sparse interpolants return the
-    coefficient-weighted sum of their component evaluations.  Results are
-    deterministic for identical inputs (fixed chunking and reduction
-    order).
+    Each grid is contracted separably against per-dimension kernel
+    matrices built from the truncated node windows (periodic wrap-around);
+    sparse interpolants return the coefficient-weighted sum of their
+    component evaluations, with each matrix built once per block of
+    points and shared by the terms on the same per-dimension grid.  Points
+    are reduced mod 2 pi first.  Results are deterministic for identical
+    inputs (fixed blocking and reduction order).
     """
     if isinstance(q, SparseQuasiInterpolant):
-        dims = q.spec.dims
-        pts = _as_points(points, dims)
-        acc = np.zeros(pts.shape[0])
+        pts = _as_points(points, q.spec.dims)
+        parts = [(term.coeff, component) for term, component in q.terms]
+    else:
+        pts = _as_points(points, q.grid.dims)
+        parts = [(1, q)]
+    # bound the per-point intermediates (the product over the axes left
+    # after the largest) by _CHUNK_ELEMS; matrices are built per chunk
+    rest = max(c.grid.size // max(c.grid.counts) for _, c in parts)
+    chunk = max(1, _CHUNK_ELEMS // rest)
+    out = np.zeros(pts.shape[0])
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
         cache: dict = {}
-        for term, component in q.terms:
-            acc += term.coeff * _evaluate_windowed(
-                component, pts, component.stencil_halfwidths, window_cache=cache
+        for coeff, component in parts:
+            out[start : start + chunk] += coeff * _evaluate_separable(
+                component, block, cache
             )
-        return acc
-    pts = _as_points(points, q.grid.dims)
-    return _evaluate_windowed(q, pts, q.stencil_halfwidths)
+    return out
 
 
 def evaluate_dense(q, points) -> np.ndarray:

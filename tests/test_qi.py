@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from torusqi import qi
 from torusqi.grid import SparseGridSpec, sparse_grid_count_formula
 from torusqi.kernel import KernelParams
 from torusqi.qi import (
@@ -139,7 +141,11 @@ def test_zero_samples_give_zero():
     assert np.all(evaluate(q, eval_points_1d()) == 0.0)
 
 
-def test_truncated_vs_dense_battery():
+def test_truncated_vs_dense_battery(monkeypatch):
+    # isotropic, anisotropic and sparse interpolants; the anisotropic cases
+    # mix truncated and full-span axes, with the largest axis truncated
+    # (64 of (64, 8, 32, 4); 128 of (8, 128, 16)) or full-span (64 of
+    # (64, 32) at gamma 4)
     rng = np.random.default_rng(2024)
 
     def rand_trig(d, seed):
@@ -155,21 +161,62 @@ def test_truncated_vs_dense_battery():
 
         return f
 
-    cases = [
+    full_cases = [
         (1, 0, 1.0, 64),
         (1, 1, 2.0, 128),
         (1, 2, 0.7, 64),
         (2, 1, 1.5, 32),
         (2, 2, 2.0, 16),
     ]
-    for d, m, gamma, N in cases:
+    aniso_cases = [
+        ((64, 8, 32, 4), (2, 2, 2, 2), (1.0, 1.0, 1.0, 1.0)),
+        ((8, 128, 16), (1, 0, 2), (1.0, 0.5, 1.5)),
+        ((64, 32), (1, 2), (4.0, 0.5)),
+    ]
+    sparse_cases = [(2, 10, 2, 1.0), (3, 7, 2, 1.0), (3, 7, 1, 0.8)]
+    interpolants = []
+    for d, m, gamma, N in full_cases:
         f = rand_trig(d, hash((d, m, N)) % 2**31)
-        q = build_full(f, N, d, m, gamma)
+        interpolants.append(((d, m, gamma, N), d, build_full(f, N, d, m, gamma)))
+    for counts, ms, gammas in aniso_cases:
+        d = len(counts)
+        f = rand_trig(d, sum(counts))
+        interpolants.append((counts, d, build_aniso(f, counts, ms, gammas)))
+    for d, level, m, gamma in sparse_cases:
+        f = rand_trig(d, 100 * d + level)
+        q = build_sparse(f, SparseGridSpec(level, d), m, gamma)
+        interpolants.append(((d, level, m, gamma), d, q))
+
+    for case, d, q in interpolants:
         pts = rng.uniform(0, TWO_PI, size=(150, d))
         a = evaluate(q, pts)
         b = evaluate_dense(q, pts)
         scale = max(1e-300, float(np.max(np.abs(b))))
-        assert np.max(np.abs(a - b)) <= 1e-13 * scale, (d, m, gamma, N)
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale, case
+        # point blocks small enough that every evaluation is split
+        with monkeypatch.context() as mp:
+            mp.setattr(qi, "_CHUNK_ELEMS", 64)
+            blocked = evaluate(q, pts)
+        assert np.max(np.abs(blocked - b)) <= 1e-13 * scale, case
+
+
+def test_large_arguments_reduce_mod_2pi():
+    # g_6 lies in [0.19, 0.59]; points far outside [0, 2 pi) used to lose
+    # the offset to rounding, or overflow the int64 node index at 1e19
+    from torusqi.analysis import make_gp
+
+    g = make_gp(6, 1)
+    q = build_full(g, 64, 1, 2, 1.0)
+    x = np.array([0.3 + TWO_PI * 1e15, 1e19, -1e19, 1e300, -1e300])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate(q, x)
+        reduced = evaluate(q, np.remainder(x, TWO_PI))
+        dense = evaluate_dense(q, x)
+    assert np.all(np.isfinite(vals))
+    assert np.array_equal(vals, reduced)
+    np.testing.assert_allclose(vals, dense, rtol=1e-13)
+    assert np.all((vals > 0.18) & (vals < 0.6)), vals
 
 
 def test_evaluate_deterministic():
