@@ -24,6 +24,7 @@ from .grid import (
     full_grid_nodes,
     multi_indices_with_sum,
     sparse_grid_count_formula,
+    sparse_grid_nodes,
     sparse_grid_points,
 )
 from .kernel import (

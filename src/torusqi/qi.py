@@ -14,9 +14,9 @@ sparsity of the dimension's matrix (dense when the window spans the axis).
 A windowed dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
-anisotropic quasi-interpolants over dyadic grids, sharing one deduplicated
-sample store so the target function is evaluated exactly once per distinct
-node.
+anisotropic quasi-interpolants over dyadic grids.  The target function is
+sampled once on the sorted int64 position words of the distinct sparse-grid
+nodes, and each component grid looks its samples up by word.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from scipy import sparse
 
 from .grid import (
     CombinationTerm,
-    DyadicKey,
     FullGridSpec,
     SparseGridSpec,
+    combination_grid_words,
     combination_terms,
-    dyadic_key_angles,
     full_grid_nodes,
+    sparse_grid_nodes,
     sparse_grid_points,
 )
 from .kernel import KernelParams, TensorKernelSpec, psi_restricted
@@ -213,34 +213,16 @@ def build_aniso(
     return _build_on_grid(f, counts, ms, gammas)
 
 
-def _encode_keys(keys: Sequence[DyadicKey], level: int, dims: int) -> np.ndarray:
-    """Pack dyadic keys into int64 position words (level bits per dim)."""
-    out = np.empty(len(keys), dtype=np.int64)
-    for i, key in enumerate(keys):
-        word = 0
-        for num, lev in key:
-            word = (word << level) | (num << (level - lev))
-        out[i] = word
-    return out
-
-
 def _gather_term_samples(
     term: CombinationTerm,
-    store_enc: np.ndarray,
+    store_words: np.ndarray,
     store_vals: np.ndarray,
     level: int,
 ) -> np.ndarray:
-    """Samples of one combination grid pulled from the encoded store."""
-    d = len(term.index)
-    enc = np.zeros((1,) * d, dtype=np.int64)
-    for r, n in enumerate(term.index):
-        pos = (np.arange(2**n, dtype=np.int64) << (level - n)) << (
-            level * (d - 1 - r)
-        )
-        enc = enc + pos.reshape(tuple(2**n if i == r else 1 for i in range(d)))
-    flat = enc.ravel()
-    where = np.searchsorted(store_enc, flat)
-    if np.any(where >= store_enc.size) or np.any(store_enc[where] != flat):
+    """Samples of one combination grid looked up by word in the sorted store."""
+    words = combination_grid_words(term.index, level).ravel()
+    where = np.searchsorted(store_words, words)
+    if np.any(where >= store_words.size) or np.any(store_words[where] != words):
         raise NumericsError(
             f"sample store is missing nodes of grid {term.index}; "
             "dyadic nesting violated"
@@ -255,23 +237,21 @@ def build_sparse(
 
     ``f`` is evaluated exactly once per distinct sparse-grid node (the
     count equals :func:`sparse_grid_count_formula`); every combination
-    term reuses the shared store through canonical dyadic keys.
+    term looks its samples up in that store by position word.
     """
-    max_level = spec.level  # largest per-dimension exponent over all terms
-    if max_level * spec.dims > 62:
-        raise ValueError("sparse grid key encoding exceeds 62 bits")
-    keys = sparse_grid_points(spec)
-    points = np.array([dyadic_key_angles(k) for k in keys], dtype=float)
-    values = _sample_function(f, points)
-
-    enc = _encode_keys(keys, max_level, spec.dims)
-    order = np.argsort(enc)
-    store_enc = enc[order]
-    store_vals = values[order]
+    # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
+    # is one full grid, checked like any other in _assemble
+    if spec.dims > 1 and not 0.0 < gamma <= 1.0:
+        raise ValueError(
+            f"sparse-grid gamma must be in (0, 1], got {gamma}: the 2-point "
+            "component grids need c = gamma pi <= pi"
+        )
+    words = sparse_grid_points(spec)
+    values = _sample_function(f, sparse_grid_nodes(spec, words))
 
     terms = []
     for term in combination_terms(spec):
-        samples = _gather_term_samples(term, store_enc, store_vals, max_level)
+        samples = _gather_term_samples(term, words, values, spec.level)
         qi = _assemble(
             term.grid.counts,
             (m,) * spec.dims,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ import pytest
 from torusqi.grid import (
     FullGridSpec,
     SparseGridSpec,
+    combination_grid_words,
     combination_terms,
-    dyadic_key,
-    dyadic_key_1d,
-    dyadic_key_angles,
     full_grid_nodes,
     multi_indices_with_sum,
     sparse_grid_count_formula,
@@ -112,32 +111,45 @@ def test_combination_coefficients_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# Dyadic keys and sparse grid points
+# Position words and sparse grid points
 # ---------------------------------------------------------------------------
 
-def test_dyadic_key_canonicalization():
-    assert dyadic_key_1d(0, 5) == (0, 0)
-    assert dyadic_key_1d(4, 3) == (1, 1)  # 4/8 = 1/2
-    assert dyadic_key_1d(6, 3) == (3, 2)  # 6/8 = 3/4
-    assert dyadic_key_1d(5, 3) == (5, 3)
-    with pytest.raises(ValueError):
-        dyadic_key_1d(8, 3)
-
-
-def test_dyadic_key_angles_roundtrip():
-    key = dyadic_key((4, 6), (3, 3))
-    angles = dyadic_key_angles(key)
-    assert angles == (math.pi, 3 * math.pi / 2)
+def decode_words(words, level, d):
+    """Per-dimension finest-grid indices of each word, in plain Python."""
+    mask = 2**level - 1
+    return [
+        tuple((int(w) >> (level * (d - 1 - r))) & mask for r in range(d))
+        for w in words
+    ]
 
 
 def test_sparse_points_1d_equals_full_grid():
     for level in (1, 3, 5):
-        pts = sparse_grid_points(SparseGridSpec(level, 1))
-        assert len(pts) == 2**level
-        angles = sorted(dyadic_key_angles(k)[0] for k in pts)
-        np.testing.assert_allclose(
-            angles, 2 * math.pi * np.arange(2**level) / 2**level, atol=1e-15
-        )
+        words = sparse_grid_points(SparseGridSpec(level, 1))
+        assert words.dtype == np.int64
+        assert words.tolist() == list(range(2**level))
+
+
+def test_sparse_points_match_bruteforce_fraction_union():
+    # oracle: the union of the finest-diagonal grids as exact fractions
+    # j / 2^n of the period, with no words, shifts or numpy involved
+    for d in range(1, 5):
+        for level in range(1, 7):
+            spec = SparseGridSpec(level, d)
+            union = set()
+            for index in multi_indices_with_sum(level + d - 1, d):
+                stack = [()]
+                for n in index:
+                    axis = [Fraction(j, 2**n) for j in range(2**n)]
+                    stack = [p + (x,) for p in stack for x in axis]
+                union.update(stack)
+            words = sparse_grid_points(spec)
+            assert all(a < b for a, b in zip(words.tolist(), words.tolist()[1:]))
+            decoded = [
+                tuple(Fraction(j, 2**level) for j in node)
+                for node in decode_words(words, level, d)
+            ]
+            assert decoded == sorted(union), (d, level)
 
 
 def test_sparse_points_spot_counts():
@@ -157,13 +169,20 @@ def test_count_formula_matches_bruteforce_union():
 def test_nesting_every_component_grid_is_contained():
     for d, level in [(2, 3), (2, 5), (3, 3), (4, 2)]:
         spec = SparseGridSpec(level, d)
-        store = set(sparse_grid_points(spec))
+        store = set(sparse_grid_points(spec).tolist())
         for term in combination_terms(spec):
-            for flat_index in np.ndindex(*term.grid.counts):
-                key = dyadic_key(tuple(flat_index), term.index)
-                assert key in store
+            words = combination_grid_words(term.index, level)
+            assert words.shape == term.grid.counts
+            for node in np.ndindex(*term.grid.counts):
+                # node j on the 2^n-point axis is finest index j 2^(level - n)
+                fine = [j << (level - n) for j, n in zip(node, term.index)]
+                word = int(words[node])
+                assert decode_words([word], level, d) == [tuple(fine)]
+                assert word in store
 
 
 def test_sparse_grid_size_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="guard"):
         sparse_grid_points(SparseGridSpec(25, 1))
+    with pytest.raises(ValueError, match="62 bits"):
+        sparse_grid_points(SparseGridSpec(32, 2))

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from torusqi import qi
-from torusqi.grid import SparseGridSpec, sparse_grid_count_formula
+from torusqi.grid import (
+    SparseGridSpec,
+    combination_terms,
+    full_grid_nodes,
+    sparse_grid_count_formula,
+)
 from torusqi.kernel import KernelParams
 from torusqi.qi import (
     build_aniso,
@@ -340,6 +345,31 @@ def test_sparse_samples_once_per_node():
     assert calls["count"] == sparse_grid_count_formula(spec)
 
 
+def test_sparse_store_gather_matches_full_grid_samples():
+    # no symmetry under permuting or reflecting coordinates, so a node
+    # gathered from the wrong place changes the sample
+    def asymmetric(pts):
+        phase = sum((r + 1) * pts[:, r] for r in range(pts.shape[1]))
+        return np.sin(phase + 0.3) + 0.1 * pts[:, 0] ** 3
+
+    for d, level in [(2, 6), (3, 4), (4, 3)]:
+        spec = SparseGridSpec(level, d)
+        calls = []
+
+        def recording(pts):
+            calls.append(pts.shape)
+            return asymmetric(pts)
+
+        q = build_sparse(recording, spec, 1, 1.0)
+        assert calls == [(sparse_grid_count_formula(spec), d)]
+        assert [t.index for t, _ in q.terms] == [
+            t.index for t in combination_terms(spec)
+        ]
+        for term, component in q.terms:
+            expected = asymmetric(full_grid_nodes(term.grid)).reshape(term.grid.counts)
+            assert np.array_equal(component.samples, expected), (d, level, term.index)
+
+
 def test_sparse_constant_error_decays_with_level():
     # Unlike a single full grid, the combination leaves non-telescoping
     # cross products of coarse-level saturations, so |Q1 - 1| exceeds the
@@ -385,8 +415,14 @@ def test_sparse_missing_sample_defect():
 
 def test_sparse_gamma_cap():
     # coarsest component grids have 2 points, so c = gamma pi must stay <= pi
-    with pytest.raises(ValueError):
-        build_sparse(const_one, SparseGridSpec(3, 2), 1, 1.5)
+    def never_called(pts):
+        raise AssertionError("sampled before the gamma check")
+
+    for gamma in (1.5, 0.0):
+        with pytest.raises(
+            ValueError, match=r"2-point component grids need c = gamma pi <= pi"
+        ):
+            build_sparse(never_called, SparseGridSpec(3, 2), 1, gamma)
 
 
 # ---------------------------------------------------------------------------
