@@ -197,9 +197,10 @@ def run_conv2d(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
             ax = offset_eval_axis(n)
             vals = evaluate_on_grid(q, [ax, ax])
             ref = np.outer(gp_eval(g1, ax), gp_eval(g1, ax))
-            diff = ref - vals
-            err_linf = float(np.max(np.abs(diff)))
-            err_l2 = float(math.sqrt(np.mean(diff**2) * TWO_PI**2))
+            # in place: the (4N+1)^2 grid holds no temporaries beyond ref
+            diff = np.subtract(ref, vals, out=vals)
+            err_l2 = float(math.sqrt(np.mean(np.square(diff, out=ref)) * TWO_PI**2))
+            err_linf = float(np.max(np.abs(diff, out=diff)))
             errs.append((err_linf, err_l2))
         rows = _rows_from_errors(ns, errs)
         _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), rows, gamma)

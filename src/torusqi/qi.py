@@ -11,7 +11,8 @@ product for the largest dimension, then elementwise per-point contractions
 for the others.  Each dimension's node window is truncated where the kernel
 envelope falls below 1e-15 of its peak, and that truncation window sets the
 sparsity of the dimension's matrix (dense when the window spans the axis).
-A windowed dense-summation path is kept as the correctness oracle.
+Tensor-product evaluation grids contract every axis against the same
+matrices.  A windowed dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +92,7 @@ class SparseQuasiInterpolant:
 # Stencil sizing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def stencil_halfwidth(params: KernelParams, spacing: float, n_points: int) -> int:
     """Node halfwidth beyond which kernel contributions are negligible.
 
@@ -97,7 +100,8 @@ def stencil_halfwidth(params: KernelParams, spacing: float, n_points: int) -> in
     u = 2 sin^2(alpha/2) / c^2, for the largest u where it still exceeds
     ``TRUNCATION_EPS`` of the peak; past ``u > m`` the envelope is strictly
     decreasing, so the bisection bracket starts there.  Returns at most
-    ``n_points // 2`` (the window then spans the whole grid).
+    ``n_points // 2`` (the window then spans the whole grid).  Memoized:
+    combination terms repeat the same few (params, spacing, n_points).
     """
     abs_coeffs = [abs(x) for x in laguerre_coeffs(params.m, 0.5)]
 
@@ -267,12 +271,11 @@ def build_sparse(
 # ---------------------------------------------------------------------------
 
 def _dim_window(
-    q: QuasiInterpolant, pts: np.ndarray, r: int, hw: int
+    q: QuasiInterpolant, x: np.ndarray, r: int, hw: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weighted kernel values along dimension r."""
+    """Node indices and weighted kernel values of coordinates x along axis r."""
     n = q.grid.counts[r]
     spacing = TWO_PI / n
-    x = pts[:, r]
     if 2 * hw + 1 >= n:
         nodes = spacing * np.arange(n)
         idx = np.broadcast_to(np.arange(n), (x.size, n))
@@ -294,7 +297,7 @@ def _evaluate_windowed(
     d = q.grid.dims
     window = [min(2 * hw + 1, n) for hw, n in zip(halfwidths, q.grid.counts)]
     volume = int(np.prod(window))
-    windows = [_dim_window(q, pts, r, halfwidths[r]) for r in range(d)]
+    windows = [_dim_window(q, pts[:, r], r, halfwidths[r]) for r in range(d)]
 
     out = np.empty(pts.shape[0])
     chunk = max(1, _CHUNK_ELEMS // max(volume, 1))
@@ -317,15 +320,15 @@ def _evaluate_windowed(
     return out
 
 
-def _axis_matrix(q: QuasiInterpolant, pts: np.ndarray, r: int):
-    """P x n_r kernel matrix of dimension r from its truncated window.
+def _axis_matrix(q: QuasiInterpolant, x: np.ndarray, r: int):
+    """len(x) x n_r kernel matrix of axis r from its truncated window.
 
     Dense when the window spans the axis (its columns are then in node
     order); otherwise CSR with exactly 2 hw + 1 entries per row, which are
     distinct nodes because the window is shorter than the axis.
     """
     hw = q.stencil_halfwidths[r]
-    idx, kern = _dim_window(q, pts, r, hw)
+    idx, kern = _dim_window(q, x, r, hw)
     n = q.grid.counts[r]
     if 2 * hw + 1 >= n:
         return kern
@@ -351,7 +354,7 @@ def _evaluate_separable(
     for r in range(d):
         key = (r, q.grid.counts[r], q.kernel.params[r], q.stencil_halfwidths[r])
         if key not in matrix_cache:
-            matrix_cache[key] = _axis_matrix(q, pts, r)
+            matrix_cache[key] = _axis_matrix(q, pts[:, r], r)
         mats.append(matrix_cache[key])
     big = int(np.argmax(q.grid.counts))
     rest = [r for r in range(d) if r != big]
@@ -371,11 +374,15 @@ def _as_points(points, dims: int) -> np.ndarray:
         pts = pts[:, None] if dims == 1 else pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != dims:
         raise ValueError(f"points must have shape (n, {dims})")
-    if not np.all(np.isfinite(pts)):
+    return _reduce_mod_2pi(pts)
+
+
+def _reduce_mod_2pi(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
     # exact for points already in [0, 2 pi); keeps the window arithmetic
     # (x / h rounded to int64, x - h * node) accurate for any finite x
-    return np.remainder(pts, TWO_PI)
+    return np.remainder(x, TWO_PI)
 
 
 def evaluate(q, points) -> np.ndarray:
@@ -424,21 +431,24 @@ def evaluate_dense(q, points) -> np.ndarray:
 
 
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense separable evaluation on a tensor-product point grid.
+    """Separable evaluation on a tensor-product point grid.
 
-    Contracts one dimension at a time, so the cost is O(sum_r M_r N_r)
-    kernel values plus matrix products instead of the full outer sum;
-    mathematically identical to :func:`evaluate_dense` on the product
-    points.  Returns an array of shape (len(axes[0]), ..., len(axes[d-1])).
+    Each axis must be 1-D and finite; it is reduced mod 2 pi and contracted
+    against the same truncated kernel matrix :func:`evaluate` builds (a
+    sparse M_r x N_r matrix with 2 hw_r + 1 entries per row, dense when the
+    window spans the axis), one axis at a time.  Agrees with
+    :func:`evaluate_dense` on the product points to truncation accuracy.
+    Returns an array of shape (len(axes[0]), ..., len(axes[d-1])).
     """
     if len(axes) != q.grid.dims:
         raise ValueError(f"need {q.grid.dims} axes")
-    res = q.samples.astype(float)
-    for r in range(q.grid.dims):
-        ax = np.asarray(axes[r], dtype=float)
-        nodes = q.grid.axis(r)
-        kmat = q.kernel.weights[r] * psi_restricted(
-            q.kernel.params[r], ax[:, None] - nodes[None, :]
-        )
-        res = np.moveaxis(np.tensordot(kmat, res, axes=(1, r)), 0, r)
+    res = q.samples
+    for r, ax in enumerate(axes):
+        x = np.asarray(ax, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"axis {r} must be 1-D, got shape {x.shape}")
+        kmat = _axis_matrix(q, _reduce_mod_2pi(x), r)
+        moved = np.moveaxis(res, r, 0)
+        out = kmat @ moved.reshape(moved.shape[0], -1)
+        res = np.moveaxis(out.reshape((x.size,) + moved.shape[1:]), 0, r)
     return res

@@ -6,7 +6,8 @@ Provides the pieces everything else is assembled from:
   coefficient sum,
 * binomial coefficients :math:`\binom{z}{k}` for real upper argument,
 * overflow-safe scaled modified Bessel functions
-  :math:`\tilde I_\nu(z) = e^{-z} I_\nu(z)` (Miller backward recurrence),
+  :math:`\tilde I_\nu(z) = e^{-z} I_\nu(z)` (Miller backward recurrence;
+  the jet route shares one memoized recurrence per argument and order bucket),
 * the truncated Hankel large-argument expansion of :math:`I_\ell`
   (DLMF 10.40.1), used only as a cross-check,
 * truncated Taylor jets (univariate, fixed order) and the jet of
@@ -323,6 +324,21 @@ class Jet:
 # Jet of sqrt(2 pi) rho^(-1/2) e^(-1/rho) I_ell(1/rho)
 # ---------------------------------------------------------------------------
 
+_MILLER_TABLE_MIN = 64
+
+
+@lru_cache(maxsize=16)
+def _miller_table(z: float, size: int) -> tuple[float, ...]:
+    """Scaled Bessel values of orders ``0..size`` at ``z``, memoized.
+
+    Callers round the highest order they need up to a power of two (at
+    least ``_MILLER_TABLE_MIN``), so all coefficients of one kernel shape
+    share a few recurrences, and a value depends only on its own request,
+    never on which calls came before it.
+    """
+    return tuple(_miller_scaled(size, z))
+
+
 def _scaled_bessel_derivative_taylor(ell: int, z0: float, order: int) -> list[float]:
     r"""Taylor coefficients of :math:`u \mapsto e^{-u} I_\ell(u)` at ``z0``.
 
@@ -330,10 +346,12 @@ def _scaled_bessel_derivative_taylor(ell: int, z0: float, order: int) -> list[fl
     :math:`g_\nu' = (g_{\nu-1} + g_{\nu+1})/2 - g_\nu`, so the j-th
     derivative of :math:`g_\ell` is a fixed linear combination of orders
     ``ell-j .. ell+j`` (negative orders folded by :math:`I_{-n} = I_n`).
-    One backward recurrence supplies every order value needed (uncapped:
-    high-frequency Fourier coefficients reach past the public ceiling).
+    The order values come from the shared table of :func:`_miller_table`
+    (uncapped: high-frequency Fourier coefficients reach past the public
+    ceiling).
     """
-    g = _miller_scaled(ell + order, z0)
+    size = max(_MILLER_TABLE_MIN, 1 << (ell + order - 1).bit_length())
+    g = _miller_table(z0, size)
 
     def g_at(nu: int) -> float:
         return g[abs(nu)]

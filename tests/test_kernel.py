@@ -16,7 +16,8 @@ from torusqi.kernel import (
     strang_fix_certify,
     tensor_kernel_eval,
 )
-from torusqi.specfun import binom_real
+from torusqi import kernel, specfun
+from torusqi.specfun import _miller_scaled, binom_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -256,6 +257,51 @@ def test_psi_hat_alias_decay():
             vals = [abs(psi_fourier_analytic(p, ell)) for ell in range(start, stop + 1)]
             assert all(b < a for a, b in zip(vals, vals[1:])), (m, c)
             assert vals[-1] < 1e-12, (m, c, vals[-1])
+
+
+def test_psi_hat_independent_of_call_history():
+    # the jet route reads its Bessel values from a memoized table; each
+    # probe takes the jet route (c = 0.1 keeps z = 100 in the series
+    # regime only for ell <~ 30) and sits on or next to a bucket edge
+    c = 0.1
+    probes = [(0, 40), (0, 64), (0, 65), (2, 62), (2, 63), (2, 700), (2, 3072)]
+    assert all(kernel._psi_hat_via_series(m, ell, c * c) is None for m, ell in probes)
+
+    def values():
+        return [psi_fourier_analytic(KernelParams(m, c), ell) for m, ell in probes]
+
+    cold = []
+    for m, ell in probes:
+        specfun._miller_table.cache_clear()
+        cold.append(psi_fourier_analytic(KernelParams(m, c), ell))
+    histories = {
+        "ascending": [(c, ell) for ell in range(0, 3073)],
+        "descending": [(c, ell) for ell in range(3072, -1, -1)],
+        "other shape": [(0.07, ell) for ell in range(0, 3073, 31)],
+    }
+    for name, calls in histories.items():
+        specfun._miller_table.cache_clear()
+        for shape, ell in calls:
+            psi_fourier_analytic(KernelParams(2, shape), ell)
+        assert values() == cold, name
+
+
+def test_psi_hat_table_matches_fresh_recurrence(monkeypatch):
+    # table values (recurrence started at the bucket top) against a fresh
+    # recurrence started at ell + m, over ell spanning the 64/128 buckets;
+    # c = 0.3 keeps the jet route well conditioned up to m = 8
+    c = 0.3
+    for m in (0, 2, 8):
+        p = KernelParams(m, c)
+        for ell in range(64 - m - 8, 64 - m + 9):
+            tabled = psi_fourier_analytic(p, ell)
+            with monkeypatch.context() as mp:
+                mp.setattr(
+                    specfun, "_miller_table",
+                    lambda z, size, n=ell + m: _miller_scaled(n, z),
+                )
+                fresh = psi_fourier_analytic(p, ell)
+            assert abs(tabled - fresh) <= 1e-14 * abs(fresh), (m, ell)
 
 
 # ---------------------------------------------------------------------------

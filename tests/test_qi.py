@@ -248,6 +248,11 @@ def test_shift_equivariance():
     )
 
 
+def _product_points(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
 def test_grid_path_matches_dense():
     from torusqi.analysis import make_gp
 
@@ -256,9 +261,56 @@ def test_grid_path_matches_dense():
     ax = np.linspace(0.1, 6.0, 7)
     ay = np.linspace(0.2, 5.9, 5)
     grid_vals = evaluate_on_grid(q, [ax, ay])
-    mesh = np.stack(np.meshgrid(ax, ay, indexing="ij"), axis=-1).reshape(-1, 2)
-    dense = evaluate_dense(q, mesh)
+    dense = evaluate_dense(q, _product_points([ax, ay]))
     np.testing.assert_allclose(grid_vals.ravel(), dense, atol=1e-14)
+
+    # truncated windows: (label, interpolant, axes, axes expected truncated)
+    rng = np.random.default_rng(7)
+    g3 = make_gp(6, 3)
+    ax128 = np.linspace(0.05, 6.2, 37)
+    cases = [
+        (f"full N=128 m={m}", build_full(g, 128, 2, m, 1.0), [ax128, ax128[::2]],
+         (True, True))
+        for m in (0, 2, 5)
+    ]
+    cases += [
+        ("aniso (256, 16)", build_aniso(g, (256, 16), (2, 1), (1.0, 1.0)),
+         [np.linspace(0.0, 6.0, 45), np.linspace(0.3, 6.1, 9)], (True, False)),
+        ("aniso (32, 64, 8)", build_aniso(g3, (32, 64, 8), (1, 2, 0), (1.0, 1.5, 1.0)),
+         [rng.uniform(0, TWO_PI, k) for k in (6, 11, 4)],
+         (True, True, False)),
+        ("unsorted, lengths != N", build_full(g, 64, 2, 1, 1.0),
+         [rng.uniform(0, TWO_PI, 50), rng.uniform(0, TWO_PI, 3)], (True, True)),
+    ]
+    for label, q, axes, truncated in cases:
+        cut = [2 * hw + 1 < n for hw, n in zip(q.stencil_halfwidths, q.grid.counts)]
+        assert tuple(cut) == truncated, label
+        grid_vals = evaluate_on_grid(q, axes)
+        assert grid_vals.shape == tuple(len(a) for a in axes), label
+        dense = evaluate_dense(q, _product_points(axes))
+        scale = float(np.max(np.abs(dense)))
+        assert np.max(np.abs(grid_vals.ravel() - dense)) <= 1e-13 * scale, label
+
+
+def test_grid_path_validates_and_reduces_axes():
+    from torusqi.analysis import make_gp
+
+    q = build_full(make_gp(6, 2), 64, 2, 2, 1.0)
+    ax = np.linspace(0.1, 6.0, 9)
+    ay = np.linspace(0.2, 5.9, 7)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_on_grid(q, [ax, np.append(ay, bad)])
+    with pytest.raises(ValueError, match="1-D"):
+        evaluate_on_grid(q, [ax[:, None], ay])
+    # far-off copies of the axes give the values of the reduced axes
+    shifted = [ax + TWO_PI * 1e15, ay - 3 * TWO_PI * 1e15]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = evaluate_on_grid(q, shifted)
+        near = evaluate_on_grid(q, [np.remainder(a, TWO_PI) for a in shifted])
+    assert np.all(np.isfinite(far))
+    assert np.array_equal(far, near)
 
 
 # ---------------------------------------------------------------------------
