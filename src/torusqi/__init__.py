@@ -39,7 +39,6 @@ from .kernel import (
     psi_fourier_quadrature,
     psi_restricted,
     strang_fix_certify,
-    tensor_kernel_eval,
 )
 from .qi import (
     QuasiInterpolant,
@@ -54,12 +53,10 @@ from .qi import (
 from .specfun import (
     Jet,
     NumericsError,
-    PolyCoeffs,
     binom_real,
     hankel_asymptotic_i,
     jet_psi2_hat,
     laguerre_general,
-    order_raising_transform,
     scaled_bessel_i,
 )
 

@@ -6,9 +6,9 @@ The benchmark family on the circle is
 
 normalized to unit L2 norm; its p-th derivative jumps at a = 0 and a = pi,
 so it has finite smoothness H^{p+1/2-eps}.  G_p is the d-fold tensor
-product.  The module also carries a direct (O(N^2), diagnostics-scale) DFT
-with the aliasing identity, the trigonometric interpolation baseline, the
-L-infinity / L2 error measurement used by every benchmark, and dyadic
+product.  The module also carries the discrete Fourier coefficients (by
+FFT) with the aliasing identity, the trigonometric interpolation baseline,
+the L-infinity / L2 error measurement used by every benchmark, and dyadic
 convergence-rate tables.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-DFT_MAX_N = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def gp_eval(tf: TestFunctionGp, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrete Fourier diagnostics (direct transform, diagnostics scale)
+# Discrete Fourier diagnostics
 # ---------------------------------------------------------------------------
 
 def dft_coeffs(samples) -> np.ndarray:
@@ -98,7 +97,7 @@ def dft_coeffs(samples) -> np.ndarray:
 
     f~_k = (1/N) sum_l f(2 pi l / N) e^{-2 pi i l k / N}; on band-limited
     input this realizes the aliasing identity f~_k = sum_v fhat(k + v N).
-    Direct O(N^2) evaluation in frequency blocks.
+    Computed by FFT, shifted so that k = -N/2 comes first.
     """
     vals = np.asarray(samples)
     if vals.ndim != 1:
@@ -106,17 +105,7 @@ def dft_coeffs(samples) -> np.ndarray:
     n = vals.shape[0]
     if n % 2 != 0:
         raise ValueError(f"sample count must be even, got {n}")
-    if n > DFT_MAX_N:
-        raise ValueError(f"sample count must be <= {DFT_MAX_N}")
-    ks = np.arange(-(n // 2), n // 2)
-    ells = np.arange(n)
-    out = np.empty(n, dtype=complex)
-    block = max(1, (1 << 22) // n)
-    for start in range(0, n, block):
-        kb = ks[start : start + block]
-        phases = np.exp(-2j * math.pi * np.outer(kb, ells) / n)
-        out[start : start + block] = phases @ vals / n
-    return out
+    return np.fft.fftshift(np.fft.fft(vals)) / n
 
 
 def trig_interp_eval(samples, x) -> np.ndarray:

@@ -196,7 +196,8 @@ def run_conv2d(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
             q = build_full(g2, n, 2, m, gamma)
             ax = offset_eval_axis(n)
             vals = evaluate_on_grid(q, [ax, ax])
-            ref = np.outer(gp_eval(g1, ax), gp_eval(g1, ax))
+            g_ax = gp_eval(g1, ax)
+            ref = np.outer(g_ax, g_ax)
             # in place: the (4N+1)^2 grid holds no temporaries beyond ref
             diff = np.subtract(ref, vals, out=vals)
             err_l2 = float(math.sqrt(np.mean(np.square(diff, out=ref)) * TWO_PI**2))

@@ -53,7 +53,6 @@ __all__ = [
     "f2_phi_quadrature",
     "psi_fourier_analytic",
     "psi_fourier_quadrature",
-    "tensor_kernel_eval",
     "strang_fix_certify",
     "comb_identity_residual",
 ]
@@ -145,20 +144,6 @@ def psi_restricted(p: KernelParams, alpha):
     u = 2.0 * np.sin(alpha_arr / 2.0) ** 2 / p.c**2
     out = _laguerre_half_at(p.m, u) * np.exp(-u) / (SQRT_2PI * p.c)
     return out if out.ndim else float(out)
-
-
-def tensor_kernel_eval(spec: TensorKernelSpec, x) -> float:
-    r"""Product kernel :math:`\prod_r w_r \psi_{2m_r+2}(x_r; c_r)`.
-
-    ``x`` is a point of length ``dims`` or an array of shape ``(n, dims)``.
-    """
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    if x_arr.shape[1] != spec.dims:
-        raise ValueError(f"points must have {spec.dims} coordinates")
-    out = np.ones(x_arr.shape[0])
-    for r in range(spec.dims):
-        out *= spec.weights[r] * psi_restricted(spec.params[r], x_arr[:, r])
-    return out if np.asarray(x).ndim > 1 else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,9 @@ def strang_fix_certify(
     per-frequency log-log slope should approach ``2m + 2``.  The report
     also records the worst saturation residual at the finest shape and the
     largest alias-band coefficient ``max |psi_hat(ell')|`` over
-    ``ell' in [N/2, 3N/2]`` at the largest ``N``.
+    ``ell' in [N/2, 3N/2]`` at the largest ``N``.  Raises
+    :class:`NumericsError` when a residual is exactly zero or non-finite,
+    as happens once high orders saturate to round-off.
     """
     N_arr = [int(N) for N in N_list]
     if len(N_arr) < 2:
@@ -379,6 +366,12 @@ def strang_fix_certify(
         ell: [abs(psi_fourier_analytic(KernelParams(m, c), ell) - 1.0) for c in c_list]
         for ell in ells
     }
+    for ell, res in residuals.items():
+        if not all(math.isfinite(r) and r > 0.0 for r in res):
+            raise NumericsError(
+                f"saturation residuals of m={m} at ell={ell} are {res}; a zero "
+                "or non-finite residual has no logarithm to fit"
+            )
     orders = {ell: _fit_loglog_slope(c_list, res) for ell, res in residuals.items()}
 
     c_fine = c_list[-1]

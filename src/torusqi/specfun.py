@@ -11,9 +11,7 @@ Provides the pieces everything else is assembled from:
 * the truncated Hankel large-argument expansion of :math:`I_\ell`
   (DLMF 10.40.1), used only as a cross-check,
 * truncated Taylor jets (univariate, fixed order) and the jet of
-  :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`,
-* the order-raising polynomial transform
-  :math:`g \mapsto \sum_j (-1)^j t^j g^{(j)}(t)/j!`.
+  :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
 
 All arithmetic is double precision; the documented support ceilings
 (``m <= 12`` for raw Laguerre evaluation, jet order ``<= 8``) are where
@@ -30,7 +28,6 @@ from typing import Sequence
 __all__ = [
     "NumericsError",
     "Jet",
-    "PolyCoeffs",
     "laguerre_general",
     "laguerre_coeffs",
     "binom_real",
@@ -38,7 +35,6 @@ __all__ = [
     "scaled_bessel_i_all",
     "hankel_asymptotic_i",
     "jet_psi2_hat",
-    "order_raising_transform",
 ]
 
 LAGUERRE_MAX_ORDER = 12
@@ -227,13 +223,6 @@ class Jet:
         return Jet(order, (float(value),) + (0.0,) * order)
 
     @staticmethod
-    def variable(x0: float, order: int) -> "Jet":
-        """Jet of the identity map at ``x0``."""
-        if order == 0:
-            return Jet(0, (float(x0),))
-        return Jet(order, (float(x0), 1.0) + (0.0,) * (order - 1))
-
-    @staticmethod
     def of_power(x0: float, p: float, order: int) -> "Jet":
         r"""Jet of :math:`x \mapsto x^p` at ``x0 > 0`` for real ``p``.
 
@@ -251,10 +240,6 @@ class Jet:
         self._check_order(other)
         return Jet(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "Jet") -> "Jet":
-        self._check_order(other)
-        return Jet(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "Jet") -> "Jet":
         """Cauchy product truncated at the common order."""
         self._check_order(other)
@@ -269,33 +254,6 @@ class Jet:
 
     def scale(self, factor: float) -> "Jet":
         return Jet(self.order, tuple(factor * c for c in self.coeffs))
-
-    def reciprocal(self) -> "Jet":
-        """Power-series inverse; requires a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if a0 == 0.0:
-            raise ZeroDivisionError("cannot invert a jet with zero constant term")
-        out = [0.0] * (self.order + 1)
-        out[0] = 1.0 / a0
-        for k in range(1, self.order + 1):
-            acc = 0.0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / a0
-        return Jet(self.order, tuple(out))
-
-    def __pow__(self, exponent: int) -> "Jet":
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
-        out = Jet.constant(1.0, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def compose_outer(self, outer_coeffs: Sequence[float]) -> "Jet":
         """Jet of ``g(self)`` given Taylor coefficients of ``g`` at ``self.coeffs[0]``.
@@ -390,75 +348,3 @@ def jet_psi2_hat(ell: int, rho0: float, order: int) -> Jet:
     bessel_part = u.compose_outer(outer)
     prefactor = Jet.of_power(rho0, -0.5, order).scale(SQRT_2PI)
     return prefactor * bessel_part
-
-
-# ---------------------------------------------------------------------------
-# Order-raising polynomial transform
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Dense univariate polynomial, ``coefficients[k]`` multiplying ``t**k``.
-
-    Exact trailing zeros are stripped on construction; the zero polynomial
-    is represented as ``(0.0,)``.
-    """
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0.0,)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        if self.coefficients == (0.0,):
-            return -1
-        return len(self.coefficients) - 1
-
-    def derivative(self) -> "PolyCoeffs":
-        if len(self.coefficients) == 1:
-            return PolyCoeffs((0.0,))
-        return PolyCoeffs(
-            tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        )
-
-    def __call__(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
-
-ORDER_RAISING_MAX_DEGREE = 32
-
-
-def order_raising_transform(g: PolyCoeffs, m: int) -> PolyCoeffs:
-    r"""Coefficients of :math:`G_m(t) = \sum_{j=0}^m (-1)^j t^j g^{(j)}(t)/j!`.
-
-    The result equals ``g(0) + O(t^{m+1})``: coefficients of ``t^1 .. t^m``
-    cancel (to ~1e-14 in doubles).  Evaluated term by term from the defining
-    sum so the cancellation is a measured outcome, not an algebraic shortcut.
-    """
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    if g.degree > ORDER_RAISING_MAX_DEGREE:
-        raise ValueError(
-            f"degree must be <= {ORDER_RAISING_MAX_DEGREE}, got {g.degree}"
-        )
-    width = len(g.coefficients) + m
-    out = [0.0] * width
-    deriv = g
-    for j in range(m + 1):
-        scale = (-1.0) ** j / math.factorial(j)
-        for k, c in enumerate(deriv.coefficients):
-            out[k + j] += scale * c
-        deriv = deriv.derivative()
-        if deriv.degree < 0 and j >= g.degree:
-            break
-    return PolyCoeffs(tuple(out))

@@ -105,7 +105,7 @@ def test_dft_aliasing():
 
 def test_dft_parseval():
     rng = np.random.default_rng(99)
-    for n in (16, 64, 256):
+    for n in (16, 64, 256, 2**17):
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
         coeffs = dft_coeffs(samples)
         lhs = float(np.sum(np.abs(coeffs) ** 2))

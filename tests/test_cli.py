@@ -103,6 +103,13 @@ def test_strangfix_orders(tmp_path):
         assert float(row[3]) == pytest.approx(2 * m + 2, abs=0.15)
 
 
+def test_strangfix_saturated_residual_exits_3(tmp_path, capsys):
+    out = tmp_path / "sf.dat"
+    assert run(["strangfix", "--m", "6", "--gamma", "1", "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel dump
 # ---------------------------------------------------------------------------

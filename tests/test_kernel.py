@@ -5,7 +5,6 @@ import pytest
 
 from torusqi.kernel import (
     KernelParams,
-    TensorKernelSpec,
     comb_identity_residual,
     f2_phi_closed,
     f2_phi_quadrature,
@@ -14,7 +13,6 @@ from torusqi.kernel import (
     psi_fourier_quadrature,
     psi_restricted,
     strang_fix_certify,
-    tensor_kernel_eval,
 )
 from torusqi import kernel, specfun
 from torusqi.specfun import _miller_scaled, binom_real
@@ -53,6 +51,9 @@ def test_psi_values():
     assert psi_restricted(KernelParams(1, 1.0), math.pi) == pytest.approx(
         -0.5 * math.exp(-2.0) / SQRT_2PI, rel=1e-14
     )
+    # L_1^{(1/2)}(u) = 0 at u = 3/2, i.e. at alpha = 2 asin(c sqrt(3)/2)
+    alpha0 = 2.0 * math.asin(math.sqrt(0.75))
+    assert abs(psi_restricted(KernelParams(1, 1.0), alpha0)) < 1e-15
 
 
 def test_psi_even_and_periodic():
@@ -78,28 +79,6 @@ def test_psi_is_phi_at_chordal_distance():
             assert psi_restricted(p, alpha) == pytest.approx(
                 phi_generalized(p, chord), rel=1e-13, abs=1e-300
             )
-
-
-def test_tensor_kernel_reduces_and_peaks():
-    p = KernelParams(0, 1.0)
-    spec1 = TensorKernelSpec(1, (p,), (1.0,))
-    for a in (0.0, 0.5, 2.0):
-        assert tensor_kernel_eval(spec1, [a]) == pytest.approx(
-            psi_restricted(p, a), rel=1e-15
-        )
-    spec2 = TensorKernelSpec(2, (p, p), (1.0, 1.0))
-    assert tensor_kernel_eval(spec2, [0.0, 0.0]) == pytest.approx(
-        1.0 / (2.0 * math.pi), rel=1e-14
-    )
-
-
-def test_tensor_kernel_zero_factor():
-    # L_1^{1/2}(u) = 0 at u = 3/2: alpha0 = 2 asin(c sqrt(3)/2)
-    c = 1.0
-    alpha0 = 2.0 * math.asin(c * math.sqrt(0.75))
-    p = KernelParams(1, c)
-    spec = TensorKernelSpec(2, (p, KernelParams(0, 0.5)), (1.0, 1.0))
-    assert abs(tensor_kernel_eval(spec, [alpha0, 0.3])) < 1e-15
 
 
 def test_kernel_params_validation():
@@ -323,6 +302,16 @@ def test_strang_fix_zero_frequency_probe():
     report = strang_fix_certify(0, 1.0, [32, 64, 128, 256], [0])
     assert report.orders[0] == pytest.approx(2.0, abs=0.15)
     assert report.saturation_max > 0.0
+
+
+def test_strang_fix_rejects_zero_or_nonfinite_residual(monkeypatch):
+    # at m = 6 the residuals of the finer shapes round to exactly 0, whose
+    # logarithm would turn the fitted order into nan
+    with pytest.raises(specfun.NumericsError, match="ell=1"):
+        strang_fix_certify(6, 1.0, [64, 128, 256, 512], [1, 2, 3])
+    monkeypatch.setattr(kernel, "psi_fourier_analytic", lambda p, ell: math.nan)
+    with pytest.raises(specfun.NumericsError):
+        strang_fix_certify(0, 1.0, [32, 64], [1])
 
 
 def test_strang_fix_residual_ratio_m0():
