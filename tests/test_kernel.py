@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from torusqi.grid import FullGridSpec
 from torusqi.kernel import (
     KernelParams,
+    TensorKernelSpec,
     comb_identity_residual,
     f2_phi_closed,
     f2_phi_quadrature,
@@ -15,6 +17,7 @@ from torusqi.kernel import (
     strang_fix_certify,
 )
 from torusqi import kernel, specfun
+from torusqi.qi import QuasiInterpolant, evaluate, evaluate_dense
 from torusqi.specfun import _miller_scaled, binom_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -79,6 +82,27 @@ def test_psi_is_phi_at_chordal_distance():
             assert psi_restricted(p, alpha) == pytest.approx(
                 phi_generalized(p, chord), rel=1e-13, abs=1e-300
             )
+
+
+def test_tensor_kernel_zero_factor():
+    # L_1^{1/2}(u) = 0 at u = 3/2: alpha0 = 2 asin(c sqrt(3)/2); a unit
+    # sample at the origin makes the evaluator return the tensor kernel itself
+    c = 1.0
+    alpha0 = 2.0 * math.asin(c * math.sqrt(0.75))
+    p0, p1 = KernelParams(1, c), KernelParams(0, 0.5)
+    samples = np.zeros((8, 8))
+    samples[0, 0] = 1.0
+    q = QuasiInterpolant(
+        grid=FullGridSpec((8, 8)),
+        kernel=TensorKernelSpec(2, (p0, p1), (1.0, 1.0)),
+        samples=samples,
+        stencil_halfwidths=(4, 4),
+    )
+    assert abs(evaluate(q, [alpha0, 0.3])[0]) < 1e-15
+    assert abs(evaluate_dense(q, [alpha0, 0.3])[0]) < 1e-15
+    assert evaluate(q, [0.0, 0.3])[0] == pytest.approx(
+        psi_restricted(p0, 0.0) * psi_restricted(p1, 0.3), rel=1e-14
+    )
 
 
 def test_kernel_params_validation():
