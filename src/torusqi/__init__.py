@@ -49,12 +49,12 @@ from .qi import (
     evaluate,
     evaluate_dense,
     evaluate_on_grid,
+    from_samples,
 )
 from .specfun import (
     Jet,
     NumericsError,
     binom_real,
-    hankel_asymptotic_i,
     jet_psi2_hat,
     laguerre_general,
     scaled_bessel_i,

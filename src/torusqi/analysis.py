@@ -204,10 +204,10 @@ def lcg_uniform_points(count: int, dims: int, seed: int) -> np.ndarray:
     """Reproducible pseudo-uniform points on the dims-torus (fixed seed)."""
     if count < 1 or dims < 1:
         raise ValueError("count and dims must both be >= 1")
-    state = seed & _LCG_MASK
-    out = np.empty((count, dims))
-    for i in range(count):
-        for r in range(dims):
-            state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
-            out[i, r] = (state >> 11) * (1.0 / (1 << 53))
-    return TWO_PI * out
+    # state k = a^k s + c (1 + a + ... + a^(k-1)) mod 2^64, k = 1, 2, ...;
+    # uint64 array arithmetic wraps mod 2^64
+    powers = np.cumprod(np.full(count * dims, _LCG_MULT, dtype=np.uint64))
+    geometric = np.cumsum(np.concatenate(([np.uint64(1)], powers[:-1])))
+    states = powers * np.uint64(seed & _LCG_MASK) + np.uint64(_LCG_INC) * geometric
+    out = (states >> np.uint64(11)) * (1.0 / (1 << 53))
+    return TWO_PI * out.reshape(count, dims)

@@ -10,10 +10,13 @@ kernel     profile dumps of psi(alpha) and psi_hat(ell)
 
 Convergence tables are CSV with the fixed header
 ``N,h,gamma,err_linf,rate_linf,err_l2,rate_l2``; figure-style dumps are
-whitespace-separated ``.dat`` files with one header row.  All numbers are
-written in scientific notation with 12 significant digits, so identical
-flags and seed reproduce identical bytes.  Exit codes: 0 success, 2
-invalid arguments, 3 numerical failure.
+whitespace-separated ``.dat`` files with one header row.  In the
+``sparse`` output, ``rel_linf`` is the L-infinity error over the sup norm
+of f and ``rel_l2`` is the L2 error (torus measure, so it carries a factor
+(2 pi)^(d/2)) over the sup norm of f, both at the pseudorandom evaluation
+points.  All numbers are written in scientific notation with 12
+significant digits, so identical flags and seed reproduce identical bytes.
+Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -35,19 +38,22 @@ from .analysis import (
     make_gp,
     offset_eval_axis,
 )
-from .grid import SparseGridSpec, sparse_grid_count_formula
+from .grid import FullGridSpec, SparseGridSpec, sparse_grid_count_formula
 from .kernel import (
     KernelParams,
     psi_fourier_analytic,
     psi_restricted,
     strang_fix_certify,
 )
-from .qi import build_full, build_sparse, evaluate, evaluate_on_grid
+from .qi import build_full, build_sparse, evaluate, evaluate_on_grid, from_samples
 from .specfun import NumericsError
 
 __all__ = ["main", "RunConfig"]
 
 TWO_PI = 2.0 * math.pi
+
+# rows of the conv2d reference grid materialized at a time
+_REFERENCE_ROWS = 64
 
 # published 1D L-infinity reference levels for g_6 (N = 32..512), used by
 # the table1 gamma sweep to pick the best-matching shape constant
@@ -117,6 +123,10 @@ def _errors_1d(p: int, N: int, m: int, gamma: float) -> tuple[float, float]:
 
 
 def _rows_from_errors(ns, errs) -> list[ConvergenceRow]:
+    if any(e == 0.0 for pair in errs for e in pair):
+        # a rate of an exactly zero error is undefined: a numerical
+        # degeneracy, not an invalid argument
+        raise NumericsError("degenerate zero error; rate undefined")
     rates_inf = convergence_rates(list(zip(ns, (e[0] for e in errs))))
     rates_l2 = convergence_rates(list(zip(ns, (e[1] for e in errs))))
     return [
@@ -155,13 +165,13 @@ def run_table1(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
     ns = _doubling_range(cfg.nmin, cfg.nmax)
     tables: dict[int, list[ConvergenceRow]] = {}
     for m in cfg.m_list:
-        by_gamma = {}
-        for gamma in cfg.gammas:
-            by_gamma[gamma] = [_errors_1d(cfg.p, n, m, gamma) for n in ns]
+        by_gamma = {
+            gamma: _rows_from_errors(ns, [_errors_1d(cfg.p, n, m, gamma) for n in ns])
+            for gamma in cfg.gammas
+        }
         best = _best_gamma(cfg, m, ns, by_gamma)
-        rows = _rows_from_errors(ns, by_gamma[best])
-        _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), rows, best)
-        tables[m] = rows
+        _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), by_gamma[best], best)
+        tables[m] = by_gamma[best]
     return tables
 
 
@@ -171,38 +181,53 @@ def _best_gamma(cfg, m, ns, by_gamma) -> float:
     common = [n for n in ns if reference and n in reference]
     if not common:
         # no reference: smallest finest-grid error wins
-        return min(cfg.gammas, key=lambda g: by_gamma[g][-1][0])
+        return min(cfg.gammas, key=lambda g: by_gamma[g][-1].err_linf)
 
     def score(gamma: float) -> float:
         total = 0.0
         for n in common:
-            err = by_gamma[gamma][ns.index(n)][0]
+            err = by_gamma[gamma][ns.index(n)].err_linf
             total += math.log(err / reference[n]) ** 2
         return total
 
     return min(cfg.gammas, key=score)
 
 
+def _errors_2d(g1, q, n: int) -> tuple[float, float]:
+    """Errors of q against G_p = g1 x g1 on the (4N+1)^2 offset grid.
+
+    The approximant is the only (4N+1)^2 array: the reference is subtracted
+    from it in blocks of rows, and the difference is squared in place.
+    """
+    ax = offset_eval_axis(n)
+    g_ax = gp_eval(g1, ax)
+    diff = evaluate_on_grid(q, [ax, ax])
+    for start in range(0, ax.size, _REFERENCE_ROWS):
+        rows = diff[start : start + _REFERENCE_ROWS]
+        ref = np.outer(g_ax[start : start + _REFERENCE_ROWS], g_ax)
+        np.subtract(rows, ref, out=rows)
+    err_linf = float(max(diff.max(), -diff.min()))
+    err_l2 = float(math.sqrt(np.mean(np.square(diff, out=diff)) * TWO_PI**2))
+    return err_linf, err_l2
+
+
 def run_conv2d(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
     """2D convergence of G_p on tensor grids (first gamma of the list)."""
     gamma = cfg.gammas[0]
     ns = _doubling_range(cfg.nmin, cfg.nmax)
-    g2 = make_gp(cfg.p, 2)
     g1 = make_gp(cfg.p, 1)
+    # G_p is the tensor product of g_p, so its N x N samples are the outer
+    # product of one axis's; they do not depend on m
+    samples = {}
+    for n in ns:
+        a = gp_eval(g1, FullGridSpec((n,)).axis(0))
+        samples[n] = np.outer(a, a)
     tables: dict[int, list[ConvergenceRow]] = {}
     for m in cfg.m_list:
-        errs = []
-        for n in ns:
-            q = build_full(g2, n, 2, m, gamma)
-            ax = offset_eval_axis(n)
-            vals = evaluate_on_grid(q, [ax, ax])
-            g_ax = gp_eval(g1, ax)
-            ref = np.outer(g_ax, g_ax)
-            # in place: the (4N+1)^2 grid holds no temporaries beyond ref
-            diff = np.subtract(ref, vals, out=vals)
-            err_l2 = float(math.sqrt(np.mean(np.square(diff, out=ref)) * TWO_PI**2))
-            err_linf = float(np.max(np.abs(diff, out=diff)))
-            errs.append((err_linf, err_l2))
+        errs = [
+            _errors_2d(g1, from_samples(samples[n], (m, m), (gamma, gamma)), n)
+            for n in ns
+        ]
         rows = _rows_from_errors(ns, errs)
         _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), rows, gamma)
         tables[m] = rows

@@ -5,14 +5,20 @@ An interpolant-free approximant is assembled directly from samples,
     Qf(x) = sum_j f(x_j) * prod_r w_r psi_{2 m_r + 2}(x_r - x_{j,r}; c_r),
 
 with weights w_r = 2 pi / N_r (the grid spacing) and shapes coupled to the
-mesh as c_r = gamma_r * 2 pi / N_r.  Evaluation contracts the samples
-separably against one kernel matrix per dimension: one (sparse) matrix
-product for the largest dimension, then elementwise per-point contractions
-for the others.  Each dimension's node window is truncated where the kernel
-envelope falls below 1e-15 of its peak, and that truncation window sets the
-sparsity of the dimension's matrix (dense when the window spans the axis).
-Tensor-product evaluation grids contract every axis against the same
-matrices.  A windowed dense-summation path is kept as the correctness oracle.
+mesh as c_r = gamma_r * 2 pi / N_r.  ``from_samples`` takes the sample
+array itself; ``build_full`` and ``build_aniso`` first sample a callable on
+the grid.  Evaluation contracts the samples
+separably against one kernel matrix per dimension.  Each dimension's node
+window is truncated where the kernel envelope falls below 1e-15 of its
+peak, and that truncation window sets the matrix's sparsity (dense when
+the window spans the axis).  Scattered points go through one sparse (CSR)
+matrix product for the largest dimension, then elementwise per-point
+contractions for the others.  Tensor-product evaluation grids contract
+one axis at a time as banded BLAS blocks: the axis's coordinates are
+sorted, and each block of sorted rows scatters its window entries into a
+small dense matrix that multiplies the contiguous slab of nodes the block
+touches (gathered mod N where the window wraps).  A windowed
+dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
@@ -49,6 +55,7 @@ __all__ = [
     "build_full",
     "build_aniso",
     "build_sparse",
+    "from_samples",
     "evaluate",
     "evaluate_dense",
     "evaluate_on_grid",
@@ -149,12 +156,9 @@ def _sample_function(f: Callable, points: np.ndarray) -> np.ndarray:
 
 
 def _assemble(
-    counts: Sequence[int],
-    ms: Sequence[int],
-    gammas: Sequence[float],
-    samples: np.ndarray,
+    samples: np.ndarray, ms: Sequence[int], gammas: Sequence[float]
 ) -> QuasiInterpolant:
-    grid = FullGridSpec(tuple(int(n) for n in counts))
+    grid = FullGridSpec(samples.shape)
     params = []
     weights = []
     halfwidths = []
@@ -170,20 +174,37 @@ def _assemble(
     return QuasiInterpolant(
         grid=grid,
         kernel=kernel,
-        samples=samples.reshape(grid.counts),
+        samples=samples,
         stencil_halfwidths=tuple(halfwidths),
     )
 
 
-def _build_on_grid(
-    f: Callable,
-    counts: Sequence[int],
-    ms: Sequence[int],
-    gammas: Sequence[float],
+def from_samples(
+    samples, ms: Sequence[int], gammas: Sequence[float]
 ) -> QuasiInterpolant:
+    """Quasi-interpolant of samples given on a full tensor grid.
+
+    ``samples[j_1, ..., j_d]`` is the target's value at the node
+    (2 pi j_1 / N_1, ..., 2 pi j_d / N_d), with the counts N_r taken from
+    ``samples.shape``; each must be even and >= 4.  ``ms`` and ``gammas``
+    give the kernel order and shape constant of each dimension
+    (c_r = gamma_r 2 pi / N_r).  The samples are copied, so the
+    interpolant stays immutable.
+    """
+    vals = np.array(samples, dtype=float)
+    if len(ms) != vals.ndim or len(gammas) != vals.ndim:
+        raise ValueError("samples dimensions, ms, gammas must have equal lengths")
+    for n in vals.shape:
+        if n < 4 or n % 2 != 0:
+            raise ValueError(f"grid sizes must be even and >= 4, got {n}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("samples must be finite")
+    return _assemble(vals, ms, gammas)
+
+
+def _sampled_on_grid(f: Callable, counts: Sequence[int]) -> np.ndarray:
     grid = FullGridSpec(tuple(int(n) for n in counts))
-    samples = _sample_function(f, full_grid_nodes(grid))
-    return _assemble(grid.counts, ms, gammas, samples)
+    return _sample_function(f, full_grid_nodes(grid)).reshape(grid.counts)
 
 
 def build_full(
@@ -194,11 +215,7 @@ def build_full(
     ``f`` receives an (n, d) array of points and must return n values.
     Sets c = gamma 2 pi / N and w = 2 pi / N in every dimension.
     """
-    if N < 4 or N % 2 != 0:
-        raise ValueError(f"grid size must be even and >= 4, got {N}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return _build_on_grid(f, (N,) * d, (m,) * d, (gamma,) * d)
+    return from_samples(_sampled_on_grid(f, (N,) * d), (m,) * d, (gamma,) * d)
 
 
 def build_aniso(
@@ -208,13 +225,7 @@ def build_aniso(
     gammas: Sequence[float],
 ) -> QuasiInterpolant:
     """Directionally uniform quasi-interpolant with per-dimension N, m, gamma."""
-    counts = tuple(int(n) for n in counts)
-    if len(ms) != len(counts) or len(gammas) != len(counts):
-        raise ValueError("counts, ms, gammas must have equal lengths")
-    for n in counts:
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid sizes must be even and >= 4, got {n}")
-    return _build_on_grid(f, counts, ms, gammas)
+    return from_samples(_sampled_on_grid(f, counts), ms, gammas)
 
 
 def _gather_term_samples(
@@ -256,12 +267,7 @@ def build_sparse(
     terms = []
     for term in combination_terms(spec):
         samples = _gather_term_samples(term, words, values, spec.level)
-        qi = _assemble(
-            term.grid.counts,
-            (m,) * spec.dims,
-            (gamma,) * spec.dims,
-            samples,
-        )
+        qi = _assemble(samples, (m,) * spec.dims, (gamma,) * spec.dims)
         terms.append((term, qi))
     return SparseQuasiInterpolant(spec=spec, terms=tuple(terms))
 
@@ -273,21 +279,26 @@ def build_sparse(
 def _dim_window(
     q: QuasiInterpolant, x: np.ndarray, r: int, hw: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weighted kernel values of coordinates x along axis r."""
+    """Node indices and weighted kernel values of coordinates x along axis r.
+
+    The indices of each row are consecutive and not reduced mod n_r (they
+    run from round(x / h) - hw to round(x / h) + hw), so they rise with x;
+    reduce them mod n_r to index the samples.  When the window spans the
+    axis, every row holds the nodes 0..n_r-1.
+    """
     n = q.grid.counts[r]
     spacing = TWO_PI / n
     if 2 * hw + 1 >= n:
         nodes = spacing * np.arange(n)
-        idx = np.broadcast_to(np.arange(n), (x.size, n))
+        raw = np.broadcast_to(np.arange(n), (x.size, n))
         diff = x[:, None] - nodes[None, :]
     else:
         base = np.round(x / spacing).astype(np.int64)
         offsets = np.arange(-hw, hw + 1)
         raw = base[:, None] + offsets[None, :]
-        idx = np.mod(raw, n)
         diff = x[:, None] - spacing * raw  # psi is exactly periodic
     kern = q.kernel.weights[r] * psi_restricted(q.kernel.params[r], diff)
-    return idx, kern
+    return raw, kern
 
 
 def _evaluate_windowed(
@@ -297,7 +308,10 @@ def _evaluate_windowed(
     d = q.grid.dims
     window = [min(2 * hw + 1, n) for hw, n in zip(halfwidths, q.grid.counts)]
     volume = int(np.prod(window))
-    windows = [_dim_window(q, pts[:, r], r, halfwidths[r]) for r in range(d)]
+    windows = []
+    for r in range(d):
+        raw, kern = _dim_window(q, pts[:, r], r, halfwidths[r])
+        windows.append((np.mod(raw, q.grid.counts[r]), kern))
 
     out = np.empty(pts.shape[0])
     chunk = max(1, _CHUNK_ELEMS // max(volume, 1))
@@ -328,13 +342,13 @@ def _axis_matrix(q: QuasiInterpolant, x: np.ndarray, r: int):
     distinct nodes because the window is shorter than the axis.
     """
     hw = q.stencil_halfwidths[r]
-    idx, kern = _dim_window(q, x, r, hw)
+    raw, kern = _dim_window(q, x, r, hw)
     n = q.grid.counts[r]
     if 2 * hw + 1 >= n:
         return kern
     indptr = np.arange(0, kern.size + 1, kern.shape[1])
     return sparse.csr_matrix(
-        (kern.ravel(), idx.ravel(), indptr), shape=(kern.shape[0], n)
+        (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
     )
 
 
@@ -430,15 +444,84 @@ def evaluate_dense(q, points) -> np.ndarray:
     return _evaluate_windowed(q, pts, full)
 
 
+def _gemm_into(out: np.ndarray, dest, kern: np.ndarray, slab: np.ndarray) -> None:
+    """out[:, dest, :] = kern @ slab per leading index (one BLAS GEMM each).
+
+    A slice ``dest`` is written in place; an index array goes through a
+    temporary.
+    """
+    if out.shape[2] == 1:
+        # last axis: all leading indices in one GEMM, not one GEMV each
+        lhs, rhs, target = slab[:, :, 0], kern.T, out[:, :, 0]
+    else:
+        lhs, rhs, target = kern, slab, out
+    if isinstance(dest, slice):
+        np.matmul(lhs, rhs, out=target[:, dest])
+    else:
+        target[:, dest] = lhs @ rhs
+
+
+def _contract_axis(
+    q: QuasiInterpolant, res: np.ndarray, x: np.ndarray, r: int
+) -> np.ndarray:
+    """Contract axis r of the C-ordered array ``res`` against the kernel at x.
+
+    Returns a C-ordered array with axis r of length len(x).  When the
+    window spans the axis, the dense kernel matrix is one GEMM.  Otherwise
+    the coordinates are sorted and cut into blocks whose nodes advance by
+    about one window; each block's window values are scattered into a dense
+    (rows x node span) matrix, contracted in one GEMM with the block's
+    slab of consecutive nodes (gathered mod n_r where the window wraps
+    past 0 or 2 pi), and written through a slice when the block's rows are
+    consecutive in the output.  The dense blocks hold exactly the
+    truncated window entries, so only the summation order differs from a
+    sparse product.
+    """
+    n = q.grid.counts[r]
+    hw = q.stencil_halfwidths[r]
+    src = res.reshape(math.prod(res.shape[:r]), n, -1)
+    out = np.empty((src.shape[0], x.size, src.shape[2]))
+    if 2 * hw + 1 >= n:
+        _, kern = _dim_window(q, x, r, hw)
+        _gemm_into(out, slice(None), kern, src)
+    else:
+        order = np.argsort(x, kind="stable")
+        raw, kern = _dim_window(q, x[order], r, hw)
+        width = 2 * hw + 1
+        # a block of `step` sorted, evenly spread rows touches about
+        # step n / M + width nodes, twice the window: the GEMM multiplies
+        # about as many zeros as window entries
+        step = max(1, width * x.size // n)
+        for start in range(0, x.size, step):
+            stop = min(start + step, x.size)
+            lo, hi = int(raw[start, 0]), int(raw[stop - 1, -1])
+            span = hi - lo + 1
+            block = np.zeros((stop - start, span))
+            first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
+            block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
+            if 0 <= lo and hi < n:
+                slab = src[:, lo : hi + 1]
+            else:
+                slab = src[:, np.arange(lo, hi + 1) % n]
+            rows = order[start:stop]
+            if np.all(np.diff(rows) == 1):
+                rows = slice(rows[0], rows[-1] + 1)
+            _gemm_into(out, rows, block, slab)
+    return out.reshape(res.shape[:r] + (x.size,) + res.shape[r + 1 :])
+
+
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Separable evaluation on a tensor-product point grid.
 
     Each axis must be 1-D and finite; it is reduced mod 2 pi and contracted
-    against the same truncated kernel matrix :func:`evaluate` builds (a
-    sparse M_r x N_r matrix with 2 hw_r + 1 entries per row, dense when the
-    window spans the axis), one axis at a time.  Agrees with
-    :func:`evaluate_dense` on the product points to truncation accuracy.
-    Returns an array of shape (len(axes[0]), ..., len(axes[d-1])).
+    against the same truncated kernel window :func:`evaluate` uses, one
+    axis at a time.  Per axis, the sorted coordinates are cut into blocks
+    whose window entries fill a small dense matrix, and each block is one
+    BLAS GEMM against the contiguous slab of nodes it touches (wrapped mod
+    N_r at 0 and 2 pi); an axis whose window spans it is one GEMM with the
+    dense kernel.  Agrees with :func:`evaluate_dense` on the product points
+    to truncation accuracy.  Returns a C-ordered array of shape
+    (len(axes[0]), ..., len(axes[d-1])).
     """
     if len(axes) != q.grid.dims:
         raise ValueError(f"need {q.grid.dims} axes")
@@ -447,8 +530,5 @@ def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndar
         x = np.asarray(ax, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"axis {r} must be 1-D, got shape {x.shape}")
-        kmat = _axis_matrix(q, _reduce_mod_2pi(x), r)
-        moved = np.moveaxis(res, r, 0)
-        out = kmat @ moved.reshape(moved.shape[0], -1)
-        res = np.moveaxis(out.reshape((x.size,) + moved.shape[1:]), 0, r)
+        res = _contract_axis(q, res, _reduce_mod_2pi(x), r)
     return res

@@ -8,8 +8,6 @@ Provides the pieces everything else is assembled from:
 * overflow-safe scaled modified Bessel functions
   :math:`\tilde I_\nu(z) = e^{-z} I_\nu(z)` (Miller backward recurrence;
   the jet route shares one memoized recurrence per argument and order bucket),
-* the truncated Hankel large-argument expansion of :math:`I_\ell`
-  (DLMF 10.40.1), used only as a cross-check,
 * truncated Taylor jets (univariate, fixed order) and the jet of
   :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
 
@@ -33,7 +31,6 @@ __all__ = [
     "binom_real",
     "scaled_bessel_i",
     "scaled_bessel_i_all",
-    "hankel_asymptotic_i",
     "jet_psi2_hat",
 ]
 
@@ -160,37 +157,6 @@ def _miller_scaled(nu_max: int, z: float) -> list[float]:
 def scaled_bessel_i(nu: int, z: float) -> float:
     r"""Overflow-safe :math:`e^{-z} I_\nu(z)` for integer ``nu >= 0``."""
     return scaled_bessel_i_all(nu, z)[nu]
-
-
-def hankel_asymptotic_i(ell: int, z: float, terms: int) -> float:
-    r"""Truncated Hankel expansion of :math:`e^{-z} I_\ell(z)` (DLMF 10.40.1).
-
-    With :math:`\mu = 4\ell^2`,
-
-    .. math::
-        e^{-z} I_\ell(z) \approx \frac{1}{\sqrt{2\pi z}}
-        \sum_{\gamma < \text{terms}} \frac{(-1)^\gamma}{\gamma! (8z)^\gamma}
-        \prod_{i=1}^{\gamma} \big(\mu - (2i-1)^2\big).
-
-    Valid only for ``z >= 10 * max(1, ell**2)``; used as an independent
-    cross-check of :func:`scaled_bessel_i`, never on the evaluation path.
-    """
-    if ell < 0:
-        raise ValueError(f"order must be >= 0, got {ell}")
-    if not 1 <= terms <= 8:
-        raise ValueError(f"terms must satisfy 1 <= terms <= 8, got {terms}")
-    z_min = 10.0 * max(1.0, float(ell) ** 2)
-    if not z >= z_min:
-        raise ValueError(
-            f"z={z} outside the expansion's validity regime (need z >= {z_min})"
-        )
-    mu = 4.0 * ell * ell
-    acc = 1.0
-    term = 1.0
-    for gamma in range(1, terms):
-        term *= -(mu - (2 * gamma - 1) ** 2) / (8.0 * z * gamma)
-        acc += term
-    return acc / math.sqrt(2.0 * math.pi * z)
 
 
 # ---------------------------------------------------------------------------

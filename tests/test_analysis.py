@@ -254,6 +254,26 @@ def test_offset_axis_avoids_nodes():
     assert dist > 1e-3
 
 
+def _lcg_scalar(count, dims, seed):
+    # the one-state-at-a-time recurrence the vectorized generator replaces
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = np.empty((count, dims))
+    for i in range(count):
+        for r in range(dims):
+            state = (6364136223846793005 * state + 1442695040888963407) & mask
+            out[i, r] = (state >> 11) * (1.0 / (1 << 53))
+    return TWO_PI * out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**64 - 1])
+def test_lcg_points_match_scalar_recurrence(seed):
+    for dims in range(1, 7):
+        for count in (1, 2, 1000):
+            got = lcg_uniform_points(count, dims, seed)
+            assert np.array_equal(got, _lcg_scalar(count, dims, seed)), (dims, count)
+
+
 def test_lcg_points_deterministic_and_in_range():
     a = lcg_uniform_points(100, 3, 0x5EED)
     b = lcg_uniform_points(100, 3, 0x5EED)

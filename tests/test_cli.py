@@ -85,6 +85,18 @@ def test_numerical_failure_returns_3(tmp_path, monkeypatch):
     assert run(["table1", "--out", str(tmp_path / "t.csv")]) == 3
 
 
+@pytest.mark.parametrize("p", ["6", "4"])  # with and without reference levels
+def test_zero_error_exits_3(tmp_path, monkeypatch, capsys, p):
+    import torusqi.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_errors_1d", lambda *args: (0.0, 0.0))
+    out = tmp_path / "t.csv"
+    assert run(["table1", "--p", p, "--m", "0", "--nmin", "32", "--nmax", "64",
+                "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "t_m0.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # strangfix
 # ---------------------------------------------------------------------------
@@ -142,6 +154,23 @@ def test_conv2d_smoke(tmp_path):
     assert len(lines) == 3
     errs = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert errs[1] < errs[0]
+
+
+def test_conv2d_frees_each_grid(tmp_path):
+    # one table entry's (4N+1)^2 approximant and reference take two grids
+    # at N = 512; keeping the grids of earlier entries alive passes three
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = run(["conv2d", "--m", "0,1,2", "--nmin", "16", "--nmax", "512",
+                    "--out", str(tmp_path / "c.csv")])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * (4 * 512 + 1) ** 2 * 8
 
 
 def test_sparse_smoke(tmp_path):

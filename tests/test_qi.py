@@ -292,6 +292,49 @@ def test_grid_path_matches_dense():
         assert np.max(np.abs(grid_vals.ravel() - dense)) <= 1e-13 * scale, label
 
 
+def test_grid_path_banded_battery():
+    # per-axis banded contraction: sorted-row blocks, wrapped slabs at 0 and
+    # 2 pi, slice and index-array writes, every GEMM layout (first, middle
+    # and last axis), and windows that span their axis
+    from torusqi.analysis import make_gp, offset_eval_axis
+
+    rng = np.random.default_rng(11)
+    long_ax = offset_eval_axis(128)  # 513 points, wraps past 2 pi at its end
+    shuffled = rng.permutation(long_ax)
+    short = np.array([0.02, 3.3, 6.27])
+    cases = []
+    for m in (0, 4, 8):
+        # the 16-node window spans its axis
+        q = build_aniso(make_gp(6, 2), (128, 16), (m, m), (1.5, 1.5))
+        for label, ax in (("offset", long_ax), ("reversed", long_ax[::-1]),
+                          ("permuted", shuffled), ("one point", np.array([6.28])),
+                          ("two points", np.array([5.0, 0.01]))):
+            cases.append((f"m={m} {label} first", q, [ax, short]))
+            cases.append((f"m={m} {label} last", q, [short, ax]))
+        # 8 and 6 nodes: both outer windows span their axis
+        q3 = build_aniso(make_gp(6, 3), (8, 128, 6), (m, m, m), (1.0, 1.5, 1.0))
+        cases.append((f"m={m} 3D middle", q3, [short[:2], long_ax, short[1:2]]))
+        cases.append((f"m={m} 3D permuted middle", q3, [short[:1], shuffled, short[:2]]))
+    # M << N: five points on 1024 nodes
+    few = np.array([0.001, 1.7, 1.71, 4.0, 6.2831])
+    q1024 = build_full(make_gp(6, 1), 1024, 1, 2, 1.5)
+    cases.append(("1D N=1024, 5 points", q1024, [few]))
+    q_wide = build_aniso(make_gp(6, 2), (1024, 8), (1, 1), (1.5, 1.5))
+    cases.append(("(1024, 8), 5 points", q_wide, [few, short]))
+    for label, q, axes in cases:
+        spans = [2 * hw + 1 >= n for hw, n in zip(q.stencil_halfwidths, q.grid.counts)]
+        assert not all(spans), label
+        got = evaluate_on_grid(q, axes)
+        assert got.shape == tuple(len(a) for a in axes), label
+        assert got.flags.c_contiguous, label
+        dense = evaluate_dense(q, _product_points(axes))
+        scale = float(np.max(np.abs(dense)))
+        assert np.max(np.abs(got.ravel() - dense)) <= 1e-13 * scale, label
+    # the 3D case mixes banded and spanning axes
+    assert [2 * hw + 1 >= n for hw, n in zip(q3.stencil_halfwidths, q3.grid.counts)] == [
+        True, False, True]
+
+
 def test_grid_path_validates_and_reduces_axes():
     from torusqi.analysis import make_gp
 
@@ -311,6 +354,50 @@ def test_grid_path_validates_and_reduces_axes():
         near = evaluate_on_grid(q, [np.remainder(a, TWO_PI) for a in shifted])
     assert np.all(np.isfinite(far))
     assert np.array_equal(far, near)
+
+
+# ---------------------------------------------------------------------------
+# Building from sample arrays
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [16, 256, 1024])
+def test_from_samples_matches_build_full(N):
+    from torusqi.analysis import gp_eval, make_gp
+
+    g1 = make_gp(6, 1)
+    a = gp_eval(g1, TWO_PI * np.arange(N) / N)
+    samples = np.outer(a, a)
+    for m, gamma in ((0, 1.5), (2, 1.0)):
+        q = qi.from_samples(samples, (m, m), (gamma, gamma))
+        ref = build_full(make_gp(6, 2), N, 2, m, gamma)
+        assert np.array_equal(q.samples, ref.samples)
+        assert q.stencil_halfwidths == ref.stencil_halfwidths
+        assert q.kernel == ref.kernel
+        pts = np.random.default_rng(N).uniform(0, TWO_PI, size=(64, 2))
+        assert np.array_equal(evaluate(q, pts), evaluate(ref, pts))
+    # the interpolant owns a copy: the caller's array stays writeable
+    samples[0, 0] = 0.0
+    assert q.samples[0, 0] == a[0] * a[0]
+
+
+def test_from_samples_validation():
+    good = np.ones((8, 16))
+    qi.from_samples(good, (1, 2), (1.0, 8.0))  # c = pi on the 16-node axis
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = good.copy()
+        vals[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qi.from_samples(vals, (1, 2), (1.0, 1.0))
+    for shape in ((8, 5), (2, 8), (7,), (0, 8)):
+        with pytest.raises(ValueError):
+            qi.from_samples(np.ones(shape), (1,) * len(shape), (1.0,) * len(shape))
+    with pytest.raises(ValueError):
+        qi.from_samples(good, (1,), (1.0, 1.0))
+    with pytest.raises(ValueError):
+        qi.from_samples(good, (1, 1), (1.0,))
+    for gamma in (0.0, -1.0, 8.5, np.nan):
+        with pytest.raises(ValueError):
+            qi.from_samples(good, (1, 1), (1.0, gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from bessel_oracles import hankel_asymptotic_i
 from torusqi.specfun import (
     Jet,
     binom_real,
-    hankel_asymptotic_i,
     jet_psi2_hat,
     laguerre_general,
     scaled_bessel_i,
