@@ -46,8 +46,10 @@ from .qi import (
     build_aniso,
     build_full,
     build_sparse,
+    build_sparse_levels,
     evaluate,
     evaluate_dense,
+    evaluate_many,
     evaluate_on_grid,
     from_samples,
 )

@@ -23,7 +23,12 @@ dense-summation path is kept as the correctness oracle.
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
 sampled once on the sorted int64 position words of the distinct sparse-grid
-nodes, and each component grid looks its samples up by word.
+nodes, and each component grid looks its samples up by word.  A sweep over
+several levels (``build_sparse_levels``) samples only the finest level's
+nodes, which contain every coarser level's, and shares each component grid
+between the levels whose combinations hold it; ``evaluate_many`` then
+evaluates each shared component and builds each per-axis kernel matrix
+once for all levels.
 """
 
 from __future__ import annotations
@@ -55,8 +60,10 @@ __all__ = [
     "build_full",
     "build_aniso",
     "build_sparse",
+    "build_sparse_levels",
     "from_samples",
     "evaluate",
+    "evaluate_many",
     "evaluate_dense",
     "evaluate_on_grid",
     "stencil_halfwidth",
@@ -245,6 +252,50 @@ def _gather_term_samples(
     return store_vals[where].reshape(term.grid.counts)
 
 
+def build_sparse_levels(
+    f: Callable, specs: Sequence[SparseGridSpec], m: int, gamma: float = 1.0
+) -> tuple[SparseQuasiInterpolant, ...]:
+    """Combination-technique quasi-interpolants of ``f``, one per spec.
+
+    All specs must have the same ``dims``; the interpolants come back in
+    the order of ``specs``.  ``f`` is evaluated exactly once per distinct
+    node of the finest spec (the count equals
+    :func:`sparse_grid_count_formula` of that spec): the nodes are nested,
+    and each node's coordinate is the same float on every level, so every
+    coarser level's samples are among them.  Every combination grid looks
+    its samples up in that store by position word, and a grid that
+    several levels combine is one shared :class:`QuasiInterpolant`.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("need at least one sparse-grid spec")
+    dims = specs[0].dims
+    if any(spec.dims != dims for spec in specs):
+        raise ValueError("sparse-grid specs must have equal dims")
+    # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
+    # is one full grid, checked like any other in _assemble
+    if dims > 1 and not 0.0 < gamma <= 1.0:
+        raise ValueError(
+            f"sparse-grid gamma must be in (0, 1], got {gamma}: the 2-point "
+            "component grids need c = gamma pi <= pi"
+        )
+    finest = max(specs, key=lambda spec: spec.level)
+    words = sparse_grid_points(finest)
+    values = _sample_function(f, sparse_grid_nodes(finest, words))
+
+    components: dict[tuple[int, ...], QuasiInterpolant] = {}
+    out = []
+    for spec in specs:
+        terms = []
+        for term in combination_terms(spec):
+            if term.index not in components:
+                samples = _gather_term_samples(term, words, values, finest.level)
+                components[term.index] = _assemble(samples, (m,) * dims, (gamma,) * dims)
+            terms.append((term, components[term.index]))
+        out.append(SparseQuasiInterpolant(spec=spec, terms=tuple(terms)))
+    return tuple(out)
+
+
 def build_sparse(
     f: Callable, spec: SparseGridSpec, m: int, gamma: float = 1.0
 ) -> SparseQuasiInterpolant:
@@ -254,22 +305,7 @@ def build_sparse(
     count equals :func:`sparse_grid_count_formula`); every combination
     term looks its samples up in that store by position word.
     """
-    # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
-    # is one full grid, checked like any other in _assemble
-    if spec.dims > 1 and not 0.0 < gamma <= 1.0:
-        raise ValueError(
-            f"sparse-grid gamma must be in (0, 1], got {gamma}: the 2-point "
-            "component grids need c = gamma pi <= pi"
-        )
-    words = sparse_grid_points(spec)
-    values = _sample_function(f, sparse_grid_nodes(spec, words))
-
-    terms = []
-    for term in combination_terms(spec):
-        samples = _gather_term_samples(term, words, values, spec.level)
-        qi = _assemble(samples, (m,) * spec.dims, (gamma,) * spec.dims)
-        terms.append((term, qi))
-    return SparseQuasiInterpolant(spec=spec, terms=tuple(terms))
+    return build_sparse_levels(f, [spec], m, gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +435,65 @@ def _reduce_mod_2pi(x: np.ndarray) -> np.ndarray:
     return np.remainder(x, TWO_PI)
 
 
-def evaluate(q, points) -> np.ndarray:
-    """Evaluate a (sparse) quasi-interpolant at a batch of points.
-
-    Each grid is contracted separably against per-dimension kernel
-    matrices built from the truncated node windows (periodic wrap-around);
-    sparse interpolants return the coefficient-weighted sum of their
-    component evaluations, with each matrix built once per block of
-    points and shared by the terms on the same per-dimension grid.  Points
-    are reduced mod 2 pi first.  Results are deterministic for identical
-    inputs (fixed blocking and reduction order).
-    """
+def _components(q) -> tuple[int, list]:
+    """Dimension and (coefficient, component grid) pairs of an interpolant."""
     if isinstance(q, SparseQuasiInterpolant):
-        pts = _as_points(points, q.spec.dims)
-        parts = [(term.coeff, component) for term, component in q.terms]
-    else:
-        pts = _as_points(points, q.grid.dims)
-        parts = [(1, q)]
+        return q.spec.dims, [(term.coeff, component) for term, component in q.terms]
+    return q.grid.dims, [(1, q)]
+
+
+def evaluate_many(qs, points) -> np.ndarray:
+    """Evaluate several (sparse) quasi-interpolants at one batch of points.
+
+    Returns an array of shape (len(qs), len(points)) whose row i is
+    ``qs[i]`` at the points; full and sparse interpolants may be mixed,
+    but all must have the same dims.  Each grid is contracted separably
+    against per-dimension kernel matrices built from the truncated node
+    windows (periodic wrap-around); a sparse row is the coefficient-weighted
+    sum of its component evaluations, in the order of its terms.  Per block
+    of points, each kernel matrix is built once and shared by every grid
+    on the same per-dimension grid, and each component object (by
+    identity, as :func:`build_sparse_levels` shares them across levels) is
+    evaluated once for all rows; its values are dropped after the last row
+    that uses it.  Points are reduced mod 2 pi first.  Each row is bitwise
+    equal to :func:`evaluate` of that interpolant alone.
+    """
+    qs = list(qs)
+    if not qs:
+        raise ValueError("need at least one interpolant")
+    dims, rows = zip(*map(_components, qs))
+    if len(set(dims)) != 1:
+        raise ValueError("interpolants must have equal dims")
+    pts = _as_points(points, dims[0])
+    last_row = {id(c): i for i, parts in enumerate(rows) for _, c in parts}
     # bound the per-point intermediates (the product over the axes left
     # after the largest) by _CHUNK_ELEMS; matrices are built per chunk
-    rest = max(c.grid.size // max(c.grid.counts) for _, c in parts)
+    rest = max(c.grid.size // max(c.grid.counts) for parts in rows for _, c in parts)
     chunk = max(1, _CHUNK_ELEMS // rest)
-    out = np.zeros(pts.shape[0])
+    out = np.zeros((len(qs), pts.shape[0]))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         cache: dict = {}
-        for coeff, component in parts:
-            out[start : start + chunk] += coeff * _evaluate_separable(
-                component, block, cache
-            )
+        values: dict = {}
+        for i, parts in enumerate(rows):
+            for coeff, component in parts:
+                key = id(component)
+                if key not in values:
+                    values[key] = _evaluate_separable(component, block, cache)
+                out[i, start : start + chunk] += coeff * values[key]
+            for _, component in parts:
+                if last_row[id(component)] == i:
+                    values.pop(id(component), None)
     return out
+
+
+def evaluate(q, points) -> np.ndarray:
+    """Evaluate a (sparse) quasi-interpolant at a batch of points.
+
+    The one-row case of :func:`evaluate_many`.  Results are deterministic
+    for identical inputs (fixed blocking and reduction order).
+    """
+    return evaluate_many([q], points)[0]
 
 
 def evaluate_dense(q, points) -> np.ndarray:

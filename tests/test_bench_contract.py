@@ -3,7 +3,9 @@
 The tracer replaces module attributes that ``torusqi.qi`` looks up at call
 time (``sparse_grid_points`` among them) and counts from their results, so
 a refactor that binds them differently or changes what they return would
-silently zero or skew the per-layer metrics.  The benchmark's check also
+silently zero or skew the per-layer metrics; its counters also read the
+interpolant each traced CLI call receives, so the CLI must keep passing
+them one interpolant at a time.  The benchmark's check also
 compares CLI outputs with golden captures, so two of its commands are run
 here and must reproduce those bytes.  These tests only read perfbench.
 """
@@ -32,6 +34,19 @@ def test_traced_sparse_build_counts_nodes_and_restores():
     assert t.counts["grid.sparse_nodes"] == sparse_grid_count_formula(spec)
     assert t.counts["grid.combination_terms"] == len(q.terms)
     assert t.calls_to("grid.sparse_grid_points") == 1
+    assert tracer.unrestored() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sparse", "--dims", "2", "--m", "1", "--levels", "3..5"],
+        ["sparse", "--dims", "3", "--levels", "2..4"],
+    ],
+)
+def test_traced_sparse_cli_completes_and_restores(tmp_path, argv):
+    with tracer.installed(tracer.Tracer()):
+        assert main(argv + ["--out", str(tmp_path / "s.dat")]) == 0
     assert tracer.unrestored() == []
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,3 +185,14 @@ def test_sparse_smoke(tmp_path):
     assert [int(r[0]) for r in rows] == [2, 3, 4]
     rels = [float(r[2]) for r in rows]
     assert rels[-1] < rels[0]
+
+
+def test_sparse_2d_sweep_reproduces_capture(tmp_path):
+    # captured before levels were built and evaluated as one sweep; the
+    # sweep must reproduce every level's bytes
+    out = tmp_path / "s.dat"
+    code = run(["sparse", "--dims", "2", "--m", "2", "--gamma", "1.0",
+                "--levels", "8..11", "--out", str(out)])
+    assert code == 0
+    capture = Path(__file__).parent / "data" / "sparse2d_levels8_11.dat"
+    assert out.read_bytes() == capture.read_bytes()

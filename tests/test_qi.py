@@ -16,8 +16,10 @@ from torusqi.qi import (
     build_aniso,
     build_full,
     build_sparse,
+    build_sparse_levels,
     evaluate,
     evaluate_dense,
+    evaluate_many,
     evaluate_on_grid,
     stencil_halfwidth,
 )
@@ -28,6 +30,13 @@ TWO_PI = 2.0 * math.pi
 
 def const_one(pts):
     return np.ones(pts.shape[0])
+
+
+def _asymmetric(pts):
+    # no symmetry under permuting or reflecting coordinates, so a node
+    # gathered from the wrong place changes the sample
+    phase = sum((r + 1) * pts[:, r] for r in range(pts.shape[1]))
+    return np.sin(phase + 0.3) + 0.1 * pts[:, 0] ** 3
 
 
 def eval_points_1d(n=301):
@@ -485,19 +494,13 @@ def test_sparse_samples_once_per_node():
 
 
 def test_sparse_store_gather_matches_full_grid_samples():
-    # no symmetry under permuting or reflecting coordinates, so a node
-    # gathered from the wrong place changes the sample
-    def asymmetric(pts):
-        phase = sum((r + 1) * pts[:, r] for r in range(pts.shape[1]))
-        return np.sin(phase + 0.3) + 0.1 * pts[:, 0] ** 3
-
     for d, level in [(2, 6), (3, 4), (4, 3)]:
         spec = SparseGridSpec(level, d)
         calls = []
 
         def recording(pts):
             calls.append(pts.shape)
-            return asymmetric(pts)
+            return _asymmetric(pts)
 
         q = build_sparse(recording, spec, 1, 1.0)
         assert calls == [(sparse_grid_count_formula(spec), d)]
@@ -505,7 +508,7 @@ def test_sparse_store_gather_matches_full_grid_samples():
             t.index for t in combination_terms(spec)
         ]
         for term, component in q.terms:
-            expected = asymmetric(full_grid_nodes(term.grid)).reshape(term.grid.counts)
+            expected = _asymmetric(full_grid_nodes(term.grid)).reshape(term.grid.counts)
             assert np.array_equal(component.samples, expected), (d, level, term.index)
 
 
@@ -562,6 +565,128 @@ def test_sparse_gamma_cap():
             ValueError, match=r"2-point component grids need c = gamma pi <= pi"
         ):
             build_sparse(never_called, SparseGridSpec(3, 2), 1, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Level sweeps
+# ---------------------------------------------------------------------------
+
+def _sweep_points(count, d, seed=5):
+    return np.random.default_rng(seed).uniform(0, TWO_PI, size=(count, d))
+
+
+@pytest.mark.parametrize(
+    "d, levels, m, gamma",
+    [
+        (1, (3, 4, 5), 2, 1.5),
+        (2, (4, 5, 6, 7), 2, 1.0),
+        (2, (3, 5, 7), 1, 0.7),
+        (2, (7, 4), 0, 1.0),
+        (3, (2, 3, 4, 5), 2, 1.0),
+        (3, (5, 3), 1, 0.9),
+    ],
+)
+def test_sweep_rows_match_single_level_builds(d, levels, m, gamma):
+    specs = [SparseGridSpec(level, d) for level in levels]
+    pts = _sweep_points(700, d)
+    rows = evaluate_many(build_sparse_levels(_asymmetric, specs, m, gamma), pts)
+    assert rows.shape == (len(specs), len(pts))
+    for spec, row in zip(specs, rows):
+        alone = evaluate(build_sparse(_asymmetric, spec, m, gamma), pts)
+        assert np.array_equal(row, alone), spec
+
+
+def test_sweep_rows_match_across_chunks(monkeypatch):
+    # the sweep's block size follows its largest grid, a lone level's its
+    # own; with a small budget both span many blocks, of different sizes
+    monkeypatch.setattr(qi, "_CHUNK_ELEMS", 256)
+    specs = [SparseGridSpec(level, 3) for level in (2, 4, 5)]
+    pts = _sweep_points(1000, 3)
+    qs = build_sparse_levels(_asymmetric, specs, 2, 1.0)
+    rests = {c.grid.size // max(c.grid.counts) for q in qs for _, c in q.terms}
+    assert len(pts) > qi._CHUNK_ELEMS // max(rests) and len(rests) > 1
+    for spec, row in zip(specs, evaluate_many(qs, pts)):
+        alone = evaluate(build_sparse(_asymmetric, spec, 2, 1.0), pts)
+        assert np.array_equal(row, alone), spec
+
+
+def test_evaluate_many_mixes_full_and_sparse():
+    pts = _sweep_points(500, 2)
+    qs = [
+        build_full(_asymmetric, 16, 2, 1, 1.0),
+        build_sparse(_asymmetric, SparseGridSpec(5, 2), 2, 1.0),
+        build_aniso(_asymmetric, (64, 8), (2, 0), (1.0, 0.8)),
+        build_sparse(_asymmetric, SparseGridSpec(3, 2), 1, 0.5),
+    ]
+    rows = evaluate_many(qs, pts)
+    for q, row in zip(qs, rows):
+        assert np.array_equal(row, evaluate(q, pts))
+
+
+def test_sweep_shares_components_across_levels():
+    specs = [SparseGridSpec(level, 3) for level in (3, 4, 5)]
+    qs = build_sparse_levels(_asymmetric, specs, 1, 1.0)
+    by_index = {}
+    shared = 0
+    for q in qs:
+        for term, component in q.terms:
+            if term.index in by_index:
+                assert component is by_index[term.index], term.index
+                shared += 1
+            by_index[term.index] = component
+    # consecutive 3D levels share two of their three diagonals
+    assert shared == sum(
+        1 for q in qs[1:] for t, _ in q.terms if sum(t.index) < q.spec.level + 2
+    )
+    assert shared > 0
+
+
+def test_sweep_samples_once_on_the_finest_nodes():
+    for d, levels in [(1, (4, 6, 5)), (2, (6, 9, 7)), (3, (5, 3))]:
+        calls = []
+
+        def recording(pts):
+            calls.append(pts.shape)
+            return _asymmetric(pts)
+
+        specs = [SparseGridSpec(level, d) for level in levels]
+        build_sparse_levels(recording, specs, 1, 1.0)
+        finest = SparseGridSpec(max(levels), d)
+        assert calls == [(sparse_grid_count_formula(finest), d)], (d, levels)
+
+
+def test_sweep_validation():
+    q2 = build_sparse(const_one, SparseGridSpec(3, 2), 1, 1.0)
+    q3 = build_sparse(const_one, SparseGridSpec(3, 3), 1, 1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        build_sparse_levels(const_one, [], 1, 1.0)
+    with pytest.raises(ValueError, match="equal dims"):
+        build_sparse_levels(
+            const_one, [SparseGridSpec(3, 2), SparseGridSpec(4, 3)], 1, 1.0
+        )
+    with pytest.raises(ValueError, match="at least one"):
+        evaluate_many([], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="equal dims"):
+        evaluate_many([q2, q3], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="equal dims"):
+        evaluate_many([q2, build_full(const_one, 8, 1, 1)], np.zeros((3, 2)))
+
+
+def test_sweeps_of_different_targets_stay_apart():
+    # the same component index holds different samples in the two sweeps,
+    # so components must be told apart by identity, not by index
+    def other(pts):
+        return np.cos(pts[:, 0] - 2.0 * pts[:, 1]) + 0.5
+
+    specs = [SparseGridSpec(level, 2) for level in (4, 5, 6)]
+    qs = build_sparse_levels(_asymmetric, specs, 1, 1.0) + build_sparse_levels(
+        other, specs, 1, 1.0
+    )
+    pts = _sweep_points(400, 2)
+    rows = evaluate_many(qs, pts)
+    for q, row in zip(qs, rows):
+        assert np.array_equal(row, evaluate(q, pts))
+    assert not np.array_equal(rows[0], rows[3])
 
 
 # ---------------------------------------------------------------------------
