@@ -1,12 +1,20 @@
 """Benchmark command line: convergence tables, certifications, kernel dumps.
 
-Subcommands
------------
+Subcommands and the flags each takes (besides ``--out``)
+--------------------------------------------------------
 table1     1D convergence table for g_p per kernel order, with a shape sweep
+           (--p, --m list, --gamma list, --nmin, --nmax)
 conv2d     2D convergence table for G_p on tensor grids
+           (--p, --m list, --gamma, --nmin, --nmax)
 sparse     sparse-grid convergence versus total point count
+           (--p, --m, --gamma, --dims, --levels, --seed)
 strangfix  fitted saturation exponents of the kernel Fourier coefficients
+           (--m list, --gamma, --nmin, --nmax)
 kernel     profile dumps of psi(alpha) and psi_hat(ell)
+           (--m, --gamma, --nmin, --nmax)
+
+A subcommand rejects any other flag, and a flag read as one value takes
+one value, so no flag is ignored or cut short.
 
 Convergence tables are CSV with the fixed header
 ``N,h,gamma,err_linf,rate_linf,err_l2,rate_l2``; figure-style dumps are
@@ -24,7 +32,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +47,7 @@ from .analysis import (
 )
 from .grid import FullGridSpec, SparseGridSpec, sparse_grid_count_formula
 from .kernel import (
+    FOURIER_MAX_FREQ,
     KernelParams,
     psi_fourier_analytic,
     psi_restricted,
@@ -56,7 +64,7 @@ from .qi import (  # noqa: F401  (build_sparse: perfbench's tracer wraps it here
 )
 from .specfun import NumericsError
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,20 +78,6 @@ _G6_LINF_REFERENCE = {
     1: {32: 1.360e-03, 64: 1.043e-04, 128: 6.869e-06, 256: 4.350e-07, 512: 2.778e-08},
     2: {32: 6.334e-04, 64: 1.485e-05, 128: 2.563e-07, 256: 4.105e-09, 512: 6.453e-11},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    p: int
-    m_list: tuple[int, ...]
-    gammas: tuple[float, ...]
-    nmin: int
-    nmax: int
-    dims: int
-    levels: tuple[int, int]
-    seed: int
-    out: Path
 
 
 def _fmt(x: float) -> str:
@@ -168,28 +162,28 @@ def _write_convergence_csv(path: Path, rows, gamma: float) -> None:
     _write_lines(path, lines)
 
 
-def run_table1(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
+def run_table1(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
     """1D convergence of g_p per kernel order; best gamma from the sweep."""
-    ns = _doubling_range(cfg.nmin, cfg.nmax)
+    ns = _doubling_range(args.nmin, args.nmax)
     tables: dict[int, list[ConvergenceRow]] = {}
-    for m in cfg.m_list:
+    for m in args.m:
         by_gamma = {
-            gamma: _rows_from_errors(ns, [_errors_1d(cfg.p, n, m, gamma) for n in ns])
-            for gamma in cfg.gammas
+            gamma: _rows_from_errors(ns, [_errors_1d(args.p, n, m, gamma) for n in ns])
+            for gamma in args.gamma
         }
-        best = _best_gamma(cfg, m, ns, by_gamma)
-        _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), by_gamma[best], best)
+        best = _best_gamma(args, m, ns, by_gamma)
+        _write_convergence_csv(_with_suffix(args.out, f"m{m}"), by_gamma[best], best)
         tables[m] = by_gamma[best]
     return tables
 
 
-def _best_gamma(cfg, m, ns, by_gamma) -> float:
+def _best_gamma(args, m, ns, by_gamma) -> float:
     """Shape constant matching the reference levels, if any are known."""
-    reference = _G6_LINF_REFERENCE.get(m) if cfg.p == 6 else None
+    reference = _G6_LINF_REFERENCE.get(m) if args.p == 6 else None
     common = [n for n in ns if reference and n in reference]
     if not common:
         # no reference: smallest finest-grid error wins
-        return min(cfg.gammas, key=lambda g: by_gamma[g][-1].err_linf)
+        return min(args.gamma, key=lambda g: by_gamma[g][-1].err_linf)
 
     def score(gamma: float) -> float:
         total = 0.0
@@ -198,7 +192,7 @@ def _best_gamma(cfg, m, ns, by_gamma) -> float:
             total += math.log(err / reference[n]) ** 2
         return total
 
-    return min(cfg.gammas, key=score)
+    return min(args.gamma, key=score)
 
 
 def _errors_2d(g1, q, n: int) -> tuple[float, float]:
@@ -219,11 +213,11 @@ def _errors_2d(g1, q, n: int) -> tuple[float, float]:
     return err_linf, err_l2
 
 
-def run_conv2d(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
-    """2D convergence of G_p on tensor grids (first gamma of the list)."""
-    gamma = cfg.gammas[0]
-    ns = _doubling_range(cfg.nmin, cfg.nmax)
-    g1 = make_gp(cfg.p, 1)
+def run_conv2d(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
+    """2D convergence of G_p on tensor grids."""
+    gamma = args.gamma
+    ns = _doubling_range(args.nmin, args.nmax)
+    g1 = make_gp(args.p, 1)
     # G_p is the tensor product of g_p, so its N x N samples are the outer
     # product of one axis's; they do not depend on m
     samples = {}
@@ -231,35 +225,35 @@ def run_conv2d(cfg: RunConfig) -> dict[int, list[ConvergenceRow]]:
         a = gp_eval(g1, FullGridSpec((n,)).axis(0))
         samples[n] = np.outer(a, a)
     tables: dict[int, list[ConvergenceRow]] = {}
-    for m in cfg.m_list:
+    for m in args.m:
         errs = [
             _errors_2d(g1, from_samples(samples[n], (m, m), (gamma, gamma)), n)
             for n in ns
         ]
         rows = _rows_from_errors(ns, errs)
-        _write_convergence_csv(_with_suffix(cfg.out, f"m{m}"), rows, gamma)
+        _write_convergence_csv(_with_suffix(args.out, f"m{m}"), rows, gamma)
         tables[m] = rows
     return tables
 
 
-def run_sparse(cfg: RunConfig) -> Path:
+def run_sparse(args: argparse.Namespace) -> Path:
     """Sparse-grid relative errors versus total sample count.
 
     The levels are built and evaluated as one sweep: the target is sampled
     on the finest level's nodes only, and each component grid and per-axis
     kernel matrix is built and evaluated once for every level holding it.
     """
-    gamma = cfg.gammas[0]
-    m = cfg.m_list[0]
-    g = make_gp(cfg.p, cfg.dims)
-    pts = lcg_uniform_points(8192, cfg.dims, cfg.seed)
+    if args.dims < 1:
+        raise ValueError(f"--dims must be >= 1, got {args.dims}")
+    lo, hi = args.levels
+    if lo < 1 or hi < lo:
+        raise ValueError(f"--levels range invalid: {args.levels}")
+    g = make_gp(args.p, args.dims)
+    pts = lcg_uniform_points(8192, args.dims, args.seed)
     ref = g(pts)
     scale = float(np.max(np.abs(ref)))
-    specs = [
-        SparseGridSpec(level, cfg.dims)
-        for level in range(cfg.levels[0], cfg.levels[1] + 1)
-    ]
-    approx = evaluate_many(build_sparse_levels(g, specs, m, gamma), pts)
+    specs = [SparseGridSpec(level, args.dims) for level in range(lo, hi + 1)]
+    approx = evaluate_many(build_sparse_levels(g, specs, args.m, args.gamma), pts)
     lines = ["level npoints rel_linf rel_l2"]
     for spec, row in zip(specs, approx):
         _, _, rel_inf, rel_l2 = error_norms(ref, row, pts, scale)
@@ -273,24 +267,23 @@ def run_sparse(cfg: RunConfig) -> Path:
                 ]
             )
         )
-    _write_lines(cfg.out, lines)
-    return cfg.out
+    _write_lines(args.out, lines)
+    return args.out
 
 
-def run_strangfix(cfg: RunConfig) -> Path:
+def run_strangfix(args: argparse.Namespace) -> Path:
     """Fitted coefficient-saturation exponents per kernel order."""
-    gamma = cfg.gammas[0]
-    ns = _doubling_range(cfg.nmin, cfg.nmax)
+    ns = _doubling_range(args.nmin, args.nmax)
     probes = [1, 2, 3]
     lines = ["m gamma ell order saturation_max aliasing_max"]
-    for m in cfg.m_list:
-        report = strang_fix_certify(m, gamma, ns, probes)
+    for m in args.m:
+        report = strang_fix_certify(m, args.gamma, ns, probes)
         for ell in probes:
             lines.append(
                 " ".join(
                     [
                         str(m),
-                        _fmt(gamma),
+                        _fmt(args.gamma),
                         str(ell),
                         _fmt(report.orders[ell]),
                         _fmt(report.saturation_max),
@@ -298,27 +291,28 @@ def run_strangfix(cfg: RunConfig) -> Path:
                     ]
                 )
             )
-    _write_lines(cfg.out, lines)
-    return cfg.out
+    _write_lines(args.out, lines)
+    return args.out
 
 
-def run_kernel_dump(cfg: RunConfig) -> tuple[Path, Path]:
+def run_kernel_dump(args: argparse.Namespace) -> tuple[Path, Path]:
     """Profiles of psi(alpha; c) and psi_hat(ell; c) with c = gamma 2pi/nmin."""
-    gamma = cfg.gammas[0]
-    m = cfg.m_list[0]
-    c = gamma * TWO_PI / cfg.nmin
-    p = KernelParams(m, c)
+    if args.nmin < 1:
+        raise ValueError(f"--nmin must be >= 1, got {args.nmin}")
+    if not 0 <= args.nmax <= FOURIER_MAX_FREQ:
+        raise ValueError(f"--nmax must be in [0, {FOURIER_MAX_FREQ}], got {args.nmax}")
+    p = KernelParams(args.m, args.gamma * TWO_PI / args.nmin)
     alphas = TWO_PI * np.arange(4097) / 4096  # endpoint repeated for trapezoid
     values = psi_restricted(p, alphas)
     psi_lines = ["alpha psi"]
     psi_lines.extend(f"{_fmt(a)} {_fmt(v)}" for a, v in zip(alphas, values))
-    psi_path = _with_suffix(cfg.out, "psi")
+    psi_path = _with_suffix(args.out, "psi")
     _write_lines(psi_path, psi_lines)
 
     hat_lines = ["ell psi_hat"]
-    for ell in range(0, cfg.nmax + 1):
+    for ell in range(0, args.nmax + 1):
         hat_lines.append(f"{ell} {_fmt(psi_fourier_analytic(p, ell))}")
-    hat_path = _with_suffix(cfg.out, "psihat")
+    hat_path = _with_suffix(args.out, "psihat")
     _write_lines(hat_path, hat_lines)
     return psi_path, hat_path
 
@@ -356,12 +350,34 @@ def _parse_seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a hex seed: {text}") from exc
 
 
-_DEFAULTS = {
-    "table1": {"nmin": 32, "nmax": 512, "dims": 1, "out": "table1.csv"},
-    "conv2d": {"nmin": 16, "nmax": 256, "dims": 2, "out": "conv2d.csv"},
-    "sparse": {"nmin": 32, "nmax": 32, "dims": 3, "out": "sparse.dat"},
-    "strangfix": {"nmin": 64, "nmax": 512, "dims": 1, "out": "strangfix.dat"},
-    "kernel": {"nmin": 8, "nmax": 64, "dims": 1, "out": "kernel.dat"},
+_P = ("--p", int, 6, "smoothness index of g_p")
+_M_LIST = ("--m", _parse_int_list, (0, 1, 2), "comma list of kernel orders")
+_M = ("--m", int, 0, "kernel order")
+_GAMMA_LIST = ("--gamma", _parse_float_list, (1.0,),
+               "comma list of shape constants c N / (2 pi)")
+_GAMMA = ("--gamma", float, 1.0, "shape constant c N / (2 pi)")
+
+
+def _n_range(nmin: int, nmax: int) -> list[tuple]:
+    return [("--nmin", int, nmin, None), ("--nmax", int, nmax, None)]
+
+
+# each subcommand's flags as (flag, type, default, help)
+_FLAGS = {
+    "table1": [_P, _M_LIST, _GAMMA_LIST, *_n_range(32, 512),
+               ("--out", Path, Path("table1.csv"), None)],
+    "conv2d": [_P, _M_LIST, _GAMMA, *_n_range(16, 256),
+               ("--out", Path, Path("conv2d.csv"), None)],
+    "sparse": [
+        _P, _M, _GAMMA,
+        ("--dims", int, 3, None),
+        ("--levels", _parse_levels, (3, 8), "sparse level range A..B"),
+        ("--seed", _parse_seed, 0x5EED, "hex seed for pseudorandom evaluation points"),
+        ("--out", Path, Path("sparse.dat"), None),
+    ],
+    "strangfix": [_M_LIST, _GAMMA, *_n_range(64, 512),
+                  ("--out", Path, Path("strangfix.dat"), None)],
+    "kernel": [_M, _GAMMA, *_n_range(8, 64), ("--out", Path, Path("kernel.dat"), None)],
 }
 
 
@@ -371,21 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Periodic quasi-interpolation benchmarks and kernel dumps",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, defaults in _DEFAULTS.items():
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--p", type=int, default=6, help="smoothness index of g_p")
-        p.add_argument("--m", type=_parse_int_list, default=(0, 1, 2),
-                       help="comma list of kernel orders")
-        p.add_argument("--gamma", type=_parse_float_list, default=(1.0,),
-                       help="comma list of shape constants c N / (2 pi)")
-        p.add_argument("--nmin", type=int, default=defaults["nmin"])
-        p.add_argument("--nmax", type=int, default=defaults["nmax"])
-        p.add_argument("--dims", type=int, default=defaults["dims"])
-        p.add_argument("--levels", type=_parse_levels, default=(3, 8),
-                       help="sparse level range A..B")
-        p.add_argument("--seed", type=_parse_seed, default=0x5EED,
-                       help="hex seed for pseudorandom evaluation points")
-        p.add_argument("--out", type=Path, default=Path(defaults["out"]))
+        for flag, kind, default, help_text in flags:
+            p.add_argument(flag, type=kind, default=default, help=help_text)
     return parser
 
 
@@ -398,37 +403,12 @@ _RUNNERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.p < 1:
-        raise ValueError(f"--p must be >= 1, got {args.p}")
-    if not args.m:
-        raise ValueError("--m list must be nonempty")
-    if not args.gamma:
-        raise ValueError("--gamma list must be nonempty")
-    if args.dims < 1:
-        raise ValueError(f"--dims must be >= 1, got {args.dims}")
-    if args.levels[0] < 1 or args.levels[1] < args.levels[0]:
-        raise ValueError(f"--levels range invalid: {args.levels}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        p=args.p,
-        m_list=tuple(args.m),
-        gammas=tuple(args.gamma),
-        nmin=args.nmin,
-        nmax=args.nmax,
-        dims=args.dims,
-        levels=args.levels,
-        seed=args.seed,
-        out=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        _RUNNERS[cfg.subcommand](cfg)
+        if getattr(args, "p", 1) < 1:  # table1, conv2d and sparse take --p
+            raise ValueError(f"--p must be >= 1, got {args.p}")
+        _RUNNERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"torus-qi: invalid arguments: {exc}", file=sys.stderr)
         return 2

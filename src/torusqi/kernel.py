@@ -33,15 +33,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval as _polyval
-from scipy.special import j0 as _bessel_j0
 
-from .specfun import (
-    NumericsError,
-    binom_real,
-    jet_psi2_hat,
-    laguerre_coeffs,
-)
+from .specfun import NumericsError, binom_real, jet_psi2_hat, laguerre_general
 
 __all__ = [
     "KernelParams",
@@ -116,11 +109,6 @@ class StrangFixReport:
 # Kernel evaluation
 # ---------------------------------------------------------------------------
 
-def _laguerre_half_at(m: int, u):
-    """L_m^{(1/2)} evaluated elementwise (lowest-first Horner)."""
-    return _polyval(u, np.asarray(laguerre_coeffs(m, 0.5)))
-
-
 def phi_generalized(p: KernelParams, s):
     r"""Planar radial kernel :math:`\phi_{2m+2}(s; c)` at distance ``s >= 0``.
 
@@ -130,7 +118,7 @@ def phi_generalized(p: KernelParams, s):
     if np.any(s_arr < 0.0):
         raise ValueError("distance must be >= 0")
     u = s_arr**2 / (2.0 * p.c**2)
-    out = _laguerre_half_at(p.m, u) * np.exp(-u) / (SQRT_2PI * p.c)
+    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
     return out if out.ndim else float(out)
 
 
@@ -142,7 +130,7 @@ def psi_restricted(p: KernelParams, alpha):
     """
     alpha_arr = np.asarray(alpha, dtype=float)
     u = 2.0 * np.sin(alpha_arr / 2.0) ** 2 / p.c**2
-    out = _laguerre_half_at(p.m, u) * np.exp(-u) / (SQRT_2PI * p.c)
+    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
     return out if out.ndim else float(out)
 
 
@@ -164,7 +152,7 @@ def f2_phi_closed(p: KernelParams, r):
     acc = np.zeros_like(u)
     for j in range(p.m + 1):
         coeff = (-1.0) ** j * binom_real(p.m + 0.5, p.m - j)
-        acc = acc + coeff * _polyval(u, np.asarray(laguerre_coeffs(j, 0.0)))
+        acc = acc + coeff * laguerre_general(j, 0.0, u)
     out = SQRT_2PI * p.c * acc * np.exp(-u)
     return out if out.ndim else float(out)
 
@@ -185,6 +173,9 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
         raise ValueError("frequency radius must be >= 0")
     if p.c < 0.01:
         raise ValueError("quadrature oracle requires c >= 0.01")
+    # the only scipy.special user: importing it here keeps it out of the CLI
+    from scipy.special import j0
+
     t_max = 12.0 * p.c * (p.m + 2)
     # resolve the J_0 oscillation: >= 4 panels per period 2 pi / r
     panels = max(8, int(math.ceil(4.0 * r * t_max / (2.0 * math.pi))))
@@ -196,7 +187,7 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
         half = 0.5 * (edges[1:] - edges[:-1])
         t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        vals = phi_generalized(p, t) * t * _bessel_j0(r * t)
+        vals = phi_generalized(p, t) * t * j0(r * t)
         return 2.0 * math.pi * float(np.dot(w, vals))
 
     prev = integrate(panels)

@@ -81,11 +81,12 @@ def laguerre_coeffs(m: int, alpha: float) -> tuple[float, ...]:
     )
 
 
-def laguerre_general(m: int, alpha: float, s: float) -> float:
+def laguerre_general(m: int, alpha: float, s):
     r"""Evaluate :math:`L_m^{(\alpha)}(s) = \sum_{k=0}^m (-1)^k \binom{m+\alpha}{m-k} s^k/k!`.
 
     Horner accumulation of the explicit coefficients; supported for
-    ``m <= 12`` where double-precision cancellation stays benign.
+    ``m <= 12`` where double-precision cancellation stays benign.  ``s``
+    may be a float or a numpy array, evaluated elementwise.
     """
     coeffs = laguerre_coeffs(m, alpha)
     acc = 0.0

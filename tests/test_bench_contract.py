@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import torusqi.qi
-from torusqi.cli import main
+from torusqi.cli import _build_parser, main
 from torusqi.grid import SparseGridSpec, sparse_grid_count_formula
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,6 +48,31 @@ def test_traced_sparse_cli_completes_and_restores(tmp_path, argv):
     with tracer.installed(tracer.Tracer()):
         assert main(argv + ["--out", str(tmp_path / "s.dat")]) == 0
     assert tracer.unrestored() == []
+
+
+# what the runners read from each workload command before every subcommand
+# had its own flags: --m and --gamma were lists cut to their first item in
+# sparse, conv2d and strangfix
+_READ_VALUES = {
+    "sparse3d.dat": dict(p=6, m=2, gamma=1.0, dims=3, levels=(4, 8)),
+    "sparse2d.dat": dict(p=6, m=2, gamma=1.0, dims=2, levels=(10, 15)),
+    "table1.csv": dict(p=6, m=(0, 1, 2), gamma=(0.6, 0.8, 1.0, 1.5), nmin=32,
+                       nmax=8192),
+    "conv2d.csv": dict(p=6, m=(0, 1, 2), gamma=1.5, nmin=16, nmax=1024),
+    "strangfix.dat": dict(m=(0, 1, 2), gamma=1.0186, nmin=64, nmax=2048),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_argvs_parse_to_the_values_read_before(tmp_path, workload, seed):
+    w = WORKLOADS[workload]
+    for c, argv in zip(w.commands, w.argvs(seed, str(tmp_path))):
+        expected = {"subcommand": c.argv[0], **_READ_VALUES[c.out],
+                    "out": tmp_path / c.out}
+        if c.seeded:
+            expected["seed"] = 0x5EED + seed
+        assert vars(_build_parser().parse_args(argv)) == expected
 
 
 @pytest.mark.parametrize(

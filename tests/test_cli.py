@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torusqi.cli import main
+from torusqi.cli import _build_parser, main
 from torusqi.specfun import NumericsError
 
 TWO_PI = 2.0 * math.pi
@@ -64,6 +67,81 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["table1", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# flags of each subcommand
+# ---------------------------------------------------------------------------
+
+FLAG_DEFAULTS = {
+    "table1": dict(p=6, m=(0, 1, 2), gamma=(1.0,), nmin=32, nmax=512,
+                   out=Path("table1.csv")),
+    "conv2d": dict(p=6, m=(0, 1, 2), gamma=1.0, nmin=16, nmax=256,
+                   out=Path("conv2d.csv")),
+    "sparse": dict(p=6, m=0, gamma=1.0, dims=3, levels=(3, 8), seed=0x5EED,
+                   out=Path("sparse.dat")),
+    "strangfix": dict(m=(0, 1, 2), gamma=1.0, nmin=64, nmax=512,
+                      out=Path("strangfix.dat")),
+    "kernel": dict(m=0, gamma=1.0, nmin=8, nmax=64, out=Path("kernel.dat")),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(FLAG_DEFAULTS))
+def test_subcommand_flags_and_defaults(sub):
+    args = vars(_build_parser().parse_args([sub]))
+    assert args == {"subcommand": sub, **FLAG_DEFAULTS[sub]}
+    for name, value in FLAG_DEFAULTS[sub].items():
+        assert type(args[name]) is type(value), name
+
+
+# flags a subcommand does not read; each used to be accepted and ignored
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--dims", "3"],
+        ["table1", "--levels", "3..8"],
+        ["table1", "--seed", "5EED"],
+        ["conv2d", "--dims", "3"],
+        ["conv2d", "--levels", "3..8"],
+        ["conv2d", "--seed", "5EED"],
+        ["sparse", "--nmin", "32"],
+        ["sparse", "--nmax", "32"],
+        ["strangfix", "--p", "6"],
+        ["strangfix", "--dims", "3"],
+        ["strangfix", "--levels", "3..8"],
+        ["strangfix", "--seed", "5EED"],
+        ["kernel", "--p", "6"],
+        ["kernel", "--dims", "3"],
+        ["kernel", "--levels", "3..8"],
+        ["kernel", "--seed", "5EED"],
+    ],
+    ids=" ".join,
+)
+def test_unread_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# flags read as one value; each used to take a list and keep its first item
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conv2d", "--gamma", "0.8,1.5"],
+        ["sparse", "--m", "1,2"],
+        ["sparse", "--gamma", "0.8,1.5"],
+        ["strangfix", "--gamma", "0.8,1.5"],
+        ["kernel", "--m", "1,2"],
+        ["kernel", "--gamma", "0.8,1.5"],
+    ],
+    ids=" ".join,
+)
+def test_scalar_flag_rejects_list(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def test_invalid_value_returns_2(tmp_path):
@@ -141,6 +219,17 @@ def test_kernel_dump_profile_integrates_to_coefficient(tmp_path):
     assert hat.shape[0] == 17
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--nmin", "0"], ["--nmax", "5000"], ["--nmax", "-1"]],
+    ids=" ".join,
+)
+def test_kernel_range_flags_exit_2_before_writing(tmp_path, capsys, flags):
+    assert run(["kernel", *flags, "--out", str(tmp_path / "k.dat")]) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # conv2d and sparse smoke runs
 # ---------------------------------------------------------------------------
@@ -196,3 +285,17 @@ def test_sparse_2d_sweep_reproduces_capture(tmp_path):
     assert code == 0
     capture = Path(__file__).parent / "data" / "sparse2d_levels8_11.dat"
     assert out.read_bytes() == capture.read_bytes()
+
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_out_scipy_special():
+    # only the Hankel-quadrature test oracle uses scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, torusqi.cli; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -43,11 +43,15 @@ def test_laguerre_matches_scipy():
     rng = np.random.default_rng(7)
     for m in range(0, 13):
         for alpha in (0.0, 0.5, 1.5):
-            for s in rng.uniform(0.0, 40.0, size=5):
+            points = rng.uniform(0.0, 40.0, size=5)
+            for s in points:
                 ref = eval_genlaguerre(m, alpha, s)
                 val = laguerre_general(m, alpha, float(s))
                 tol = 1e-13 * max(1.0, abs(ref), _laguerre_term_scale(m, alpha, s))
                 assert abs(val - ref) <= tol
+            # an array is evaluated elementwise, bit for bit
+            scalars = [laguerre_general(m, alpha, float(s)) for s in points]
+            assert laguerre_general(m, alpha, points).tolist() == scalars
 
 
 def test_laguerre_three_term_recurrence():
