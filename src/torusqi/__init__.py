@@ -37,6 +37,7 @@ from .kernel import (
     phi_generalized,
     psi_fourier_analytic,
     psi_fourier_quadrature,
+    psi_from_chord,
     psi_restricted,
     strang_fix_certify,
 )

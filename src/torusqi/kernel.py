@@ -42,6 +42,7 @@ __all__ = [
     "StrangFixReport",
     "phi_generalized",
     "psi_restricted",
+    "psi_from_chord",
     "f2_phi_closed",
     "f2_phi_quadrature",
     "psi_fourier_analytic",
@@ -122,16 +123,25 @@ def phi_generalized(p: KernelParams, s):
     return out if out.ndim else float(out)
 
 
+def psi_from_chord(p: KernelParams, t):
+    r"""Restricted kernel as a function of :math:`t = 2\sin^2(\alpha/2)`.
+
+    ``t`` is half the squared chord between the two points of the circle,
+    so one array of ``t`` serves every kernel order and shape at the same
+    offsets.  Accepts scalars or arrays; returns the same shape.
+    """
+    u = np.asarray(t, dtype=float) / p.c**2
+    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
+    return out if out.ndim else float(out)
+
+
 def psi_restricted(p: KernelParams, alpha):
     r"""Restricted kernel :math:`\psi_{2m+2}(\alpha; c)`, even and 2pi-periodic.
 
     Equals ``phi_generalized(p, 2|sin(alpha/2)|)``; periodicity comes out
     of the sine, so no explicit reduction is needed.
     """
-    alpha_arr = np.asarray(alpha, dtype=float)
-    u = 2.0 * np.sin(alpha_arr / 2.0) ** 2 / p.c**2
-    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
-    return out if out.ndim else float(out)
+    return psi_from_chord(p, 2.0 * np.sin(np.asarray(alpha, dtype=float) / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,20 @@ An interpolant-free approximant is assembled directly from samples,
 with weights w_r = 2 pi / N_r (the grid spacing) and shapes coupled to the
 mesh as c_r = gamma_r * 2 pi / N_r.  ``from_samples`` takes the sample
 array itself; ``build_full`` and ``build_aniso`` first sample a callable on
-the grid.  Evaluation contracts the samples
-separably against one kernel matrix per dimension.  Each dimension's node
-window is truncated where the kernel envelope falls below 1e-15 of its
-peak, and that truncation window sets the matrix's sparsity (dense when
-the window spans the axis).  Scattered points go through one sparse (CSR)
-matrix product for the largest dimension, then elementwise per-point
-contractions for the others.  Tensor-product evaluation grids contract
-one axis at a time as banded BLAS blocks: the axis's coordinates are
-sorted, and each block of sorted rows scatters its window entries into a
-small dense matrix that multiplies the contiguous slab of nodes the block
-touches (gathered mod N where the window wraps).  A windowed
+the grid.  Evaluation contracts the samples separably against one kernel
+matrix per dimension.  Each dimension's node window is truncated where the
+kernel envelope falls below 1e-15 of its peak, and that truncation window
+sets the matrix's sparsity (dense when the window spans the axis).  The
+kernel depends on an offset alpha only through the chord term
+t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
+once per dimension and node count and takes the window of every kernel
+order and shape on that axis from it.  Scattered points go through one
+sparse (CSR) matrix product for the largest dimension, then elementwise
+per-point contractions for the others.  Tensor-product evaluation grids
+contract one axis at a time as banded BLAS blocks: the axis's coordinates
+are sorted, and each block of sorted rows scatters its window entries into
+a small dense matrix that multiplies the contiguous slab of nodes the
+block touches (gathered mod N where the window wraps).  A windowed
 dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
@@ -51,7 +54,12 @@ from .grid import (
     sparse_grid_nodes,
     sparse_grid_points,
 )
-from .kernel import KernelParams, TensorKernelSpec, psi_restricted
+from .kernel import (  # noqa: F401  (psi_restricted: perfbench's tracer wraps it here)
+    KernelParams,
+    TensorKernelSpec,
+    psi_from_chord,
+    psi_restricted,
+)
 from .specfun import NumericsError, laguerre_coeffs
 
 __all__ = [
@@ -312,29 +320,51 @@ def build_sparse(
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _dim_window(
-    q: QuasiInterpolant, x: np.ndarray, r: int, hw: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weighted kernel values of coordinates x along axis r.
+def _axis_kernel(q: QuasiInterpolant, r: int) -> tuple:
+    """(params, weight, halfwidth) of axis r: all its window depends on
+    besides the coordinates and the node count."""
+    return q.kernel.params[r], q.kernel.weights[r], q.stencil_halfwidths[r]
 
-    The indices of each row are consecutive and not reduced mod n_r (they
-    run from round(x / h) - hw to round(x / h) + hw), so they rise with x;
-    reduce them mod n_r to index the samples.  When the window spans the
-    axis, every row holds the nodes 0..n_r-1.
+
+def _dim_windows(
+    x: np.ndarray, n: int, kernels: Sequence[tuple]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Node indices and weighted kernel values of coordinates x on an n-node axis.
+
+    ``kernels`` holds (params, weight, halfwidth) triples of kernels on
+    that axis; one (indices, values) pair per kernel comes back, in order.
+    The indices of each row are consecutive and not reduced mod n (they run
+    from round(x / h) - hw to round(x / h) + hw), so they rise with x;
+    reduce them mod n to index the samples.  When a kernel's window spans
+    the axis, every row holds the nodes 0..n-1.  The offsets and their
+    chords 2 sin^2(offset / 2) are computed once: over the widest truncated
+    window, whose middle columns the narrower ones take, and over the whole
+    axis for the spanning kernels; each kernel then only evaluates
+    ``psi_from_chord``, so its values equal a window computed for it alone.
     """
-    n = q.grid.counts[r]
     spacing = TWO_PI / n
-    if 2 * hw + 1 >= n:
-        nodes = spacing * np.arange(n)
+    spans = [2 * hw + 1 >= n for _, _, hw in kernels]
+    out: list = [None] * len(kernels)
+    if any(spans):
         raw = np.broadcast_to(np.arange(n), (x.size, n))
-        diff = x[:, None] - nodes[None, :]
-    else:
+        chord = x[:, None] - spacing * np.arange(n)[None, :]
+        chord = 2.0 * np.sin(chord / 2.0) ** 2
+        for i, (params, weight, _) in enumerate(kernels):
+            if spans[i]:
+                out[i] = raw, weight * psi_from_chord(params, chord)
+    if not all(spans):
+        wide = max(hw for (_, _, hw), span in zip(kernels, spans) if not span)
         base = np.round(x / spacing).astype(np.int64)
-        offsets = np.arange(-hw, hw + 1)
-        raw = base[:, None] + offsets[None, :]
-        diff = x[:, None] - spacing * raw  # psi is exactly periodic
-    kern = q.kernel.weights[r] * psi_restricted(q.kernel.params[r], diff)
-    return raw, kern
+        raw = base[:, None] + np.arange(-wide, wide + 1)[None, :]
+        # psi is exactly periodic, so unreduced nodes give the same values;
+        # the offsets are freed before any kernel is evaluated
+        chord = x[:, None] - spacing * raw
+        chord = 2.0 * np.sin(chord / 2.0) ** 2
+        for i, (params, weight, hw) in enumerate(kernels):
+            if not spans[i]:
+                cols = slice(wide - hw, wide + hw + 1)
+                out[i] = raw[:, cols], weight * psi_from_chord(params, chord[:, cols])
+    return out
 
 
 def _evaluate_windowed(
@@ -346,8 +376,10 @@ def _evaluate_windowed(
     volume = int(np.prod(window))
     windows = []
     for r in range(d):
-        raw, kern = _dim_window(q, pts[:, r], r, halfwidths[r])
-        windows.append((np.mod(raw, q.grid.counts[r]), kern))
+        params, weight, _ = _axis_kernel(q, r)
+        n = q.grid.counts[r]
+        [(raw, kern)] = _dim_windows(pts[:, r], n, [(params, weight, halfwidths[r])])
+        windows.append((np.mod(raw, n), kern))
 
     out = np.empty(pts.shape[0])
     chunk = max(1, _CHUNK_ELEMS // max(volume, 1))
@@ -370,47 +402,38 @@ def _evaluate_windowed(
     return out
 
 
-def _axis_matrix(q: QuasiInterpolant, x: np.ndarray, r: int):
-    """len(x) x n_r kernel matrix of axis r from its truncated window.
+def _axis_matrices(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> list:
+    """len(x) x n kernel matrix of each kernel of an axis (see _dim_windows).
 
     Dense when the window spans the axis (its columns are then in node
     order); otherwise CSR with exactly 2 hw + 1 entries per row, which are
     distinct nodes because the window is shorter than the axis.
     """
-    hw = q.stencil_halfwidths[r]
-    raw, kern = _dim_window(q, x, r, hw)
-    n = q.grid.counts[r]
-    if 2 * hw + 1 >= n:
-        return kern
-    indptr = np.arange(0, kern.size + 1, kern.shape[1])
-    return sparse.csr_matrix(
-        (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
-    )
+    mats = []
+    for (raw, kern), (_, _, hw) in zip(_dim_windows(x, n, kernels), kernels):
+        if 2 * hw + 1 >= n:
+            mats.append(kern)
+            continue
+        indptr = np.arange(0, kern.size + 1, kern.shape[1])
+        mats.append(sparse.csr_matrix(
+            (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
+        ))
+    return mats
 
 
-def _evaluate_separable(
-    q: QuasiInterpolant, pts: np.ndarray, matrix_cache: dict
-) -> np.ndarray:
+def _evaluate_separable(q: QuasiInterpolant, mats: Sequence) -> np.ndarray:
     """Contract the samples axis by axis against per-axis kernel matrices.
 
     The largest axis goes through one (sparse) matrix product against the
     samples; the remaining, shorter axes are contracted elementwise per
-    point, innermost first.  ``matrix_cache`` lets combination terms that
-    share a per-dimension grid share its matrix; keys carry everything the
-    matrix depends on.
+    point, innermost first.
     """
     d = q.grid.dims
-    mats = []
-    for r in range(d):
-        key = (r, q.grid.counts[r], q.kernel.params[r], q.stencil_halfwidths[r])
-        if key not in matrix_cache:
-            matrix_cache[key] = _axis_matrix(q, pts[:, r], r)
-        mats.append(matrix_cache[key])
     big = int(np.argmax(q.grid.counts))
     rest = [r for r in range(d) if r != big]
     samples = np.moveaxis(q.samples, big, 0).reshape(q.grid.counts[big], -1)
     acc = (mats[big] @ samples).reshape(
-        (pts.shape[0],) + tuple(q.grid.counts[r] for r in rest)
+        (mats[big].shape[0],) + tuple(q.grid.counts[r] for r in rest)
     )
     for r in reversed(rest):
         kern = mats[r].toarray() if sparse.issparse(mats[r]) else mats[r]
@@ -451,12 +474,15 @@ def evaluate_many(qs, points) -> np.ndarray:
     against per-dimension kernel matrices built from the truncated node
     windows (periodic wrap-around); a sparse row is the coefficient-weighted
     sum of its component evaluations, in the order of its terms.  Per block
-    of points, each kernel matrix is built once and shared by every grid
-    on the same per-dimension grid, and each component object (by
-    identity, as :func:`build_sparse_levels` shares them across levels) is
-    evaluated once for all rows; its values are dropped after the last row
-    that uses it.  Points are reduced mod 2 pi first.  Each row is bitwise
-    equal to :func:`evaluate` of that interpolant alone.
+    of points, the kernels are grouped by (dimension, node count): the
+    group's first use computes the node offsets and their chords once, over
+    its widest window, and builds every kernel matrix of the group from
+    them; a matrix is shared by every grid with that kernel on that
+    dimension.  Each component object (by identity, as
+    :func:`build_sparse_levels` shares them across levels) is evaluated
+    once for all rows; its values are dropped after the last row that uses
+    it.  Points are reduced mod 2 pi first.  Each row is bitwise equal to
+    :func:`evaluate` of that interpolant alone.
     """
     qs = list(qs)
     if not qs:
@@ -470,6 +496,12 @@ def evaluate_many(qs, points) -> np.ndarray:
     # after the largest) by _CHUNK_ELEMS; matrices are built per chunk
     rest = max(c.grid.size // max(c.grid.counts) for parts in rows for _, c in parts)
     chunk = max(1, _CHUNK_ELEMS // rest)
+    # the distinct kernels of each (axis, node count) group
+    groups: dict = {}
+    for parts in rows:
+        for _, c in parts:
+            for r, n in enumerate(c.grid.counts):
+                groups.setdefault((r, n), {})[_axis_kernel(c, r)] = None
     out = np.zeros((len(qs), pts.shape[0]))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
@@ -479,7 +511,17 @@ def evaluate_many(qs, points) -> np.ndarray:
             for coeff, component in parts:
                 key = id(component)
                 if key not in values:
-                    values[key] = _evaluate_separable(component, block, cache)
+                    mats = []
+                    for r, n in enumerate(component.grid.counts):
+                        if (r, n) not in cache:
+                            # the group's first use builds all its matrices
+                            # from one window computation
+                            kernels = list(groups[r, n])
+                            cache[r, n] = dict(
+                                zip(kernels, _axis_matrices(block[:, r], n, kernels))
+                            )
+                        mats.append(cache[r, n][_axis_kernel(component, r)])
+                    values[key] = _evaluate_separable(component, mats)
                 out[i, start : start + chunk] += coeff * values[key]
             for _, component in parts:
                 if last_row[id(component)] == i:
@@ -547,11 +589,11 @@ def _contract_axis(
     src = res.reshape(math.prod(res.shape[:r]), n, -1)
     out = np.empty((src.shape[0], x.size, src.shape[2]))
     if 2 * hw + 1 >= n:
-        _, kern = _dim_window(q, x, r, hw)
+        [(_, kern)] = _dim_windows(x, n, [_axis_kernel(q, r)])
         _gemm_into(out, slice(None), kern, src)
     else:
         order = np.argsort(x, kind="stable")
-        raw, kern = _dim_window(q, x[order], r, hw)
+        [(raw, kern)] = _dim_windows(x[order], n, [_axis_kernel(q, r)])
         width = 2 * hw + 1
         # a block of `step` sorted, evenly spread rows touches about
         # step n / M + width nodes, twice the window: the GEMM multiplies

@@ -5,7 +5,10 @@ time (``sparse_grid_points`` among them) and counts from their results, so
 a refactor that binds them differently or changes what they return would
 silently zero or skew the per-layer metrics; its counters also read the
 interpolant each traced CLI call receives, so the CLI must keep passing
-them one interpolant at a time.  The benchmark's check also
+them one interpolant at a time.  It looks each name up when it installs,
+so every wrapped name must stay bound even where nothing calls it any
+more (``torusqi.cli.build_full``, ``torusqi.qi.psi_restricted``).  The
+benchmark's check also
 compares CLI outputs with golden captures, so two of its commands are run
 here and must reproduce those bytes.  These tests only read perfbench.
 """
@@ -48,6 +51,25 @@ def test_traced_sparse_cli_completes_and_restores(tmp_path, argv):
     with tracer.installed(tracer.Tracer()):
         assert main(argv + ["--out", str(tmp_path / "s.dat")]) == 0
     assert tracer.unrestored() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--m", "0,2", "--gamma", "0.6,1.5", "--nmin", "32", "--nmax", "128"],
+        ["conv2d", "--m", "0,1", "--gamma", "1.5", "--nmin", "16", "--nmax", "64"],
+    ],
+)
+def test_traced_paper_tables_cli_completes_and_restores(tmp_path, argv):
+    # the tracer patches torusqi.qi.psi_restricted and torusqi.cli.build_full
+    # and .evaluate by name, which these commands do not call
+    with tracer.installed(tracer.Tracer()) as t:
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert tracer.unrestored() == []
+    if argv[0] == "table1":
+        # g_p is evaluated at the 4N+1 offset points once per N (the nodes
+        # are sampled through gp_eval)
+        assert t.counts["analysis.target_points"] == sum(4 * n + 1 for n in (32, 64, 128))
 
 
 # what the runners read from each workload command before every subcommand

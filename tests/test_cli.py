@@ -49,6 +49,39 @@ def test_table1_deterministic_bytes(tmp_path):
     assert (tmp_path / "a_m1.csv").read_bytes() == (tmp_path / "b_m1.csv").read_bytes()
 
 
+def test_table1_reproduces_capture(tmp_path):
+    # README command, captured before the (m, gamma) sweep was evaluated in
+    # one call per N
+    out = tmp_path / "t.csv"
+    assert run(["table1", "--p", "6", "--m", "0,1,2", "--gamma", "0.6,0.8,1.0,1.5",
+                "--nmin", "32", "--nmax", "512", "--out", str(out)]) == 0
+    for m in (0, 1, 2):
+        capture = Path(__file__).parent / "data" / f"table1_m{m}.csv"
+        assert (tmp_path / f"t_m{m}.csv").read_bytes() == capture.read_bytes()
+
+
+def test_table1_repeated_values_write_one_table(tmp_path):
+    base = ["table1", "--nmin", "32", "--nmax", "64"]
+    assert run(base + ["--m", "1", "--gamma", "0.8", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(base + ["--m", "1,1", "--gamma", "0.8,0.8",
+                       "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a_m1.csv").read_bytes() == (tmp_path / "b_m1.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--m", "0,9", "--nmin", "32", "--nmax", "64"],
+        ["table1", "--m", "0", "--gamma", "1.0,9.5", "--nmin", "32", "--nmax", "64"],
+        ["conv2d", "--m", "0,9", "--nmin", "16", "--nmax", "32"],
+    ],
+)
+def test_invalid_later_value_writes_nothing(tmp_path, argv):
+    # every table is computed and checked before the first file is written
+    assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table1_number_format(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["table1", "--m", "0", "--nmin", "32", "--nmax", "32",

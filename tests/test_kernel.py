@@ -13,12 +13,13 @@ from torusqi.kernel import (
     phi_generalized,
     psi_fourier_analytic,
     psi_fourier_quadrature,
+    psi_from_chord,
     psi_restricted,
     strang_fix_certify,
 )
 from torusqi import kernel, specfun
 from torusqi.qi import QuasiInterpolant, evaluate, evaluate_dense
-from torusqi.specfun import _miller_scaled, binom_real
+from torusqi.specfun import _miller_scaled, binom_real, laguerre_general
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -82,6 +83,26 @@ def test_psi_is_phi_at_chordal_distance():
             assert psi_restricted(p, alpha) == pytest.approx(
                 phi_generalized(p, chord), rel=1e-13, abs=1e-300
             )
+
+
+def test_psi_from_chord_is_psi_restricted_bitwise():
+    # evaluation shares t = 2 sin^2(alpha/2) between kernels, so the chord
+    # form must give exactly the values of psi_restricted, which are those
+    # of the formula written out in alpha
+    alphas = np.concatenate(
+        [np.linspace(-9.0, 9.0, 401), [0.0, -0.0, math.pi, 1e-300, 2e3]]
+    )
+    for m in range(9):
+        for c in (0.01, 0.4, 3.0):
+            p = KernelParams(m, c)
+            t = 2.0 * np.sin(alphas / 2.0) ** 2
+            u = 2.0 * np.sin(alphas / 2.0) ** 2 / c**2
+            inline = laguerre_general(m, 0.5, u) * np.exp(-u) / (SQRT_2PI * c)
+            assert np.array_equal(psi_from_chord(p, t), psi_restricted(p, alphas))
+            assert np.array_equal(psi_restricted(p, alphas), inline)
+            for alpha in (0.0, 0.3, math.pi, 5.5):
+                got = psi_from_chord(p, 2.0 * np.sin(alpha / 2.0) ** 2)
+                assert isinstance(got, float) and got == psi_restricted(p, alpha)
 
 
 def test_tensor_kernel_zero_factor():

@@ -6,6 +6,7 @@ import pytest
 
 from torusqi import qi
 from torusqi.grid import (
+    FullGridSpec,
     SparseGridSpec,
     combination_terms,
     full_grid_nodes,
@@ -21,6 +22,7 @@ from torusqi.qi import (
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
+    from_samples,
     stencil_halfwidth,
 )
 from torusqi.specfun import NumericsError
@@ -687,6 +689,60 @@ def test_sweeps_of_different_targets_stay_apart():
     for q, row in zip(qs, rows):
         assert np.array_equal(row, evaluate(q, pts))
     assert not np.array_equal(rows[0], rows[3])
+
+
+# ---------------------------------------------------------------------------
+# Kernel sweeps on one sample array
+# ---------------------------------------------------------------------------
+
+def _kernel_sweep(counts, kernels):
+    """Interpolants of one asymmetric sample array, one per (ms, gammas)."""
+    samples = _asymmetric(full_grid_nodes(FullGridSpec(counts))).reshape(counts)
+    return [from_samples(samples, ms, gammas) for ms, gammas in kernels]
+
+
+def _spans(q, r):
+    return 2 * q.stencil_halfwidths[r] + 1 >= q.grid.counts[r]
+
+
+# every case puts kernels whose window spans an axis in the same
+# (axis, count) group as truncated ones; the repeated 2-D pair makes two
+# components share their matrices
+_SWEEPS = [
+    # table1's sweep at N = 32: gamma 1.5 spans the axis, the rest do not
+    ((32,), [((m,), (gamma,)) for m in (0, 1, 2) for gamma in (0.6, 0.8, 1.0, 1.5)]),
+    ((128,), [((m,), (gamma,)) for m in (0, 5, 8) for gamma in (0.6, 1.5, 3.0, 4.0)]),
+    ((64, 32), [((0, 2), (0.6, 1.5)), ((2, 1), (1.0, 0.8)), ((8, 0), (4.0, 1.0)),
+                ((5, 5), (1.5, 1.5)), ((0, 2), (0.6, 1.5))]),
+]
+
+
+@pytest.mark.parametrize("counts, kernels", _SWEEPS)
+@pytest.mark.parametrize("chunk", [None, 256])
+def test_kernel_sweep_rows_match_lone_evaluations(monkeypatch, counts, kernels, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(qi, "_CHUNK_ELEMS", chunk)
+    qs = _kernel_sweep(counts, kernels)
+    for r in range(len(counts)):
+        assert len({_spans(q, r) for q in qs}) == 2
+        assert len({q.stencil_halfwidths[r] for q in qs if not _spans(q, r)}) > 1
+    pts = _sweep_points(700, len(counts))
+    rest = max(q.grid.size // max(q.grid.counts) for q in qs)
+    assert (len(pts) > qi._CHUNK_ELEMS // rest) == (chunk is not None)
+    rows = evaluate_many(qs, pts)
+    for q, row in zip(qs, rows):
+        assert np.array_equal(row, evaluate(q, pts)), q.kernel.params
+
+
+def test_kernel_sweep_mixes_grid_sizes():
+    # groups are per (axis, count): interpolants on 32 and 64 nodes, full
+    # and sparse, evaluated together
+    kernels = [((m,), (gamma,)) for m in (0, 2) for gamma in (1.0, 1.5)]
+    qs = _kernel_sweep((32,), kernels) + _kernel_sweep((64,), kernels)
+    qs.append(build_sparse(_asymmetric, SparseGridSpec(6, 1), 2, 1.5))
+    pts = _sweep_points(500, 1)
+    for q, row in zip(qs, evaluate_many(qs, pts)):
+        assert np.array_equal(row, evaluate(q, pts))
 
 
 # ---------------------------------------------------------------------------
