@@ -53,8 +53,8 @@ from .kernel import (
     psi_restricted,
     strang_fix_certify,
 )
-# build_full, build_sparse and evaluate are not called here: perfbench's
-# tracer wraps them under these names
+# build_full, build_sparse, evaluate and evaluate_on_grid are not called
+# here: perfbench's tracer wraps them under these names
 from .qi import (  # noqa: F401
     build_full,
     build_sparse,
@@ -62,6 +62,7 @@ from .qi import (  # noqa: F401
     evaluate,
     evaluate_many,
     evaluate_on_grid,
+    evaluate_on_grid_blocks,
     from_samples,
 )
 from .specfun import NumericsError
@@ -69,9 +70,6 @@ from .specfun import NumericsError
 __all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
-
-# rows of the conv2d reference grid materialized at a time
-_REFERENCE_ROWS = 64
 
 # published 1D L-infinity reference levels for g_6 (N = 32..512), used by
 # the table1 gamma sweep to pick the best-matching shape constant
@@ -209,18 +207,22 @@ def _best_gamma(args, m, ns, by_gamma) -> float:
 def _errors_2d(g1, q, n: int) -> tuple[float, float]:
     """Errors of q against G_p = g1 x g1 on the (4N+1)^2 offset grid.
 
-    The approximant is the only (4N+1)^2 array: the reference is subtracted
-    from it in blocks of rows, and the difference is squared in place.
+    The approximant streams in row blocks (:func:`evaluate_on_grid_blocks`);
+    the reference is subtracted from each block in place, and the block's
+    extremes and sum of squares are reduced before the next block exists,
+    so no (4N+1)^2 array is ever built.
     """
     ax = offset_eval_axis(n)
     g_ax = gp_eval(g1, ax)
-    diff = evaluate_on_grid(q, [ax, ax])
-    for start in range(0, ax.size, _REFERENCE_ROWS):
-        rows = diff[start : start + _REFERENCE_ROWS]
-        ref = np.outer(g_ax[start : start + _REFERENCE_ROWS], g_ax)
-        np.subtract(rows, ref, out=rows)
-    err_linf = float(max(diff.max(), -diff.min()))
-    err_l2 = float(math.sqrt(np.mean(np.square(diff, out=diff)) * TWO_PI**2))
+    hi = lo = sq = 0.0
+    for rows, diff in evaluate_on_grid_blocks(q, [ax, ax]):
+        diff -= np.outer(g_ax[rows], g_ax)
+        # numpy's max and min carry a NaN through, Python's would drop it
+        hi, lo = np.maximum(hi, diff.max()), np.minimum(lo, diff.min())
+        flat = diff.reshape(-1)
+        sq += float(flat @ flat)
+    err_linf = float(max(hi, -lo))
+    err_l2 = math.sqrt(sq / ax.size**2 * TWO_PI**2)
     return err_linf, err_l2
 
 

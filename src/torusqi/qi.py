@@ -16,12 +16,17 @@ t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
 once per dimension and node count and takes the window of every kernel
 order and shape on that axis from it.  Scattered points go through one
 sparse (CSR) matrix product for the largest dimension, then elementwise
-per-point contractions for the others.  Tensor-product evaluation grids
+per-point contractions for the others; each kernel matrix is built at
+its first use and dropped after its last.  Tensor-product evaluation grids
 contract one axis at a time as banded BLAS blocks: the axis's coordinates
 are sorted, and each block of sorted rows scatters its window entries into
 a small dense matrix that multiplies the contiguous slab of nodes the
-block touches (gathered mod N where the window wraps).  A windowed
-dense-summation path is kept as the correctness oracle.
+block touches (gathered mod N where the window wraps).  Axes d-1, ..., 1
+are contracted in full and axis 0 block by block, so the grid's values
+come out as a stream of row blocks (``evaluate_on_grid_blocks``) that a
+caller can reduce without ever holding the whole grid; ``evaluate_on_grid``
+collects them into one array.  A windowed dense-summation path is kept as
+the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
@@ -74,6 +79,7 @@ __all__ = [
     "evaluate_many",
     "evaluate_dense",
     "evaluate_on_grid",
+    "evaluate_on_grid_blocks",
     "stencil_halfwidth",
 ]
 
@@ -326,45 +332,53 @@ def _axis_kernel(q: QuasiInterpolant, r: int) -> tuple:
     return q.kernel.params[r], q.kernel.weights[r], q.stencil_halfwidths[r]
 
 
-def _dim_windows(
-    x: np.ndarray, n: int, kernels: Sequence[tuple]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Node indices and weighted kernel values of coordinates x on an n-node axis.
+def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
+    """Windows of kernels at coordinates x on an n-node axis, on demand.
 
-    ``kernels`` holds (params, weight, halfwidth) triples of kernels on
-    that axis; one (indices, values) pair per kernel comes back, in order.
-    The indices of each row are consecutive and not reduced mod n (they run
-    from round(x / h) - hw to round(x / h) + hw), so they rise with x;
-    reduce them mod n to index the samples.  When a kernel's window spans
-    the axis, every row holds the nodes 0..n-1.  The offsets and their
-    chords 2 sin^2(offset / 2) are computed once: over the widest truncated
-    window, whose middle columns the narrower ones take, and over the whole
-    axis for the spanning kernels; each kernel then only evaluates
-    ``psi_from_chord``, so its values equal a window computed for it alone.
+    ``kernels`` holds the (params, weight, halfwidth) triples of kernels on
+    that axis.  Returns a function that maps one of them to its node
+    indices and weighted kernel values.  The indices of each row are
+    consecutive and not reduced mod n (they run from round(x / h) - hw to
+    round(x / h) + hw), so they rise with x; reduce them mod n to index the
+    samples.  When a kernel's window spans the axis, every row holds the
+    nodes 0..n-1.  The offsets and their chords 2 sin^2(offset / 2) are
+    computed once, here: over the widest truncated window, whose middle
+    columns the narrower ones take, and over the whole axis for the
+    spanning kernels; each kernel then only evaluates ``psi_from_chord``,
+    so its values equal a window computed for it alone.  The chords live
+    as long as the returned function.
     """
     spacing = TWO_PI / n
     spans = [2 * hw + 1 >= n for _, _, hw in kernels]
-    out: list = [None] * len(kernels)
+    full = full_chord = base = chord = wide = None
     if any(spans):
-        raw = np.broadcast_to(np.arange(n), (x.size, n))
-        chord = x[:, None] - spacing * np.arange(n)[None, :]
-        chord = 2.0 * np.sin(chord / 2.0) ** 2
-        for i, (params, weight, _) in enumerate(kernels):
-            if spans[i]:
-                out[i] = raw, weight * psi_from_chord(params, chord)
+        full = np.broadcast_to(np.arange(n), (x.size, n))
+        full_chord = x[:, None] - spacing * np.arange(n)[None, :]
+        full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
     if not all(spans):
         wide = max(hw for (_, _, hw), span in zip(kernels, spans) if not span)
-        base = np.round(x / spacing).astype(np.int64)
-        raw = base[:, None] + np.arange(-wide, wide + 1)[None, :]
+        base = np.round(x / spacing).astype(np.int64)[:, None]
         # psi is exactly periodic, so unreduced nodes give the same values;
         # the offsets are freed before any kernel is evaluated
-        chord = x[:, None] - spacing * raw
+        chord = x[:, None] - spacing * (base + np.arange(-wide, wide + 1))
         chord = 2.0 * np.sin(chord / 2.0) ** 2
-        for i, (params, weight, hw) in enumerate(kernels):
-            if not spans[i]:
-                cols = slice(wide - hw, wide + hw + 1)
-                out[i] = raw[:, cols], weight * psi_from_chord(params, chord[:, cols])
-    return out
+
+    def window(kernel: tuple) -> tuple[np.ndarray, np.ndarray]:
+        params, weight, hw = kernel
+        if 2 * hw + 1 >= n:
+            raw, kern = full, psi_from_chord(params, full_chord)
+        else:
+            raw = base + np.arange(-hw, hw + 1)
+            kern = psi_from_chord(params, chord[:, wide - hw : wide + hw + 1])
+        kern *= weight
+        return raw, kern
+
+    return window
+
+
+def _window(x: np.ndarray, n: int, kernel: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices and weighted kernel values of one kernel (see _dim_windows)."""
+    return _dim_windows(x, n, [kernel])(kernel)
 
 
 def _evaluate_windowed(
@@ -378,7 +392,7 @@ def _evaluate_windowed(
     for r in range(d):
         params, weight, _ = _axis_kernel(q, r)
         n = q.grid.counts[r]
-        [(raw, kern)] = _dim_windows(pts[:, r], n, [(params, weight, halfwidths[r])])
+        raw, kern = _window(pts[:, r], n, (params, weight, halfwidths[r]))
         windows.append((np.mod(raw, n), kern))
 
     out = np.empty(pts.shape[0])
@@ -402,23 +416,19 @@ def _evaluate_windowed(
     return out
 
 
-def _axis_matrices(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> list:
-    """len(x) x n kernel matrix of each kernel of an axis (see _dim_windows).
+def _window_matrix(raw: np.ndarray, kern: np.ndarray, n: int):
+    """len(x) x n kernel matrix of one window of _dim_windows.
 
     Dense when the window spans the axis (its columns are then in node
     order); otherwise CSR with exactly 2 hw + 1 entries per row, which are
     distinct nodes because the window is shorter than the axis.
     """
-    mats = []
-    for (raw, kern), (_, _, hw) in zip(_dim_windows(x, n, kernels), kernels):
-        if 2 * hw + 1 >= n:
-            mats.append(kern)
-            continue
-        indptr = np.arange(0, kern.size + 1, kern.shape[1])
-        mats.append(sparse.csr_matrix(
-            (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
-        ))
-    return mats
+    if kern.shape[1] == n:
+        return kern
+    indptr = np.arange(0, kern.size + 1, kern.shape[1])
+    return sparse.csr_matrix(
+        (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
+    )
 
 
 def _evaluate_separable(q: QuasiInterpolant, mats: Sequence) -> np.ndarray:
@@ -477,8 +487,10 @@ def evaluate_many(qs, points) -> np.ndarray:
     of points, the kernels are grouped by (dimension, node count): the
     group's first use computes the node offsets and their chords once, over
     its widest window, and builds every kernel matrix of the group from
-    them; a matrix is shared by every grid with that kernel on that
-    dimension.  Each component object (by identity, as
+    them as each is first needed; a matrix is shared by every grid with
+    that kernel on that dimension, and is dropped after the last component
+    that uses it.  The group's chords are kept only until its last matrix
+    exists.  Each component object (by identity, as
     :func:`build_sparse_levels` shares them across levels) is evaluated
     once for all rows; its values are dropped after the last row that uses
     it.  Points are reduced mod 2 pi first.  Each row is bitwise equal to
@@ -496,32 +508,46 @@ def evaluate_many(qs, points) -> np.ndarray:
     # after the largest) by _CHUNK_ELEMS; matrices are built per chunk
     rest = max(c.grid.size // max(c.grid.counts) for parts in rows for _, c in parts)
     chunk = max(1, _CHUNK_ELEMS // rest)
-    # the distinct kernels of each (axis, node count) group
+    # the distinct kernels of each (axis, node count) group, and the last
+    # component to use each kernel's matrix, in the order of evaluation
+    # (each component at its first row)
     groups: dict = {}
-    for parts in rows:
-        for _, c in parts:
-            for r, n in enumerate(c.grid.counts):
-                groups.setdefault((r, n), {})[_axis_kernel(c, r)] = None
+    last_user: dict = {}
+    for c in {id(c): c for parts in rows for _, c in parts}.values():
+        for r, n in enumerate(c.grid.counts):
+            groups.setdefault((r, n), {})[_axis_kernel(c, r)] = None
+            last_user[r, n, _axis_kernel(c, r)] = id(c)
     out = np.zeros((len(qs), pts.shape[0]))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
-        cache: dict = {}
+        windows: dict = {}  # (r, n) -> the group's window function
+        unbuilt: dict = {}  # (r, n) -> the group's matrices not built yet
+        mats: dict = {}
         values: dict = {}
+
+        def matrix(r: int, n: int, kernel: tuple):
+            if (r, n, kernel) not in mats:
+                if (r, n) not in unbuilt:
+                    windows[r, n] = _dim_windows(block[:, r], n, list(groups[r, n]))
+                    unbuilt[r, n] = len(groups[r, n])
+                mats[r, n, kernel] = _window_matrix(*windows[r, n](kernel), n)
+                unbuilt[r, n] -= 1
+                if not unbuilt[r, n]:
+                    del windows[r, n]  # frees the group's chords
+            return mats[r, n, kernel]
+
         for i, parts in enumerate(rows):
             for coeff, component in parts:
                 key = id(component)
                 if key not in values:
-                    mats = []
-                    for r, n in enumerate(component.grid.counts):
-                        if (r, n) not in cache:
-                            # the group's first use builds all its matrices
-                            # from one window computation
-                            kernels = list(groups[r, n])
-                            cache[r, n] = dict(
-                                zip(kernels, _axis_matrices(block[:, r], n, kernels))
-                            )
-                        mats.append(cache[r, n][_axis_kernel(component, r)])
-                    values[key] = _evaluate_separable(component, mats)
+                    keys = [(r, n, _axis_kernel(component, r))
+                            for r, n in enumerate(component.grid.counts)]
+                    values[key] = _evaluate_separable(
+                        component, [matrix(*k) for k in keys]
+                    )
+                    for k in keys:
+                        if last_user[k] == key:
+                            del mats[k]
                 out[i, start : start + chunk] += coeff * values[key]
             for _, component in parts:
                 if last_row[id(component)] == i:
@@ -568,74 +594,115 @@ def _gemm_into(out: np.ndarray, dest, kern: np.ndarray, slab: np.ndarray) -> Non
         target[:, dest] = lhs @ rhs
 
 
-def _contract_axis(
-    q: QuasiInterpolant, res: np.ndarray, x: np.ndarray, r: int
-) -> np.ndarray:
-    """Contract axis r of the C-ordered array ``res`` against the kernel at x.
+def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
+    """Banded blocks of axis r's kernel matrix at the coordinates x.
 
-    Returns a C-ordered array with axis r of length len(x).  When the
-    window spans the axis, the dense kernel matrix is one GEMM.  Otherwise
-    the coordinates are sorted and cut into blocks whose nodes advance by
-    about one window; each block's window values are scattered into a dense
-    (rows x node span) matrix, contracted in one GEMM with the block's
-    slab of consecutive nodes (gathered mod n_r where the window wraps
-    past 0 or 2 pi), and written through a slice when the block's rows are
-    consecutive in the output.  The dense blocks hold exactly the
+    Yields (rows, kern, nodes): the output rows (a slice when they are
+    consecutive, else an index array), a dense len(rows) x len(nodes)
+    kernel block, and the axis nodes it multiplies (a slice, or an index
+    array gathered mod n_r where the window wraps past 0 or 2 pi).  When
+    the window spans the axis, the one block is the whole dense kernel
+    matrix.  Otherwise the coordinates are sorted and cut into blocks
+    whose nodes advance by about one window, and each block's window
+    values are scattered into its matrix; the blocks hold exactly the
     truncated window entries, so only the summation order differs from a
     sparse product.
     """
     n = q.grid.counts[r]
     hw = q.stencil_halfwidths[r]
-    src = res.reshape(math.prod(res.shape[:r]), n, -1)
-    out = np.empty((src.shape[0], x.size, src.shape[2]))
     if 2 * hw + 1 >= n:
-        [(_, kern)] = _dim_windows(x, n, [_axis_kernel(q, r)])
-        _gemm_into(out, slice(None), kern, src)
-    else:
-        order = np.argsort(x, kind="stable")
-        [(raw, kern)] = _dim_windows(x[order], n, [_axis_kernel(q, r)])
-        width = 2 * hw + 1
-        # a block of `step` sorted, evenly spread rows touches about
-        # step n / M + width nodes, twice the window: the GEMM multiplies
-        # about as many zeros as window entries
-        step = max(1, width * x.size // n)
-        for start in range(0, x.size, step):
-            stop = min(start + step, x.size)
-            lo, hi = int(raw[start, 0]), int(raw[stop - 1, -1])
-            span = hi - lo + 1
-            block = np.zeros((stop - start, span))
-            first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
-            block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
-            if 0 <= lo and hi < n:
-                slab = src[:, lo : hi + 1]
-            else:
-                slab = src[:, np.arange(lo, hi + 1) % n]
-            rows = order[start:stop]
-            if np.all(np.diff(rows) == 1):
-                rows = slice(rows[0], rows[-1] + 1)
-            _gemm_into(out, rows, block, slab)
+        _, kern = _window(x, n, _axis_kernel(q, r))
+        yield slice(None), kern, slice(None)
+        return
+    order = np.argsort(x, kind="stable")
+    raw, kern = _window(x[order], n, _axis_kernel(q, r))
+    width = 2 * hw + 1
+    # a block of `step` sorted, evenly spread rows touches about
+    # step n / M + width nodes, twice the window: the GEMM multiplies
+    # about as many zeros as window entries
+    step = max(1, width * x.size // n)
+    for start in range(0, x.size, step):
+        stop = min(start + step, x.size)
+        lo, hi = int(raw[start, 0]), int(raw[stop - 1, -1])
+        span = hi - lo + 1
+        block = np.zeros((stop - start, span))
+        first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
+        block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
+        nodes = slice(lo, hi + 1) if 0 <= lo and hi < n else np.arange(lo, hi + 1) % n
+        rows = order[start:stop]
+        if np.all(np.diff(rows) == 1):
+            rows = slice(rows[0], rows[-1] + 1)
+        yield rows, block, nodes
+
+
+def _contract_axis(
+    q: QuasiInterpolant, res: np.ndarray, x: np.ndarray, r: int
+) -> np.ndarray:
+    """Contract axis r of the C-ordered array ``res`` against the kernel at x.
+
+    Returns a C-ordered array with axis r of length len(x): one GEMM per
+    banded block of :func:`_axis_blocks`, written through a slice when the
+    block's rows are consecutive in the output.
+    """
+    src = res.reshape(math.prod(res.shape[:r]), q.grid.counts[r], -1)
+    out = np.empty((src.shape[0], x.size, src.shape[2]))
+    for rows, kern, nodes in _axis_blocks(q, x, r):
+        _gemm_into(out, rows, kern, src[:, nodes])
     return out.reshape(res.shape[:r] + (x.size,) + res.shape[r + 1 :])
+
+
+def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
+    if len(axes) != q.grid.dims:
+        raise ValueError(f"need {q.grid.dims} axes")
+    xs = []
+    for r, ax in enumerate(axes):
+        x = np.asarray(ax, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"axis {r} must be 1-D, got shape {x.shape}")
+        xs.append(_reduce_mod_2pi(x))
+    return xs
+
+
+def _grid_row_blocks(q: QuasiInterpolant, xs: list[np.ndarray]):
+    res = q.samples
+    for r in range(q.grid.dims - 1, 0, -1):
+        res = _contract_axis(q, res, xs[r], r)
+    src = res.reshape(q.grid.counts[0], -1)
+    for rows, kern, nodes in _axis_blocks(q, xs[0], 0):
+        vals = kern @ src[nodes]
+        yield rows, vals.reshape(vals.shape[:1] + res.shape[1:])
+
+
+def evaluate_on_grid_blocks(q: QuasiInterpolant, axes: Sequence[np.ndarray]):
+    """Separable evaluation on a tensor-product point grid, in row blocks.
+
+    Each axis must be 1-D and finite (checked here, before the first
+    block); it is reduced mod 2 pi and contracted against the same
+    truncated kernel window :func:`evaluate` uses.  Axes d-1, ..., 1 are
+    contracted in full, one at a time; axis 0 is then contracted one
+    banded block at a time.  Per axis, the sorted coordinates are cut into
+    blocks whose window entries fill a small dense matrix, and each block
+    is one BLAS GEMM against the contiguous slab of nodes it touches
+    (wrapped mod N_r at 0 and 2 pi); an axis whose window spans it is one
+    GEMM with the dense kernel.  Returns an iterator of (rows, values)
+    pairs: ``values`` has shape (len(rows), len(axes[1]), ...,
+    len(axes[d-1])) and holds the grid's values at ``axes[0][rows]``,
+    where ``rows`` is a slice or an index array.  The blocks cover every
+    index of axes[0] exactly once, and only one block's values are new
+    per step, so the full grid never has to exist.
+    """
+    return _grid_row_blocks(q, _grid_axes(q, axes))
 
 
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Separable evaluation on a tensor-product point grid.
 
-    Each axis must be 1-D and finite; it is reduced mod 2 pi and contracted
-    against the same truncated kernel window :func:`evaluate` uses, one
-    axis at a time.  Per axis, the sorted coordinates are cut into blocks
-    whose window entries fill a small dense matrix, and each block is one
-    BLAS GEMM against the contiguous slab of nodes it touches (wrapped mod
-    N_r at 0 and 2 pi); an axis whose window spans it is one GEMM with the
-    dense kernel.  Agrees with :func:`evaluate_dense` on the product points
-    to truncation accuracy.  Returns a C-ordered array of shape
-    (len(axes[0]), ..., len(axes[d-1])).
+    Fills a C-ordered array of shape (len(axes[0]), ..., len(axes[d-1]))
+    from the row blocks of :func:`evaluate_on_grid_blocks`.  Agrees with
+    :func:`evaluate_dense` on the product points to truncation accuracy.
     """
-    if len(axes) != q.grid.dims:
-        raise ValueError(f"need {q.grid.dims} axes")
-    res = q.samples
-    for r, ax in enumerate(axes):
-        x = np.asarray(ax, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"axis {r} must be 1-D, got shape {x.shape}")
-        res = _contract_axis(q, res, _reduce_mod_2pi(x), r)
-    return res
+    blocks = evaluate_on_grid_blocks(q, axes)
+    out = np.empty(tuple(np.size(ax) for ax in axes))
+    for rows, vals in blocks:
+        out[rows] = vals
+    return out

@@ -296,6 +296,46 @@ def test_conv2d_frees_each_grid(tmp_path):
     assert peak < 3 * (4 * 512 + 1) ** 2 * 8
 
 
+def test_conv2d_streams_below_one_grid(tmp_path):
+    # the approximant is reduced one row block at a time, so no (4N+1)^2
+    # array exists; materializing the approximant alone takes one grid
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = run(["conv2d", "--m", "0,1,2", "--nmin", "16", "--nmax", "512",
+                    "--out", str(tmp_path / "c.csv")])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < (4 * 512 + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_conv2d_streamed_norms_match_materialized(m):
+    from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
+    from torusqi.cli import _errors_2d
+    from torusqi.grid import FullGridSpec
+    from torusqi.qi import evaluate_on_grid, from_samples
+
+    g1 = make_gp(6, 1)
+    for n in (16, 32, 64, 128):
+        a = gp_eval(g1, FullGridSpec((n,)).axis(0))
+        q = from_samples(np.outer(a, a), (m, m), (1.5, 1.5))
+        ax = offset_eval_axis(n)
+        g_ax = gp_eval(g1, ax)
+        diff = evaluate_on_grid(q, [ax, ax]) - np.outer(g_ax, g_ax)
+        linf = float(np.max(np.abs(diff)))
+        l2 = math.sqrt(np.mean(diff**2) * TWO_PI**2)
+        got_linf, got_l2 = _errors_2d(g1, q, n)
+        # both come from the same row blocks: only the summation order of
+        # the squares differs
+        assert got_linf == linf, (m, n)
+        assert got_l2 == pytest.approx(l2, rel=1e-12, abs=0.0), (m, n)
+
+
 def test_sparse_smoke(tmp_path):
     out = tmp_path / "s.dat"
     code = run(["sparse", "--dims", "2", "--m", "1", "--gamma", "1.0",

@@ -22,6 +22,7 @@ from torusqi.qi import (
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
+    evaluate_on_grid_blocks,
     from_samples,
     stencil_halfwidth,
 )
@@ -303,10 +304,13 @@ def test_grid_path_matches_dense():
         assert np.max(np.abs(grid_vals.ravel() - dense)) <= 1e-13 * scale, label
 
 
-def test_grid_path_banded_battery():
-    # per-axis banded contraction: sorted-row blocks, wrapped slabs at 0 and
-    # 2 pi, slice and index-array writes, every GEMM layout (first, middle
-    # and last axis), and windows that span their axis
+def _banded_battery():
+    """(label, interpolant, axes) cases of the banded grid contraction.
+
+    Sorted-row blocks, wrapped slabs at 0 and 2 pi, slice and index-array
+    writes, every GEMM layout (first, middle and last axis), and windows
+    that span their axis; the 3D cases mix banded and spanning axes.
+    """
     from torusqi.analysis import make_gp, offset_eval_axis
 
     rng = np.random.default_rng(11)
@@ -332,7 +336,14 @@ def test_grid_path_banded_battery():
     cases.append(("1D N=1024, 5 points", q1024, [few]))
     q_wide = build_aniso(make_gp(6, 2), (1024, 8), (1, 1), (1.5, 1.5))
     cases.append(("(1024, 8), 5 points", q_wide, [few, short]))
-    for label, q, axes in cases:
+    # the 3D case mixes banded and spanning axes
+    assert [2 * hw + 1 >= n for hw, n in zip(q3.stencil_halfwidths, q3.grid.counts)] == [
+        True, False, True]
+    return cases
+
+
+def test_grid_path_banded_battery():
+    for label, q, axes in _banded_battery():
         spans = [2 * hw + 1 >= n for hw, n in zip(q.stencil_halfwidths, q.grid.counts)]
         assert not all(spans), label
         got = evaluate_on_grid(q, axes)
@@ -341,9 +352,27 @@ def test_grid_path_banded_battery():
         dense = evaluate_dense(q, _product_points(axes))
         scale = float(np.max(np.abs(dense)))
         assert np.max(np.abs(got.ravel() - dense)) <= 1e-13 * scale, label
-    # the 3D case mixes banded and spanning axes
-    assert [2 * hw + 1 >= n for hw, n in zip(q3.stencil_halfwidths, q3.grid.counts)] == [
-        True, False, True]
+
+
+def test_grid_row_blocks_cover_each_row_once():
+    # evaluate_on_grid is filled from these blocks, so each block must hold
+    # exactly the rows it names, and every row must come exactly once
+    for label, q, axes in _banded_battery():
+        full = evaluate_on_grid(q, axes)
+        hits = np.zeros(len(axes[0]), dtype=int)
+        for rows, vals in evaluate_on_grid_blocks(q, axes):
+            np.add.at(hits, np.arange(len(axes[0]))[rows], 1)
+            assert vals.shape == (len(hits[rows]),) + full.shape[1:], label
+            assert np.array_equal(vals, full[rows]), label
+        assert np.all(hits == 1), label
+
+
+def test_grid_row_blocks_validate_before_the_first_block():
+    q = build_full(const_one, 16, 2, 0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_on_grid_blocks(q, [np.array([0.1]), np.array([np.nan])])
+    with pytest.raises(ValueError, match="need 2 axes"):
+        evaluate_on_grid_blocks(q, [np.array([0.1])])
 
 
 def test_grid_path_validates_and_reduces_axes():
@@ -743,6 +772,30 @@ def test_kernel_sweep_mixes_grid_sizes():
     pts = _sweep_points(500, 1)
     for q, row in zip(qs, evaluate_many(qs, pts)):
         assert np.array_equal(row, evaluate(q, pts))
+
+
+def test_kernel_sweep_holds_one_matrix_at_a_time():
+    # table1's sweep at N = 2048: each kernel's matrix is built at its first
+    # use and dropped after its last, so the twelve are never alive
+    # together; holding them all takes more than their window values
+    import tracemalloc
+
+    from torusqi.analysis import offset_eval_axis
+
+    kernels = [((m,), (gamma,)) for m in (0, 1, 2) for gamma in (0.6, 0.8, 1.0, 1.5)]
+    qs = _kernel_sweep((2048,), kernels)
+    pts = offset_eval_axis(2048)[:, None]
+    values = sum(8 * len(pts) * (2 * q.stencil_halfwidths[0] + 1) for q in qs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = evaluate_many(qs, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < values
+    for q, row in zip(qs, rows):
+        assert np.array_equal(row, evaluate(q, pts)), q.kernel.params
 
 
 # ---------------------------------------------------------------------------
