@@ -232,16 +232,14 @@ def run_conv2d(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
     ns = _doubling_range(args.nmin, args.nmax)
     g1 = make_gp(args.p, 1)
     # G_p is the tensor product of g_p, so its N x N samples are the outer
-    # product of one axis's; they do not depend on m
-    samples = {}
-    for n in ns:
-        a = gp_eval(g1, FullGridSpec((n,)).axis(0))
-        samples[n] = np.outer(a, a)
+    # product of one axis's; only the axes are kept, and each interpolant
+    # gets its own outer product, so one N x N sample array exists at a time
+    axes = {n: gp_eval(g1, FullGridSpec((n,)).axis(0)) for n in ns}
     tables: dict[int, list[ConvergenceRow]] = {}
     for m in args.m:
         errs = [
-            _errors_2d(g1, from_samples(samples[n], (m, m), (gamma, gamma)), n)
-            for n in ns
+            _errors_2d(g1, from_samples(np.outer(a, a), (m, m), (gamma, gamma)), n)
+            for n, a in axes.items()
         ]
         tables[m] = _rows_from_errors(ns, errs)
     # every order is checked before the first file is written

@@ -34,7 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import NumericsError, binom_real, jet_psi2_hat, laguerre_general
+from .specfun import (
+    NumericsError,
+    binom_real,
+    jet_psi2_hat,
+    laguerre_coeffs,
+    laguerre_general,
+)
 
 __all__ = [
     "KernelParams",
@@ -130,8 +136,18 @@ def psi_from_chord(p: KernelParams, t):
     so one array of ``t`` serves every kernel order and shape at the same
     offsets.  Accepts scalars or arrays; returns the same shape.
     """
-    u = np.asarray(t, dtype=float) / p.c**2
-    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
+    t = np.asarray(t, dtype=float)
+    # in place, with laguerre_general's Horner steps and the operations of
+    # L(u) * exp(-u) / (sqrt(2 pi) c) in their order: two arrays the size
+    # of t, and the same bits
+    u = np.divide(t, p.c**2, out=np.empty_like(t))
+    out = np.zeros_like(u)
+    for coeff in reversed(laguerre_coeffs(p.m, 0.5)):
+        out *= u
+        out += coeff
+    np.negative(u, out=u)
+    out *= np.exp(u, out=u)
+    out /= SQRT_2PI * p.c
     return out if out.ndim else float(out)
 
 

@@ -17,16 +17,20 @@ once per dimension and node count and takes the window of every kernel
 order and shape on that axis from it.  Scattered points go through one
 sparse (CSR) matrix product for the largest dimension, then elementwise
 per-point contractions for the others; each kernel matrix is built at
-its first use and dropped after its last.  Tensor-product evaluation grids
-contract one axis at a time as banded BLAS blocks: the axis's coordinates
-are sorted, and each block of sorted rows scatters its window entries into
-a small dense matrix that multiplies the contiguous slab of nodes the
-block touches (gathered mod N where the window wraps).  Axes d-1, ..., 1
-are contracted in full and axis 0 block by block, so the grid's values
-come out as a stream of row blocks (``evaluate_on_grid_blocks``) that a
-caller can reduce without ever holding the whole grid; ``evaluate_on_grid``
-collects them into one array.  A windowed dense-summation path is kept as
-the correctness oracle.
+its first use and dropped after its last.  The points are cut into a
+fixed partition of blocks (up to four, from the point count and the grids
+alone), which a per-call thread pool evaluates on the usable CPUs, each
+block into its own columns of the result.  The blocks are whole BLAS row
+tiles, so the values are those of one unblocked evaluation, bitwise equal
+at any CPU count.  Tensor-product evaluation grids contract one axis at a
+time as banded BLAS blocks: the axis's coordinates are sorted, and each
+block of sorted rows scatters its window entries into a small dense matrix
+that multiplies the contiguous slab of nodes the block touches (gathered
+mod N where the window wraps).  Axes d-1, ..., 1 are contracted in full and
+axis 0 block by block, so the grid's values come out as a stream of row
+blocks (``evaluate_on_grid_blocks``) that a caller can reduce without ever
+holding the whole grid; ``evaluate_on_grid`` collects them into one array.
+A windowed dense-summation path is kept as the correctness oracle.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
@@ -42,6 +46,8 @@ once for all levels.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -87,6 +93,15 @@ TWO_PI = 2.0 * math.pi
 TRUNCATION_EPS = 1e-15
 MAX_GAMMA = 8.0
 _CHUNK_ELEMS = 1 << 21
+_BLOCKS = 4
+_MIN_BLOCK = 1024
+# BLAS kernels compute a product's rows in tiles of a few rows (a divisor
+# of 64), and a row's rounding may depend on its offset within the tile
+_ROW_TILE = 64
+# OpenBLAS computes a GEMM of at most 2^18 multiply-adds on the calling
+# thread; a larger one wakes its own threads, which then busy-wait on the
+# CPUs that evaluate_many's other workers need
+_GEMM_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,6 +446,27 @@ def _window_matrix(raw: np.ndarray, kern: np.ndarray, n: int):
     )
 
 
+def _dense_product(mat: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """mat @ samples in row slices that BLAS computes on the calling thread.
+
+    Each slice holds a multiple of ``_ROW_TILE`` rows and, where that
+    allows, at most ``_GEMM_ELEMS`` multiply-adds.  A one-row tail joins
+    the slice before it: numpy would send a one-row product to a BLAS
+    vector routine, which rounds differently.  A row's sum depends on its
+    place in the product only through the kernels' row tiles, so each row
+    has the bits it has in one product over all rows.
+    """
+    rows = mat.shape[0]
+    step = _ROW_TILE * max(1, _GEMM_ELEMS // (_ROW_TILE * samples.size))
+    cuts = list(range(step, rows, step))
+    if cuts and rows - cuts[-1] == 1:
+        cuts.pop()
+    out = np.empty((rows, samples.shape[1]))
+    for start, stop in zip([0] + cuts, cuts + [rows]):
+        np.matmul(mat[start:stop], samples, out=out[start:stop])
+    return out
+
+
 def _evaluate_separable(q: QuasiInterpolant, mats: Sequence) -> np.ndarray:
     """Contract the samples axis by axis against per-axis kernel matrices.
 
@@ -442,9 +478,11 @@ def _evaluate_separable(q: QuasiInterpolant, mats: Sequence) -> np.ndarray:
     big = int(np.argmax(q.grid.counts))
     rest = [r for r in range(d) if r != big]
     samples = np.moveaxis(q.samples, big, 0).reshape(q.grid.counts[big], -1)
-    acc = (mats[big] @ samples).reshape(
-        (mats[big].shape[0],) + tuple(q.grid.counts[r] for r in rest)
-    )
+    if sparse.issparse(mats[big]):
+        acc = mats[big] @ samples
+    else:
+        acc = _dense_product(mats[big], samples)
+    acc = acc.reshape((acc.shape[0],) + tuple(q.grid.counts[r] for r in rest))
     for r in reversed(rest):
         kern = mats[r].toarray() if sparse.issparse(mats[r]) else mats[r]
         acc = np.einsum("p...j,pj->p...", acc, kern)
@@ -475,6 +513,74 @@ def _components(q) -> tuple[int, list]:
     return q.grid.dims, [(1, q)]
 
 
+def _point_blocks(count: int, rest: int) -> list[slice]:
+    """Fixed partition of ``count`` points into consecutive blocks.
+
+    ``_BLOCKS`` blocks, or fewer when a block would be under
+    ``_MIN_BLOCK`` points (one below two of them), of ceil(count / blocks)
+    points rounded up to a multiple of ``_ROW_TILE``, so that each dense
+    product sees every point at the row offset modulo the tile it has in
+    one product over all points.  At most ``_CHUNK_ELEMS // rest`` points
+    (rounded down to the tile where that leaves one), which bounds the
+    per-point intermediates: ``rest`` is the largest product of the axes
+    left after a grid's largest.  Depends on the counts only, never on
+    the CPU count.
+    """
+    parts = min(_BLOCKS, max(1, count // _MIN_BLOCK))
+    size = _ROW_TILE * -(-count // (parts * _ROW_TILE))
+    cap = _CHUNK_ELEMS // rest
+    if cap < size:
+        size = max(1, cap - cap % _ROW_TILE if cap >= _ROW_TILE else cap)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
+    """Add every row's value at one block of points into ``out``.
+
+    ``out`` has one row per interpolant and one column per point of
+    ``block``.  The block builds its own windows, kernel matrices and
+    component values, so blocks are independent of each other.
+    """
+    windows: dict = {}  # (r, n) -> the group's window function
+    unbuilt: dict = {}  # (r, n) -> the group's matrices not built yet
+    mats: dict = {}
+
+    def matrix(r: int, n: int, kernel: tuple):
+        if (r, n, kernel) not in mats:
+            if (r, n) not in unbuilt:
+                windows[r, n] = _dim_windows(block[:, r], n, list(groups[r, n]))
+                unbuilt[r, n] = len(groups[r, n])
+            mats[r, n, kernel] = _window_matrix(*windows[r, n](kernel), n)
+            unbuilt[r, n] -= 1
+            if not unbuilt[r, n]:
+                del windows[r, n]  # frees the group's chords
+        return mats[r, n, kernel]
+
+    values: dict = {}
+    for i, parts in enumerate(rows):
+        for coeff, component in parts:
+            key = id(component)
+            if key not in values:
+                keys = [(r, n, _axis_kernel(component, r))
+                        for r, n in enumerate(component.grid.counts)]
+                values[key] = _evaluate_separable(
+                    component, [matrix(*k) for k in keys]
+                )
+                for k in keys:
+                    if last_user[k] == key:
+                        del mats[k]
+            out[i] += coeff * values[key]
+        for _, component in parts:
+            if last_row[id(component)] == i:
+                values.pop(id(component), None)
+
+
 def evaluate_many(qs, points) -> np.ndarray:
     """Evaluate several (sparse) quasi-interpolants at one batch of points.
 
@@ -483,18 +589,33 @@ def evaluate_many(qs, points) -> np.ndarray:
     but all must have the same dims.  Each grid is contracted separably
     against per-dimension kernel matrices built from the truncated node
     windows (periodic wrap-around); a sparse row is the coefficient-weighted
-    sum of its component evaluations, in the order of its terms.  Per block
-    of points, the kernels are grouped by (dimension, node count): the
-    group's first use computes the node offsets and their chords once, over
-    its widest window, and builds every kernel matrix of the group from
-    them as each is first needed; a matrix is shared by every grid with
-    that kernel on that dimension, and is dropped after the last component
-    that uses it.  The group's chords are kept only until its last matrix
-    exists.  Each component object (by identity, as
-    :func:`build_sparse_levels` shares them across levels) is evaluated
-    once for all rows; its values are dropped after the last row that uses
-    it.  Points are reduced mod 2 pi first.  Each row is bitwise equal to
-    :func:`evaluate` of that interpolant alone.
+    sum of its component evaluations, in the order of its terms.
+
+    The points are cut into a fixed partition of consecutive blocks that
+    depends only on the point count and the component grids: about a quarter
+    of the points each (whole tiles of 64 rows), fewer blocks when a quarter
+    would be under 1024 points, and smaller ones where the per-point
+    intermediates need it (see :func:`_point_blocks`).  Each block is
+    evaluated on its own and writes its own columns of the result.  Per
+    block, the kernels are grouped by (dimension, node count): the group's
+    first use computes the node offsets and their chords once, over its
+    widest window, and builds every kernel matrix of the group from them as
+    each is first needed; a matrix is shared by every grid with that kernel
+    on that dimension, and is dropped after the last component that uses it.
+    The group's chords are kept only until its last matrix exists.  Each
+    component object (by identity, as :func:`build_sparse_levels` shares
+    them across levels) is evaluated once for all rows; its values are
+    dropped after the last row that uses it.
+
+    The blocks run on a thread pool of min(blocks, usable CPUs) workers
+    that lives only for this call (inline, with no pool, when that is
+    one); dense products go to BLAS in row slices small enough for it to
+    compute them on the calling worker (see :func:`_dense_product`).
+    Blocks and slices depend on the counts only, so the result is bitwise
+    equal at any CPU count; they are whole row tiles, so each point keeps
+    the bits it has in one product over all points.  Each row is bitwise
+    equal to :func:`evaluate` of that interpolant alone.  Points are
+    reduced mod 2 pi first.
     """
     qs = list(qs)
     if not qs:
@@ -504,10 +625,7 @@ def evaluate_many(qs, points) -> np.ndarray:
         raise ValueError("interpolants must have equal dims")
     pts = _as_points(points, dims[0])
     last_row = {id(c): i for i, parts in enumerate(rows) for _, c in parts}
-    # bound the per-point intermediates (the product over the axes left
-    # after the largest) by _CHUNK_ELEMS; matrices are built per chunk
     rest = max(c.grid.size // max(c.grid.counts) for parts in rows for _, c in parts)
-    chunk = max(1, _CHUNK_ELEMS // rest)
     # the distinct kernels of each (axis, node count) group, and the last
     # component to use each kernel's matrix, in the order of evaluation
     # (each component at its first row)
@@ -518,40 +636,19 @@ def evaluate_many(qs, points) -> np.ndarray:
             groups.setdefault((r, n), {})[_axis_kernel(c, r)] = None
             last_user[r, n, _axis_kernel(c, r)] = id(c)
     out = np.zeros((len(qs), pts.shape[0]))
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        windows: dict = {}  # (r, n) -> the group's window function
-        unbuilt: dict = {}  # (r, n) -> the group's matrices not built yet
-        mats: dict = {}
-        values: dict = {}
+    blocks = _point_blocks(pts.shape[0], rest)
 
-        def matrix(r: int, n: int, kernel: tuple):
-            if (r, n, kernel) not in mats:
-                if (r, n) not in unbuilt:
-                    windows[r, n] = _dim_windows(block[:, r], n, list(groups[r, n]))
-                    unbuilt[r, n] = len(groups[r, n])
-                mats[r, n, kernel] = _window_matrix(*windows[r, n](kernel), n)
-                unbuilt[r, n] -= 1
-                if not unbuilt[r, n]:
-                    del windows[r, n]  # frees the group's chords
-            return mats[r, n, kernel]
+    def run(block: slice) -> None:
+        _evaluate_block(rows, groups, last_user, last_row, pts[block], out[:, block])
 
-        for i, parts in enumerate(rows):
-            for coeff, component in parts:
-                key = id(component)
-                if key not in values:
-                    keys = [(r, n, _axis_kernel(component, r))
-                            for r, n in enumerate(component.grid.counts)]
-                    values[key] = _evaluate_separable(
-                        component, [matrix(*k) for k in keys]
-                    )
-                    for k in keys:
-                        if last_user[k] == key:
-                            del mats[k]
-                out[i, start : start + chunk] += coeff * values[key]
-            for _, component in parts:
-                if last_row[id(component)] == i:
-                    values.pop(id(component), None)
+    workers = min(len(blocks), _usable_cpus())
+    if workers == 1:
+        for block in blocks:
+            run(block)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # list() re-raises the first block's error, if any
+            list(pool.map(run, blocks))
     return out
 
 

@@ -13,7 +13,9 @@ compares CLI outputs with golden captures, so two of its commands are run
 here and must reproduce those bytes.  These tests only read perfbench.
 """
 
+import functools
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,44 @@ def test_traced_paper_tables_cli_completes_and_restores(tmp_path, argv):
         # g_p is evaluated at the 4N+1 offset points once per N (the nodes
         # are sampled through gp_eval)
         assert t.counts["analysis.target_points"] == sum(4 * n + 1 for n in (32, 64, 128))
+
+
+class _ThreadRecordingTracer(tracer.Tracer):
+    """A tracer that also records the thread of every wrapped call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: set[int] = set()
+
+    def wrap(self, name, fn, count=None):
+        timed = super().wrap(name, fn, count)
+
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            self.threads.add(threading.get_ident())
+            return timed(*args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sparse", "--dims", "3", "--levels", "2..4"],
+        ["sparse", "--dims", "2", "--levels", "4..6"],
+        ["table1", "--m", "0,2", "--gamma", "0.6,1.5", "--nmin", "32", "--nmax", "512"],
+    ],
+)
+def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path, argv):
+    # the tracer keeps one span stack per process, so nothing it wraps may
+    # run on evaluate_many's worker threads; these commands evaluate
+    # several blocks of points on a pool of two
+    monkeypatch.setattr(torusqi.qi, "_usable_cpus", lambda: 2)
+    with tracer.installed(_ThreadRecordingTracer()) as t:
+        assert main(argv + ["--out", str(tmp_path / "t.out")]) == 0
+    assert tracer.unrestored() == []
+    assert t.threads == {threading.get_ident()}
+    assert sum(t.calls.values()) > 0
 
 
 # what the runners read from each workload command before every subcommand

@@ -105,6 +105,41 @@ def test_psi_from_chord_is_psi_restricted_bitwise():
                 assert isinstance(got, float) and got == psi_restricted(p, alpha)
 
 
+def test_psi_from_chord_in_place_keeps_the_bits_and_the_input():
+    # the in-place evaluation repeats the operations of the formula in
+    # their order, on strided windows and non-finite chords as well
+    rng = np.random.default_rng(3)
+    t = 2.0 * np.sin(rng.uniform(-7.0, 7.0, (60, 31)) / 2.0) ** 2
+    t[0, :4] = [np.nan, np.inf, -0.0, 1e-300]
+    window = t[:, 5:26]
+    for m in range(9):
+        p = KernelParams(m, 0.3)
+        before = window.copy()
+        u = window / p.c**2
+        inline = laguerre_general(m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
+        got = psi_from_chord(p, window)
+        assert np.array_equal(got, inline, equal_nan=True), m
+        assert np.array_equal(window, before, equal_nan=True)
+
+
+def test_psi_from_chord_holds_two_arrays_of_its_input():
+    # the result and one scratch array: the formula written out holds
+    # about four temporaries of the input's size at once
+    import tracemalloc
+
+    t = 2.0 * np.sin(np.linspace(0.0, 1.0, 32769 * 31).reshape(32769, 31) / 2.0) ** 2
+    p = KernelParams(2, 0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = psi_from_chord(p, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == t.shape
+    assert peak < 2.5 * t.nbytes
+
+
 def test_tensor_kernel_zero_factor():
     # L_1^{1/2}(u) = 0 at u = 3/2: alpha0 = 2 asin(c sqrt(3)/2); a unit
     # sample at the origin makes the evaluator return the tensor kernel itself

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -796,6 +797,152 @@ def test_kernel_sweep_holds_one_matrix_at_a_time():
     assert peak < values
     for q, row in zip(qs, rows):
         assert np.array_equal(row, evaluate(q, pts)), q.kernel.params
+
+
+# ---------------------------------------------------------------------------
+# Point blocks and worker threads
+# ---------------------------------------------------------------------------
+
+def _table1_sweep():
+    from torusqi.analysis import offset_eval_axis
+
+    kernels = [((m,), (gamma,)) for m in (0, 1, 2) for gamma in (0.6, 0.8, 1.0, 1.5)]
+    return _kernel_sweep((2048,), kernels), offset_eval_axis(2048)[:, None]
+
+
+def _level_sweep(d, levels):
+    specs = [SparseGridSpec(level, d) for level in levels]
+    return build_sparse_levels(_asymmetric, specs, 2, 1.0), _sweep_points(8192, d)
+
+
+def _mixed_full_3d():
+    # truncated and spanning axes side by side; the last grid spans every
+    # axis, so its largest axis is a dense product
+    qs = _kernel_sweep((64, 8, 32), [((2, 2, 1), (1.0, 1.5, 0.8)),
+                                     ((0, 5, 2), (0.6, 4.0, 1.5))])
+    qs += _kernel_sweep((8, 16, 4), [((2, 2, 2), (1.5, 1.5, 1.0))])
+    assert {_spans(q, r) for q in qs for r in range(3)} == {True, False}
+    assert all(_spans(qs[-1], r) for r in range(3))
+    return qs, _sweep_points(5000, 3)
+
+
+def _spanning_1d():
+    # table1's kernels at N = 32, where gamma 1.5 spans the axis
+    kernels = [((m,), (gamma,)) for m in (0, 2) for gamma in (0.6, 1.5)]
+    return _kernel_sweep((32,), kernels), _sweep_points(5000, 1)
+
+
+_BLOCK_CASES = {
+    "table1_n2048": _table1_sweep,
+    "sparse2d": lambda: _level_sweep(2, (8, 9, 10, 11)),
+    "sparse3d": lambda: _level_sweep(3, (4, 5, 6)),
+    "full3d_mixed": _mixed_full_3d,
+}
+
+
+def _rest(qs):
+    return max(c.grid.size // max(c.grid.counts)
+               for q in qs for _, c in qi._components(q)[1])
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocks_change_no_value(case):
+    # each slice has its own block partition; concatenated, the slices give
+    # the bits of the whole batch
+    qs, pts = _BLOCK_CASES[case]()
+    n = len(pts)
+    assert len(qi._point_blocks(n, _rest(qs))) > 1
+    cuts = [0, 2, 9, n // 3, n // 3 + 2, n - 1000, n]
+    whole = evaluate_many(qs, pts)
+    parts = [evaluate_many(qs, pts[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+
+@pytest.mark.parametrize("case", ["spanning_1d", "full3d_mixed", "sparse3d"])
+def test_blocks_and_slices_keep_the_bits_of_one_product(monkeypatch, case):
+    # the dense products of a lone block and a lone slice per block are the
+    # single BLAS call over every point that evaluation made before it was
+    # blocked; a BLAS row's rounding may depend on its offset in the call,
+    # which the block and slice sizes keep modulo the row tile
+    qs, pts = {"spanning_1d": _spanning_1d, **_BLOCK_CASES}[case]()
+    assert any(_spans(c, int(np.argmax(c.grid.counts)))
+               for q in qs for _, c in qi._components(q)[1])
+    blocked = evaluate_many(qs, pts)
+    monkeypatch.setattr(qi, "_BLOCKS", 1)
+    monkeypatch.setattr(qi, "_GEMM_ELEMS", 1 << 40)
+    assert len(qi._point_blocks(len(pts), _rest(qs))) == 1
+    assert np.array_equal(evaluate_many(qs, pts), blocked)
+    monkeypatch.setattr(qi, "_GEMM_ELEMS", 1)  # one row tile per slice
+    assert np.array_equal(evaluate_many(qs, pts), blocked)
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_threads_change_no_value_and_none_outlive_the_call(monkeypatch, case):
+    qs, pts = _BLOCK_CASES[case]()
+    monkeypatch.setattr(qi, "_usable_cpus", lambda: 1)
+    inline = evaluate_many(qs, pts)
+    for cpus in (2, 3):
+        monkeypatch.setattr(qi, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        assert np.array_equal(evaluate_many(qs, pts), inline), cpus
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_blocks_run_inline_or_on_min_blocks_cpus_workers(monkeypatch, cpus):
+    qs, pts = _level_sweep(2, (6, 7))
+    blocks = qi._point_blocks(len(pts), _rest(qs))
+    ran = []
+    run_block = qi._evaluate_block
+
+    def recording(*args):
+        ran.append(threading.get_ident())
+        run_block(*args)
+
+    monkeypatch.setattr(qi, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(qi, "_evaluate_block", recording)
+    evaluate_many(qs, pts)
+    assert len(ran) == len(blocks) == 4
+    if cpus == 1:
+        assert set(ran) == {threading.get_ident()}
+    else:
+        assert threading.get_ident() not in ran
+        assert 1 <= len(set(ran)) <= min(cpus, len(blocks))
+
+
+def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch):
+    qs, pts = _level_sweep(2, (6, 7))
+    run_block = qi._evaluate_block
+    seen = []
+
+    def failing(*args):
+        seen.append(None)
+        if len(seen) == 2:
+            raise NumericsError("block failed")
+        run_block(*args)
+
+    monkeypatch.setattr(qi, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(qi, "_evaluate_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(NumericsError, match="block failed"):
+        evaluate_many(qs, pts)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("count", [1, 1023, 2047, 2048, 4097, 8192, 8193, 100_000])
+@pytest.mark.parametrize("rest", [1, 64, 4096, 1 << 20])
+def test_point_blocks_partition(count, rest):
+    blocks = qi._point_blocks(count, rest)
+    assert blocks[0].start == 0 and blocks[-1].start < count <= blocks[-1].stop
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    size = blocks[0].stop - blocks[0].start
+    cap = qi._CHUNK_ELEMS // rest
+    assert size <= max(1, cap)
+    if len(blocks) > 1 and cap >= qi._ROW_TILE:
+        assert size % qi._ROW_TILE == 0
+    if cap >= count:
+        # quarters, or fewer blocks of at least _MIN_BLOCK points
+        assert len(blocks) == min(4, max(1, count // qi._MIN_BLOCK))
 
 
 # ---------------------------------------------------------------------------
