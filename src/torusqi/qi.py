@@ -30,7 +30,8 @@ mod N where the window wraps).  Axes d-1, ..., 1 are contracted in full and
 axis 0 block by block, so the grid's values come out as a stream of row
 blocks (``evaluate_on_grid_blocks``) that a caller can reduce without ever
 holding the whole grid; ``evaluate_on_grid`` collects them into one array.
-A windowed dense-summation path is kept as the correctness oracle.
+``evaluate_dense`` is the correctness oracle: it sums the formula above over
+every node, with kernel values from ``psi_restricted`` and no truncation.
 
 The sparse-grid variant applies the combination technique: a signed sum of
 anisotropic quasi-interpolants over dyadic grids.  The target function is
@@ -65,7 +66,7 @@ from .grid import (
     sparse_grid_nodes,
     sparse_grid_points,
 )
-from .kernel import (  # noqa: F401  (psi_restricted: perfbench's tracer wraps it here)
+from .kernel import (
     KernelParams,
     TensorKernelSpec,
     psi_from_chord,
@@ -355,8 +356,9 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
     indices and weighted kernel values.  The indices of each row are
     consecutive and not reduced mod n (they run from round(x / h) - hw to
     round(x / h) + hw), so they rise with x; reduce them mod n to index the
-    samples.  When a kernel's window spans the axis, every row holds the
-    nodes 0..n-1.  The offsets and their chords 2 sin^2(offset / 2) are
+    samples.  When a kernel's window spans the axis, no indices are built
+    (None is returned in their place): its values are in node order
+    0..n-1.  The offsets and their chords 2 sin^2(offset / 2) are
     computed once, here: over the widest truncated window, whose middle
     columns the narrower ones take, and over the whole axis for the
     spanning kernels; each kernel then only evaluates ``psi_from_chord``,
@@ -365,9 +367,8 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
     """
     spacing = TWO_PI / n
     spans = [2 * hw + 1 >= n for _, _, hw in kernels]
-    full = full_chord = base = chord = wide = None
+    full_chord = base = chord = wide = None
     if any(spans):
-        full = np.broadcast_to(np.arange(n), (x.size, n))
         full_chord = x[:, None] - spacing * np.arange(n)[None, :]
         full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
     if not all(spans):
@@ -378,10 +379,10 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
         chord = x[:, None] - spacing * (base + np.arange(-wide, wide + 1))
         chord = 2.0 * np.sin(chord / 2.0) ** 2
 
-    def window(kernel: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def window(kernel: tuple) -> tuple[np.ndarray | None, np.ndarray]:
         params, weight, hw = kernel
         if 2 * hw + 1 >= n:
-            raw, kern = full, psi_from_chord(params, full_chord)
+            raw, kern = None, psi_from_chord(params, full_chord)
         else:
             raw = base + np.arange(-hw, hw + 1)
             kern = psi_from_chord(params, chord[:, wide - hw : wide + hw + 1])
@@ -391,47 +392,7 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
     return window
 
 
-def _window(x: np.ndarray, n: int, kernel: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weighted kernel values of one kernel (see _dim_windows)."""
-    return _dim_windows(x, n, [kernel])(kernel)
-
-
-def _evaluate_windowed(
-    q: QuasiInterpolant, pts: np.ndarray, halfwidths: Sequence[int]
-) -> np.ndarray:
-    """Windowed summation, chunked over points (the truncation oracle)."""
-    d = q.grid.dims
-    window = [min(2 * hw + 1, n) for hw, n in zip(halfwidths, q.grid.counts)]
-    volume = int(np.prod(window))
-    windows = []
-    for r in range(d):
-        params, weight, _ = _axis_kernel(q, r)
-        n = q.grid.counts[r]
-        raw, kern = _window(pts[:, r], n, (params, weight, halfwidths[r]))
-        windows.append((np.mod(raw, n), kern))
-
-    out = np.empty(pts.shape[0])
-    chunk = max(1, _CHUNK_ELEMS // max(volume, 1))
-    for start in range(0, pts.shape[0], chunk):
-        stop = min(start + chunk, pts.shape[0])
-        b = stop - start
-        shapes = [
-            (b,) + tuple(window[i] if i == r else 1 for i in range(d))
-            for r in range(d)
-        ]
-        acc = q.samples[
-            tuple(windows[r][0][start:stop].reshape(shapes[r]) for r in range(d))
-        ]
-        # contract the innermost dimension right after its kernel multiply:
-        # fixed order, and each pass shrinks the working set
-        for r in range(d - 1, -1, -1):
-            acc = acc * windows[r][1][start:stop].reshape(shapes[r][: r + 2])
-            acc = acc.sum(axis=-1)
-        out[start:stop] = acc
-    return out
-
-
-def _window_matrix(raw: np.ndarray, kern: np.ndarray, n: int):
+def _window_matrix(raw: np.ndarray | None, kern: np.ndarray, n: int):
     """len(x) x n kernel matrix of one window of _dim_windows.
 
     Dense when the window spans the axis (its columns are then in node
@@ -514,7 +475,7 @@ def _components(q) -> tuple[int, list]:
 
 
 def _point_blocks(count: int, rest: int) -> list[slice]:
-    """Fixed partition of ``count`` points into consecutive blocks.
+    """Fixed partition of ``count`` points into consecutive blocks (none for 0).
 
     ``_BLOCKS`` blocks, or fewer when a block would be under
     ``_MIN_BLOCK`` points (one below two of them), of ceil(count / blocks)
@@ -527,7 +488,7 @@ def _point_blocks(count: int, rest: int) -> list[slice]:
     the CPU count.
     """
     parts = min(_BLOCKS, max(1, count // _MIN_BLOCK))
-    size = _ROW_TILE * -(-count // (parts * _ROW_TILE))
+    size = _ROW_TILE * max(1, -(-count // (parts * _ROW_TILE)))
     cap = _CHUNK_ELEMS // rest
     if cap < size:
         size = max(1, cap - cap % _ROW_TILE if cap >= _ROW_TILE else cap)
@@ -609,7 +570,7 @@ def evaluate_many(qs, points) -> np.ndarray:
 
     The blocks run on a thread pool of min(blocks, usable CPUs) workers
     that lives only for this call (inline, with no pool, when that is
-    one); dense products go to BLAS in row slices small enough for it to
+    one or none); dense products go to BLAS in row slices small enough for it to
     compute them on the calling worker (see :func:`_dense_product`).
     Blocks and slices depend on the counts only, so the result is bitwise
     equal at any CPU count; they are whole row tiles, so each point keeps
@@ -642,7 +603,7 @@ def evaluate_many(qs, points) -> np.ndarray:
         _evaluate_block(rows, groups, last_user, last_row, pts[block], out[:, block])
 
     workers = min(len(blocks), _usable_cpus())
-    if workers == 1:
+    if workers <= 1:
         for block in blocks:
             run(block)
     else:
@@ -662,7 +623,16 @@ def evaluate(q, points) -> np.ndarray:
 
 
 def evaluate_dense(q, points) -> np.ndarray:
-    """Full-window summation over every grid node (truncation oracle)."""
+    """Sum of the definition over every grid node (the correctness oracle).
+
+    Qf(x) = sum_j f(x_j) prod_r w_r psi(x_r - 2 pi j_r / N_r), with no
+    truncation window: each axis's P x N_r kernel matrix comes straight
+    from :func:`psi_restricted`, and the matrices are contracted into the
+    samples one axis at a time, in point chunks of at most
+    ``_CHUNK_ELEMS`` partial sums.  A sparse interpolant is the
+    coefficient-weighted sum of its components, in the order of its terms.
+    Points are reduced mod 2 pi first.
+    """
     if isinstance(q, SparseQuasiInterpolant):
         pts = _as_points(points, q.spec.dims)
         acc = np.zeros(pts.shape[0])
@@ -670,8 +640,19 @@ def evaluate_dense(q, points) -> np.ndarray:
             acc += term.coeff * evaluate_dense(component, pts)
         return acc
     pts = _as_points(points, q.grid.dims)
-    full = tuple(n // 2 + 1 for n in q.grid.counts)
-    return _evaluate_windowed(q, pts, full)
+    axes = list(zip(q.grid.counts, q.kernel.params, q.kernel.weights))
+    out = np.empty(pts.shape[0])
+    chunk = max(1, _CHUNK_ELEMS // q.grid.size)
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        acc = q.samples
+        for r, (n, params, weight) in enumerate(axes):
+            offsets = block[:, r, None] - TWO_PI / n * np.arange(n)
+            mat = weight * psi_restricted(params, offsets)
+            # axis 0 against the samples, then each later axis per point
+            acc = np.einsum("pj,j...->p..." if r == 0 else "pj,pj...->p...", mat, acc)
+        out[start : start + chunk] = acc
+    return out
 
 
 def _gemm_into(out: np.ndarray, dest, kern: np.ndarray, slab: np.ndarray) -> None:
@@ -707,12 +688,13 @@ def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
     """
     n = q.grid.counts[r]
     hw = q.stencil_halfwidths[r]
+    kernel = _axis_kernel(q, r)
     if 2 * hw + 1 >= n:
-        _, kern = _window(x, n, _axis_kernel(q, r))
+        _, kern = _dim_windows(x, n, [kernel])(kernel)
         yield slice(None), kern, slice(None)
         return
     order = np.argsort(x, kind="stable")
-    raw, kern = _window(x[order], n, _axis_kernel(q, r))
+    raw, kern = _dim_windows(x[order], n, [kernel])(kernel)
     width = 2 * hw + 1
     # a block of `step` sorted, evenly spread rows touches about
     # step n / M + width nodes, twice the window: the GEMM multiplies

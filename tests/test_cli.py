@@ -362,6 +362,49 @@ def test_sparse_2d_sweep_reproduces_capture(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# exit codes across the envelope
+# ---------------------------------------------------------------------------
+
+# (flags, gamma at the cap min(8, N / 2) of the run's smallest grid, where
+# c = gamma 2 pi / N reaches pi): the smallest valid --nmin of each
+# subcommand (strangfix probes ell <= 3, which needs N >= 8; kernel takes
+# N >= 1), one run per subcommand where gamma 8 is allowed, and sparse
+# --dims 1..4 at low levels (their 2-point grids cap gamma at 1)
+_EDGES = [
+    (["table1", "--nmin", "4", "--nmax", "8"], "2"),
+    (["table1", "--nmin", "16", "--nmax", "32"], "8"),
+    (["conv2d", "--nmin", "4", "--nmax", "8"], "2"),
+    (["strangfix", "--nmin", "8", "--nmax", "16"], "4"),
+    (["strangfix", "--nmin", "16", "--nmax", "32"], "8"),
+    (["kernel", "--nmin", "1", "--nmax", "256"], "0.5"),
+    (["kernel", "--nmin", "16", "--nmax", "0"], "8"),
+    (["sparse", "--dims", "1", "--levels", "4..5"], "8"),
+] + [(["sparse", "--dims", d, "--levels", "1..3"], "1") for d in ("1", "2", "3", "4")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [flags[:1] + ["--m", m, "--gamma", gamma] + flags[1:]
+     for flags, cap in _EDGES for m in ("0", "8") for gamma in ("0.3", cap)],
+    ids=" ".join,
+)
+def test_envelope_edges_exit_0_with_finite_numbers_or_2_or_3(tmp_path, argv):
+    out = tmp_path / "out" / "run.txt"
+    try:
+        code = run(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)
+    if code == 0:
+        written = sorted(out.parent.iterdir())
+        assert written
+        for path in written:
+            for line in path.read_text().splitlines()[1:]:
+                for token in line.replace(",", " ").split():
+                    assert math.isfinite(float(token)), (path.name, line)
+
+
+# ---------------------------------------------------------------------------
 # imports
 # ---------------------------------------------------------------------------
 

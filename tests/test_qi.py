@@ -159,6 +159,43 @@ def test_zero_samples_give_zero():
     assert np.all(evaluate(q, eval_points_1d()) == 0.0)
 
 
+_ENVELOPE_MS = (0, 3, 5, 8)
+
+
+def _gamma_cap(n):
+    # c = gamma 2 pi / n stays <= pi, and gamma <= MAX_GAMMA
+    return min(qi.MAX_GAMMA, n / 2)
+
+
+def _envelope_interpolants():
+    """(label, interpolant) cases across the documented envelope.
+
+    m in {0, 3, 5, 8}, gamma from 0.3 up to the cap min(8, N_r / 2), and
+    d = 1..4 for build_full and build_aniso (the anisotropic cases rotate
+    the orders and shapes through the axes, so truncated and spanning
+    axes mix); build_sparse at gamma <= 1, d = 2..4.
+    """
+    cases = []
+    for d, n in ((1, 256), (2, 64), (3, 16), (4, 8)):
+        for m in _ENVELOPE_MS:
+            for gamma in (0.3, _gamma_cap(n)):
+                cases.append((f"full d={d} N={n} m={m} gamma={gamma}",
+                              build_full(_asymmetric, n, d, m, gamma)))
+    for counts in ((512,), (128, 8), (64, 4, 32), (32, 8, 4, 16)):
+        for i in range(len(_ENVELOPE_MS)):
+            ms = tuple(_ENVELOPE_MS[(i + r) % 4] for r in range(len(counts)))
+            gammas = tuple((0.3, _gamma_cap(n), 1.7)[(i + r) % 3]
+                           for r, n in enumerate(counts))
+            cases.append((f"aniso {counts} m={ms} gamma={gammas}",
+                          build_aniso(_asymmetric, counts, ms, gammas)))
+    for d, level in ((2, 8), (3, 6), (4, 5)):
+        for m in _ENVELOPE_MS:
+            gamma = 0.3 if m % 2 else 1.0
+            cases.append((f"sparse d={d} level={level} m={m} gamma={gamma}",
+                          build_sparse(_asymmetric, SparseGridSpec(level, d), m, gamma)))
+    return cases
+
+
 def test_truncated_vs_dense_battery(monkeypatch):
     # isotropic, anisotropic and sparse interpolants; the anisotropic cases
     # mix truncated and full-span axes, with the largest axis truncated
@@ -216,6 +253,12 @@ def test_truncated_vs_dense_battery(monkeypatch):
             mp.setattr(qi, "_CHUNK_ELEMS", 64)
             blocked = evaluate(q, pts)
         assert np.max(np.abs(blocked - b)) <= 1e-13 * scale, case
+
+    for label, q in _envelope_interpolants():
+        pts = rng.uniform(0, TWO_PI, size=(150, qi._components(q)[0]))
+        dense = evaluate_dense(q, pts)
+        scale = float(np.max(np.abs(dense)))
+        assert np.max(np.abs(evaluate(q, pts) - dense)) <= 1e-13 * scale, label
 
 
 def test_large_arguments_reduce_mod_2pi():
@@ -300,6 +343,16 @@ def test_grid_path_matches_dense():
         assert tuple(cut) == truncated, label
         grid_vals = evaluate_on_grid(q, axes)
         assert grid_vals.shape == tuple(len(a) for a in axes), label
+        dense = evaluate_dense(q, _product_points(axes))
+        scale = float(np.max(np.abs(dense)))
+        assert np.max(np.abs(grid_vals.ravel() - dense)) <= 1e-13 * scale, label
+
+    # the envelope's full-grid interpolants on unsorted product axes
+    for label, q in _envelope_interpolants():
+        if isinstance(q, qi.SparseQuasiInterpolant):
+            continue
+        axes = [rng.uniform(0, TWO_PI, k) for k in (40, 7, 4, 3)[: q.grid.dims]]
+        grid_vals = evaluate_on_grid(q, axes)
         dense = evaluate_dense(q, _product_points(axes))
         scale = float(np.max(np.abs(dense)))
         assert np.max(np.abs(grid_vals.ravel() - dense)) <= 1e-13 * scale, label
@@ -910,6 +963,16 @@ def test_blocks_run_inline_or_on_min_blocks_cpus_workers(monkeypatch, cpus):
         assert 1 <= len(set(ran)) <= min(cpus, len(blocks))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_empty_point_batch(d):
+    qs = [build_full(_asymmetric, 16, d, 2, 1.0),
+          build_sparse(_asymmetric, SparseGridSpec(4, d), 1, 0.8)]
+    pts = np.empty((0, d))
+    assert evaluate_many(qs, pts).shape == (2, 0)
+    for q in qs:
+        assert evaluate(q, pts).shape == evaluate_dense(q, pts).shape == (0,)
+
+
 def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch):
     qs, pts = _level_sweep(2, (6, 7))
     run_block = qi._evaluate_block
@@ -929,10 +992,13 @@ def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("count", [1, 1023, 2047, 2048, 4097, 8192, 8193, 100_000])
+@pytest.mark.parametrize("count", [0, 1, 1023, 2047, 2048, 4097, 8192, 8193, 100_000])
 @pytest.mark.parametrize("rest", [1, 64, 4096, 1 << 20])
 def test_point_blocks_partition(count, rest):
     blocks = qi._point_blocks(count, rest)
+    if count == 0:
+        assert blocks == []
+        return
     assert blocks[0].start == 0 and blocks[-1].start < count <= blocks[-1].stop
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     size = blocks[0].stop - blocks[0].start
