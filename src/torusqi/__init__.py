@@ -48,6 +48,7 @@ from .qi import (
     build_full,
     build_sparse,
     build_sparse_levels,
+    build_sparse_product_levels,
     evaluate,
     evaluate_dense,
     evaluate_many,

@@ -58,7 +58,7 @@ from .kernel import (
 from .qi import (  # noqa: F401
     build_full,
     build_sparse,
-    build_sparse_levels,
+    build_sparse_product_levels,
     evaluate,
     evaluate_many,
     evaluate_on_grid,
@@ -220,7 +220,9 @@ def _errors_2d(g1, q, n: int) -> tuple[float, float]:
         # numpy's max and min carry a NaN through, Python's would drop it
         hi, lo = np.maximum(hi, diff.max()), np.minimum(lo, diff.min())
         flat = diff.reshape(-1)
-        sq += float(flat @ flat)
+        # einsum sums on this thread; a BLAS dot splits long vectors across
+        # its threads, which moves the last bits with the thread count
+        sq += float(np.einsum("i,i->", flat, flat))
     err_linf = float(max(hi, -lo))
     err_l2 = math.sqrt(sq / ax.size**2 * TWO_PI**2)
     return err_linf, err_l2
@@ -251,9 +253,11 @@ def run_conv2d(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
 def run_sparse(args: argparse.Namespace) -> Path:
     """Sparse-grid relative errors versus total sample count.
 
-    The levels are built and evaluated as one sweep: the target is sampled
-    on the finest level's nodes only, and each component grid and per-axis
-    kernel matrix is built and evaluated once for every level holding it.
+    The levels are built and evaluated as one sweep: G_p is the tensor
+    product of g_p, so g_p is sampled once per axis node count and each
+    component grid's samples are outer products of those axes; each
+    component grid and per-axis kernel matrix is built and evaluated once
+    for every level holding it.
     """
     if args.dims < 1:
         raise ValueError(f"--dims must be >= 1, got {args.dims}")
@@ -265,7 +269,8 @@ def run_sparse(args: argparse.Namespace) -> Path:
     ref = g(pts)
     scale = float(np.max(np.abs(ref)))
     specs = [SparseGridSpec(level, args.dims) for level in range(lo, hi + 1)]
-    approx = evaluate_many(build_sparse_levels(g, specs, args.m, args.gamma), pts)
+    qs = build_sparse_product_levels(lambda a: gp_eval(g, a), specs, args.m, args.gamma)
+    approx = evaluate_many(qs, pts)
     lines = ["level npoints rel_linf rel_l2"]
     for spec, row in zip(specs, approx):
         _, _, rel_inf, rel_l2 = error_norms(ref, row, pts, scale)
@@ -308,7 +313,10 @@ def run_strangfix(args: argparse.Namespace) -> Path:
 
 
 def run_kernel_dump(args: argparse.Namespace) -> tuple[Path, Path]:
-    """Profiles of psi(alpha; c) and psi_hat(ell; c) with c = gamma 2pi/nmin."""
+    """Profiles of psi(alpha; c) and psi_hat(ell; c) with c = gamma 2pi/nmin.
+
+    Both profiles are computed and checked finite before either is written.
+    """
     if args.nmin < 1:
         raise ValueError(f"--nmin must be >= 1, got {args.nmin}")
     if not 0 <= args.nmax <= FOURIER_MAX_FREQ:
@@ -316,16 +324,15 @@ def run_kernel_dump(args: argparse.Namespace) -> tuple[Path, Path]:
     p = KernelParams(args.m, args.gamma * TWO_PI / args.nmin)
     alphas = TWO_PI * np.arange(4097) / 4096  # endpoint repeated for trapezoid
     values = psi_restricted(p, alphas)
-    psi_lines = ["alpha psi"]
-    psi_lines.extend(f"{_fmt(a)} {_fmt(v)}" for a, v in zip(alphas, values))
+    hats = [psi_fourier_analytic(p, ell) for ell in range(0, args.nmax + 1)]
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(hats))):
+        raise NumericsError(f"non-finite kernel values at m = {args.m}, c = {p.c}")
     psi_path = _with_suffix(args.out, "psi")
-    _write_lines(psi_path, psi_lines)
-
-    hat_lines = ["ell psi_hat"]
-    for ell in range(0, args.nmax + 1):
-        hat_lines.append(f"{ell} {_fmt(psi_fourier_analytic(p, ell))}")
+    _write_lines(psi_path, ["alpha psi"]
+                 + [f"{_fmt(a)} {_fmt(v)}" for a, v in zip(alphas, values)])
     hat_path = _with_suffix(args.out, "psihat")
-    _write_lines(hat_path, hat_lines)
+    _write_lines(hat_path, ["ell psi_hat"]
+                 + [f"{ell} {_fmt(v)}" for ell, v in enumerate(hats)])
     return psi_path, hat_path
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "multi_indices_with_sum",
     "combination_terms",
     "combination_grid_words",
+    "check_sparse_grid_size",
     "sparse_grid_points",
     "sparse_grid_nodes",
     "sparse_grid_count_formula",
@@ -150,11 +151,12 @@ def combination_grid_words(index: tuple[int, ...], level: int) -> np.ndarray:
     return words
 
 
-def sparse_grid_points(spec: SparseGridSpec) -> np.ndarray:
-    """Sorted, distinct position words of the sparse grid's nodes.
+def check_sparse_grid_size(spec: SparseGridSpec) -> None:
+    """Raise ValueError if the sparse grid is too large to enumerate.
 
-    Only |n| = level + d - 1 grids are enumerated: every coarser grid of
-    the combination is nested inside one of them.
+    Its position words must fit in 62 bits, and its node count (from
+    :func:`sparse_grid_count_formula`) must not exceed
+    ``SPARSE_GRID_MAX_POINTS``.
     """
     if spec.level * spec.dims > 62:
         raise ValueError("sparse grid position words exceed 62 bits")
@@ -164,6 +166,15 @@ def sparse_grid_points(spec: SparseGridSpec) -> np.ndarray:
             f"sparse grid of {expected} points exceeds the "
             f"{SPARSE_GRID_MAX_POINTS} guard"
         )
+
+
+def sparse_grid_points(spec: SparseGridSpec) -> np.ndarray:
+    """Sorted, distinct position words of the sparse grid's nodes.
+
+    Only |n| = level + d - 1 grids are enumerated: every coarser grid of
+    the combination is nested inside one of them.
+    """
+    check_sparse_grid_size(spec)
     diagonal = multi_indices_with_sum(spec.level + spec.dims - 1, spec.dims)
     # each grid's words ascend in C order, so a stable sort (timsort) only
     # merges runs; np.unique's sort is ~40x slower here at d=2, level 15

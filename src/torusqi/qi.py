@@ -41,7 +41,11 @@ several levels (``build_sparse_levels``) samples only the finest level's
 nodes, which contain every coarser level's, and shares each component grid
 between the levels whose combinations hold it; ``evaluate_many`` then
 evaluates each shared component and builds each per-axis kernel matrix
-once for all levels.
+once for all levels.  A product target phi(x_1) ... phi(x_d) needs no
+node store: ``build_sparse_product_levels`` samples phi once per axis node
+count and forms each component grid's samples as an outer product of
+those axes, bitwise the values the target gives at the nodes.  Both
+sweeps share one loop (checks, size guard, component sharing).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +64,7 @@ from .grid import (
     CombinationTerm,
     FullGridSpec,
     SparseGridSpec,
+    check_sparse_grid_size,
     combination_grid_words,
     combination_terms,
     full_grid_nodes,
@@ -81,6 +86,7 @@ __all__ = [
     "build_aniso",
     "build_sparse",
     "build_sparse_levels",
+    "build_sparse_product_levels",
     "from_samples",
     "evaluate",
     "evaluate_many",
@@ -192,6 +198,11 @@ def _sample_function(f: Callable, points: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= MAX_GAMMA:
+        raise ValueError(f"gamma must be in (0, {MAX_GAMMA}], got {gamma}")
+
+
 def _assemble(
     samples: np.ndarray, ms: Sequence[int], gammas: Sequence[float]
 ) -> QuasiInterpolant:
@@ -200,8 +211,7 @@ def _assemble(
     weights = []
     halfwidths = []
     for n, m, gamma in zip(grid.counts, ms, gammas, strict=True):
-        if not 0.0 < gamma <= MAX_GAMMA:
-            raise ValueError(f"gamma must be in (0, {MAX_GAMMA}], got {gamma}")
+        _check_gamma(gamma)
         spacing = TWO_PI / n
         p = KernelParams(int(m), gamma * spacing)
         params.append(p)
@@ -282,6 +292,49 @@ def _gather_term_samples(
     return store_vals[where].reshape(term.grid.counts)
 
 
+def _sparse_sweep(
+    specs: Sequence[SparseGridSpec], m: int, gamma: float, sampler: Callable
+) -> tuple[SparseQuasiInterpolant, ...]:
+    """The sparse builders' shared loop; ``sampler`` is where samples come from.
+
+    Checks the specs, gamma and the finest grid's size before anything is
+    sampled, then calls ``sampler(finest)`` once for a function that maps a
+    combination term to its samples (shape ``term.grid.counts``).  A
+    component grid that several levels combine is assembled once and shared.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("need at least one sparse-grid spec")
+    dims = specs[0].dims
+    if any(spec.dims != dims for spec in specs):
+        raise ValueError("sparse-grid specs must have equal dims")
+    # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
+    # is one full grid, whose gamma is also capped at n / 2 in _assemble
+    if dims == 1:
+        _check_gamma(gamma)
+    elif not 0.0 < gamma <= 1.0:
+        raise ValueError(
+            f"sparse-grid gamma must be in (0, 1], got {gamma}: the 2-point "
+            "component grids need c = gamma pi <= pi"
+        )
+    finest = max(specs, key=lambda spec: spec.level)
+    check_sparse_grid_size(finest)
+    samples_of = sampler(finest)
+
+    components: dict[tuple[int, ...], QuasiInterpolant] = {}
+    out = []
+    for spec in specs:
+        terms = []
+        for term in combination_terms(spec):
+            if term.index not in components:
+                components[term.index] = _assemble(
+                    samples_of(term), (m,) * dims, (gamma,) * dims
+                )
+            terms.append((term, components[term.index]))
+        out.append(SparseQuasiInterpolant(spec=spec, terms=tuple(terms)))
+    return tuple(out)
+
+
 def build_sparse_levels(
     f: Callable, specs: Sequence[SparseGridSpec], m: int, gamma: float = 1.0
 ) -> tuple[SparseQuasiInterpolant, ...]:
@@ -296,34 +349,43 @@ def build_sparse_levels(
     its samples up in that store by position word, and a grid that
     several levels combine is one shared :class:`QuasiInterpolant`.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("need at least one sparse-grid spec")
-    dims = specs[0].dims
-    if any(spec.dims != dims for spec in specs):
-        raise ValueError("sparse-grid specs must have equal dims")
-    # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
-    # is one full grid, checked like any other in _assemble
-    if dims > 1 and not 0.0 < gamma <= 1.0:
-        raise ValueError(
-            f"sparse-grid gamma must be in (0, 1], got {gamma}: the 2-point "
-            "component grids need c = gamma pi <= pi"
-        )
-    finest = max(specs, key=lambda spec: spec.level)
-    words = sparse_grid_points(finest)
-    values = _sample_function(f, sparse_grid_nodes(finest, words))
+    def sampler(finest: SparseGridSpec) -> Callable:
+        words = sparse_grid_points(finest)
+        values = _sample_function(f, sparse_grid_nodes(finest, words))
+        return lambda term: _gather_term_samples(term, words, values, finest.level)
 
-    components: dict[tuple[int, ...], QuasiInterpolant] = {}
-    out = []
-    for spec in specs:
-        terms = []
-        for term in combination_terms(spec):
-            if term.index not in components:
-                samples = _gather_term_samples(term, words, values, finest.level)
-                components[term.index] = _assemble(samples, (m,) * dims, (gamma,) * dims)
-            terms.append((term, components[term.index]))
-        out.append(SparseQuasiInterpolant(spec=spec, terms=tuple(terms)))
-    return tuple(out)
+    return _sparse_sweep(specs, m, gamma, sampler)
+
+
+def build_sparse_product_levels(
+    factor: Callable, specs: Sequence[SparseGridSpec], m: int, gamma: float = 1.0
+) -> tuple[SparseQuasiInterpolant, ...]:
+    """:func:`build_sparse_levels` of F(x) = factor(x_1) * ... * factor(x_d).
+
+    ``factor`` receives a 1-D array of angles and must return as many
+    values.  Every combination grid is a full tensor grid, so its samples
+    are the outer product of one factor axis per dimension: ``factor`` is
+    called once per distinct axis node count n, on the nodes 2 pi j / n,
+    and each grid's samples are the left-to-right product
+    ((1 * phi_1) * phi_2) * ... * phi_d.  That is bitwise the value of a
+    target that multiplies its factors onto ones in that order (as
+    :class:`~torusqi.analysis.TestFunctionGp` does).  The checks, their
+    errors and the sharing of components are those of
+    :func:`build_sparse_levels`; no sparse-grid node is enumerated.
+    """
+    def sampler(finest: SparseGridSpec) -> Callable:
+        axes: dict[int, np.ndarray] = {}
+
+        def samples_of(term: CombinationTerm) -> np.ndarray:
+            for n in term.grid.counts:
+                if n not in axes:
+                    axes[n] = _sample_function(factor, FullGridSpec((n,)).axis(0))
+            return reduce(np.multiply.outer, [axes[n] for n in term.grid.counts],
+                          np.ones(()))
+
+        return samples_of
+
+    return _sparse_sweep(specs, m, gamma, sampler)
 
 
 def build_sparse(

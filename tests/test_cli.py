@@ -263,6 +263,24 @@ def test_kernel_range_flags_exit_2_before_writing(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["psi_restricted", "psi_fourier_analytic"])
+def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, capsys, name):
+    from torusqi import cli as cli_mod
+
+    real = getattr(cli_mod, name)
+
+    def inf_at_m8(p, arg):
+        value = real(p, arg)
+        return value * math.inf if p.m == 8 else value
+
+    monkeypatch.setattr(cli_mod, name, inf_at_m8)
+    out = tmp_path / "out" / "k.dat"
+    assert run(["kernel", "--m", "8", "--out", str(out)]) == 3
+    assert "non-finite kernel values" in capsys.readouterr().err
+    assert not out.parent.exists()
+    assert run(["kernel", "--m", "2", "--out", str(out)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # conv2d and sparse smoke runs
 # ---------------------------------------------------------------------------
@@ -336,6 +354,27 @@ def test_conv2d_streamed_norms_match_materialized(m):
         assert got_l2 == pytest.approx(l2, rel=1e-12, abs=0.0), (m, n)
 
 
+def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at these flags the approximant's row blocks come out bitwise equal at
+    # 1 and 2 BLAS threads, and the blocks are long enough (13,364 to
+    # 106,548 values) for a BLAS dot to split its sum of squares across
+    # threads; the sum must not depend on how many there are
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads / "c.csv"
+        subprocess.run(
+            [sys.executable, "-m", "torusqi.cli", "conv2d", "--m", "0", "--gamma", "0.5",
+             "--nmin", "64", "--nmax", "512", "--out", str(out)],
+            env=env, check=True,
+        )
+        outs.append((out.parent / "c_m0.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_sparse_smoke(tmp_path):
     out = tmp_path / "s.dat"
     code = run(["sparse", "--dims", "2", "--m", "1", "--gamma", "1.0",
@@ -359,6 +398,21 @@ def test_sparse_2d_sweep_reproduces_capture(tmp_path):
     capture = Path(__file__).parent / "data" / "sparse2d_levels8_11.dat"
     assert out.read_bytes() == capture.read_bytes()
 
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--levels", "1..30"], "exceeds the 16777216 guard"),
+        (["--gamma", "1.5"], "2-point component grids need c = gamma pi <= pi"),
+    ],
+    ids=" ".join,
+)
+def test_sparse_guards_exit_2_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "out" / "s.dat"
+    assert run(["sparse", "--dims", "2", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from torusqi.qi import (
     build_full,
     build_sparse,
     build_sparse_levels,
+    build_sparse_product_levels,
     evaluate,
     evaluate_dense,
     evaluate_many,
@@ -772,6 +773,78 @@ def test_sweeps_of_different_targets_stay_apart():
     for q, row in zip(qs, rows):
         assert np.array_equal(row, evaluate(q, pts))
     assert not np.array_equal(rows[0], rows[3])
+
+
+# ---------------------------------------------------------------------------
+# Product targets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("d, levels", [(1, (6, 4)), (2, (5, 8)), (3, (3, 5)), (4, (2, 4))])
+def test_product_levels_match_generic_build(d, levels, m, gamma):
+    from torusqi.analysis import gp_eval, make_gp
+
+    g = make_gp(6, d)
+    calls = []
+
+    def factor(alpha):
+        calls.append(alpha.size)
+        return gp_eval(g, alpha)
+
+    specs = [SparseGridSpec(level, d) for level in levels]
+    product = build_sparse_product_levels(factor, specs, m, gamma)
+    generic = build_sparse_levels(g, specs, m, gamma)
+    counts = {n for q in generic for term, _ in q.terms for n in term.grid.counts}
+    assert sorted(calls) == sorted(counts)
+    for qp, qg in zip(product, generic):
+        assert qp.spec == qg.spec
+        assert [t for t, _ in qp.terms] == [t for t, _ in qg.terms]
+        for (term, cp), (_, cg) in zip(qp.terms, qg.terms):
+            assert np.array_equal(cp.samples, cg.samples), term.index
+            assert (cp.kernel, cp.stencil_halfwidths) == (cg.kernel, cg.stencil_halfwidths)
+    pts = _sweep_points(500, d)
+    assert np.array_equal(evaluate_many(product, pts), evaluate_many(generic, pts))
+
+
+@pytest.mark.parametrize(
+    "specs, gamma, match",
+    [
+        ([], 1.0, "at least one"),
+        ([SparseGridSpec(3, 2), SparseGridSpec(4, 3)], 1.0, "equal dims"),
+        ([SparseGridSpec(3, 2)], 1.5, "2-point component grids"),
+        ([SparseGridSpec(3, 3)], 0.0, "2-point component grids"),
+        ([SparseGridSpec(4, 1)], 9.0, r"gamma must be in \(0, 8\.0\]"),
+        ([SparseGridSpec(5, 2), SparseGridSpec(30, 2)], 1.0, "exceeds the 16777216 guard"),
+        ([SparseGridSpec(32, 2)], 1.0, "exceed 62 bits"),
+    ],
+)
+def test_product_levels_raise_the_generic_errors_before_sampling(specs, gamma, match):
+    import tracemalloc
+
+    def never_called(x):
+        raise AssertionError("sampled before the checks")
+
+    errors = []
+    tracemalloc.start()
+    try:
+        for build in (build_sparse_levels, build_sparse_product_levels):
+            with pytest.raises(ValueError, match=match) as info:
+                build(never_called, specs, 1, gamma)
+            errors.append(str(info.value))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors[0] == errors[1]
+    assert peak < 1 << 20  # no grid was allocated
+
+
+def test_product_levels_check_the_factor():
+    specs = [SparseGridSpec(3, 2)]
+    with pytest.raises(ValueError, match="non-finite"):
+        build_sparse_product_levels(lambda a: np.where(a > 3.0, np.inf, 1.0), specs, 1)
+    with pytest.raises(ValueError, match="sample function must map"):
+        build_sparse_product_levels(lambda a: np.ones(a.size + 1), specs, 1)
 
 
 # ---------------------------------------------------------------------------
