@@ -373,19 +373,16 @@ def build_sparse_product_levels(
     errors and the sharing of components are those of
     :func:`build_sparse_levels`; no sparse-grid node is enumerated.
     """
-    def sampler(finest: SparseGridSpec) -> Callable:
-        axes: dict[int, np.ndarray] = {}
+    axes: dict[int, np.ndarray] = {}
 
-        def samples_of(term: CombinationTerm) -> np.ndarray:
-            for n in term.grid.counts:
-                if n not in axes:
-                    axes[n] = _sample_function(factor, FullGridSpec((n,)).axis(0))
-            return reduce(np.multiply.outer, [axes[n] for n in term.grid.counts],
-                          np.ones(()))
+    def samples_of(term: CombinationTerm) -> np.ndarray:
+        for n in term.grid.counts:
+            if n not in axes:
+                axes[n] = _sample_function(factor, FullGridSpec((n,)).axis(0))
+        return reduce(np.multiply.outer, [axes[n] for n in term.grid.counts],
+                      np.ones(()))
 
-        return samples_of
-
-    return _sparse_sweep(specs, m, gamma, sampler)
+    return _sparse_sweep(specs, m, gamma, lambda finest: samples_of)
 
 
 def build_sparse(
