@@ -356,9 +356,10 @@ def test_conv2d_streamed_norms_match_materialized(m):
 
 def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at these flags the approximant's row blocks come out bitwise equal at
-    # 1 and 2 BLAS threads, and the blocks are long enough (13,364 to
-    # 106,548 values) for a BLAS dot to split its sum of squares across
-    # threads; the sum must not depend on how many there are
+    # 1 and 2 BLAS threads (OpenBLAS 0.3.31; at m = 2, gamma = 1.5 its
+    # threaded GEMMs round differently), and the blocks are long enough
+    # (13,364 to 106,548 values) for a BLAS dot to split its sum of squares
+    # across threads; the sum must not depend on how many there are
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
