@@ -57,7 +57,6 @@ from .qi import (
     from_samples,
 )
 from .specfun import (
-    Jet,
     NumericsError,
     binom_real,
     jet_psi2_hat,

@@ -233,17 +233,17 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _psi_hat_via_jet(m: int, ell: int, rho: float) -> float:
-    """Order-raised coefficient from the Taylor jet at rho.
+    """Order-raised coefficient from the Taylor coefficients a_j at rho.
 
-    Exact telescoping of the jet terms cancels down to 1 + O(rho^{m+1});
-    the cancellation amplifies round-off by about (1/rho)^m, so this route
-    is reserved for moderate 1/rho.
+    The sum of (-rho)^j a_j over j <= m telescopes exactly down to
+    1 + O(rho^{m+1}); the cancellation amplifies round-off by about
+    (1/rho)^m, so this route is reserved for moderate 1/rho.
     """
     jet = jet_psi2_hat(ell, rho, m)
     acc = 0.0
     power = 1.0
     for j in range(m + 1):
-        acc += power * jet.coeffs[j]
+        acc += power * jet[j]
         power *= -rho
     return acc
 

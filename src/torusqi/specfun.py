@@ -8,7 +8,7 @@ Provides the pieces everything else is assembled from:
 * overflow-safe scaled modified Bessel functions
   :math:`\tilde I_\nu(z) = e^{-z} I_\nu(z)` (Miller backward recurrence;
   the jet route shares one memoized recurrence per argument and order bucket),
-* truncated Taylor jets (univariate, fixed order) and the jet of
+* the Taylor coefficients (order ``<= 8``, as plain tuples) of
   :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
 
 All arithmetic is double precision; the documented support ceilings
@@ -19,13 +19,10 @@ coefficient cancellation stays below the tolerances certified by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 __all__ = [
     "NumericsError",
-    "Jet",
     "laguerre_general",
     "laguerre_coeffs",
     "binom_real",
@@ -161,92 +158,7 @@ def scaled_bessel_i(nu: int, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Truncated Taylor jets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor series: ``coeffs[j]`` is :math:`g^{(j)}(x_0)/j!`.
-
-    Fixed-order arithmetic; operations never change the order and are exact
-    (to round-off) on polynomial inputs of degree <= order.
-    """
-
-    order: int
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"jet order must be >= 0, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients, got {len(self.coeffs)}"
-            )
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("jet coefficients must be finite")
-
-    @staticmethod
-    def constant(value: float, order: int) -> "Jet":
-        return Jet(order, (float(value),) + (0.0,) * order)
-
-    @staticmethod
-    def of_power(x0: float, p: float, order: int) -> "Jet":
-        r"""Jet of :math:`x \mapsto x^p` at ``x0 > 0`` for real ``p``.
-
-        Taylor coefficients :math:`\binom{p}{j} x_0^{p-j}`; covers the
-        reciprocal (``p = -1``) and inverse square root (``p = -1/2``) maps.
-        """
-        if x0 <= 0.0:
-            raise ValueError(f"power jets require x0 > 0, got {x0}")
-        return Jet(
-            order,
-            tuple(binom_real(p, j) * x0 ** (p - j) for j in range(order + 1)),
-        )
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check_order(other)
-        return Jet(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        """Cauchy product truncated at the common order."""
-        self._check_order(other)
-        n = self.order
-        out = [0.0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0.0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return Jet(n, tuple(out))
-
-    def scale(self, factor: float) -> "Jet":
-        return Jet(self.order, tuple(factor * c for c in self.coeffs))
-
-    def compose_outer(self, outer_coeffs: Sequence[float]) -> "Jet":
-        """Jet of ``g(self)`` given Taylor coefficients of ``g`` at ``self.coeffs[0]``.
-
-        ``outer_coeffs[j]`` must equal :math:`g^{(j)}(a_0)/j!` where ``a_0``
-        is this jet's constant term; evaluated by Horner on the shifted jet.
-        """
-        if len(outer_coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} outer coefficients, got {len(outer_coeffs)}"
-            )
-        delta = Jet(self.order, (0.0,) + self.coeffs[1:])
-        acc = Jet.constant(outer_coeffs[-1], self.order)
-        for c in reversed(outer_coeffs[:-1]):
-            acc = acc * delta + Jet.constant(c, self.order)
-        return acc
-
-    def _check_order(self, other: "Jet") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"jet order mismatch: {self.order} vs {other.order}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Jet of sqrt(2 pi) rho^(-1/2) e^(-1/rho) I_ell(1/rho)
+# Taylor coefficients of sqrt(2 pi) rho^(-1/2) e^(-1/rho) I_ell(1/rho)
 # ---------------------------------------------------------------------------
 
 _MILLER_TABLE_MIN = 64
@@ -268,40 +180,52 @@ def _scaled_bessel_derivative_taylor(ell: int, z0: float, order: int) -> list[fl
     r"""Taylor coefficients of :math:`u \mapsto e^{-u} I_\ell(u)` at ``z0``.
 
     The scaled function :math:`g_\nu(u) = e^{-u} I_\nu(u)` obeys
-    :math:`g_\nu' = (g_{\nu-1} + g_{\nu+1})/2 - g_\nu`, so the j-th
-    derivative of :math:`g_\ell` is a fixed linear combination of orders
-    ``ell-j .. ell+j`` (negative orders folded by :math:`I_{-n} = I_n`).
-    The order values come from the shared table of :func:`_miller_table`
+    :math:`g_\nu' = (g_{\nu-1} + g_{\nu+1})/2 - g_\nu`, so
+
+    .. math::
+        g_\ell^{(j)} = 2^{-j} \sum_{s=-j}^{j} (-1)^{j+s} \binom{2j}{j+s}
+            g_{|\ell+s|}
+
+    (negative orders folded by :math:`I_{-n} = I_n`).  The weights are
+    exact dyadic floats and :func:`math.fsum` rounds each sum once.  The
+    order values come from the shared table of :func:`_miller_table`
     (uncapped: high-frequency Fourier coefficients reach past the public
     ceiling).
     """
     size = max(_MILLER_TABLE_MIN, 1 << (ell + order - 1).bit_length())
     g = _miller_table(z0, size)
-
-    def g_at(nu: int) -> float:
-        return g[abs(nu)]
-
-    # weights[nu] = coefficient of g_nu in the current derivative
-    weights = {ell: 1.0}
-    derivs = [g_at(ell)]
-    for _ in range(order):
-        nxt: dict[int, float] = {}
-        for nu, w in weights.items():
-            nxt[nu - 1] = nxt.get(nu - 1, 0.0) + 0.5 * w
-            nxt[nu + 1] = nxt.get(nu + 1, 0.0) + 0.5 * w
-            nxt[nu] = nxt.get(nu, 0.0) - w
-        weights = nxt
-        derivs.append(math.fsum(w * g_at(nu) for nu, w in sorted(weights.items())))
-    return [d / math.factorial(j) for j, d in enumerate(derivs)]
+    return [
+        math.fsum((-1) ** (j + s) * math.comb(2 * j, j + s) / 2**j * g[abs(ell + s)]
+                  for s in range(-j, j + 1)) / math.factorial(j)
+        for j in range(order + 1)
+    ]
 
 
-def jet_psi2_hat(ell: int, rho0: float, order: int) -> Jet:
-    r"""Taylor jet of :math:`\rho \mapsto \sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
+def _power_taylor(x0: float, p: float, order: int) -> list[float]:
+    r"""Taylor coefficients :math:`\binom{p}{j} x_0^{p-j}` of :math:`x^p` at ``x0``."""
+    return [binom_real(p, j) * x0 ** (p - j) for j in range(order + 1)]
 
-    Built as the composition of the reciprocal map with the scaled Bessel
-    function, multiplied by the jet of :math:`\sqrt{2\pi}\rho^{-1/2}`; the
-    scaled-order derivative recurrence sidesteps any explicit derivative
-    polynomials.
+
+def _truncated_product(a: list[float], b: list[float]) -> list[float]:
+    """Cauchy product of two coefficient lists of equal length, truncated there."""
+    n = len(a)
+    out = [0.0] * n
+    for i, ai in enumerate(a):
+        if ai == 0.0:
+            continue
+        for j in range(n - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def jet_psi2_hat(ell: int, rho0: float, order: int) -> tuple[float, ...]:
+    r"""Taylor coefficients of :math:`\rho \mapsto \sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
+
+    Returns the coefficients :math:`h^{(j)}(\rho_0)/j!` for ``j = 0..order``.
+    The scaled Bessel coefficients at :math:`1/\rho_0` are composed with
+    the reciprocal map by Horner's rule, then multiplied by those of
+    :math:`\sqrt{2\pi}\rho^{-1/2}`, all truncated at ``order``.  Raises
+    :class:`NumericsError` when a coefficient is not finite.
     """
     if ell < 0:
         raise ValueError(f"frequency must be >= 0, got {ell}")
@@ -309,9 +233,16 @@ def jet_psi2_hat(ell: int, rho0: float, order: int) -> Jet:
         raise ValueError(f"expansion point must be > 0, got {rho0}")
     if not 0 <= order <= JET_MAX_ORDER:
         raise ValueError(f"jet order must satisfy 0 <= order <= {JET_MAX_ORDER}")
-    z0 = 1.0 / rho0
-    u = Jet.of_power(rho0, -1.0, order)
-    outer = _scaled_bessel_derivative_taylor(ell, z0, order)
-    bessel_part = u.compose_outer(outer)
-    prefactor = Jet.of_power(rho0, -0.5, order).scale(SQRT_2PI)
-    return prefactor * bessel_part
+    outer = _scaled_bessel_derivative_taylor(ell, 1.0 / rho0, order)
+    delta = [0.0] + _power_taylor(rho0, -1.0, order)[1:]
+    acc = [outer[-1]] + [0.0] * order
+    for c in reversed(outer[:-1]):
+        acc = _truncated_product(acc, delta)
+        acc[0] += c
+    prefactor = [SQRT_2PI * c for c in _power_taylor(rho0, -0.5, order)]
+    coeffs = tuple(_truncated_product(prefactor, acc))
+    if not all(math.isfinite(c) for c in coeffs):
+        raise NumericsError(
+            f"Taylor coefficients at ell={ell}, rho0={rho0} are not finite: {coeffs}"
+        )
+    return coeffs

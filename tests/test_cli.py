@@ -234,6 +234,17 @@ def test_strangfix_saturated_residual_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_strangfix_non_finite_jet_exits_3(tmp_path, monkeypatch, capsys):
+    from torusqi import specfun
+
+    monkeypatch.setattr(specfun, "_miller_table", lambda z, size: (math.nan,) * (size + 1))
+    out = tmp_path / "sf.dat"
+    assert run(["strangfix", "--m", "2", "--nmin", "64", "--nmax", "128",
+                "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel dump
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from torusqi.kernel import (
 )
 from torusqi import kernel, specfun
 from torusqi.qi import QuasiInterpolant, evaluate, evaluate_dense
-from torusqi.specfun import _miller_scaled, binom_real, laguerre_general
+from torusqi.specfun import NumericsError, _miller_scaled, binom_real, laguerre_general
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -361,6 +362,28 @@ def test_psi_hat_table_matches_fresh_recurrence(monkeypatch):
                 )
                 fresh = psi_fourier_analytic(p, ell)
             assert abs(tabled - fresh) <= 1e-14 * abs(fresh), (m, ell)
+
+
+def test_psi_hat_jet_route_reproduces_capture():
+    # float.hex of every jet-route case of m 0..8, c in {0.05, 0.1, 0.3, 1},
+    # ell in 0..63 and 64k - 1, 64k for k = 1..64 (both sides of each Miller
+    # table bucket edge); the route must keep these bits when it is reworked
+    capture = Path(__file__).parent / "data" / "psi_hat_jet_route.txt"
+    rows = [line.split() for line in capture.read_text().splitlines()[1:]]
+    assert len(rows) == 5971
+    changed = []
+    for m, c, ell, expected in rows:
+        m, c, ell = int(m), float(c), int(ell)
+        assert kernel._psi_hat_via_series(m, ell, c * c) is None, (m, c, ell)
+        if psi_fourier_analytic(KernelParams(m, c), ell).hex() != expected:
+            changed.append((m, c, ell))
+    assert changed == []
+
+
+def test_non_finite_jet_raises_numerics_error(monkeypatch):
+    monkeypatch.setattr(specfun, "_miller_table", lambda z, size: (math.nan,) * (size + 1))
+    with pytest.raises(NumericsError, match="not finite"):
+        psi_fourier_analytic(KernelParams(2, 0.1), 700)
 
 
 # ---------------------------------------------------------------------------

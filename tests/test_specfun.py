@@ -7,7 +7,6 @@ from scipy.special import eval_genlaguerre
 
 from bessel_oracles import hankel_asymptotic_i
 from torusqi.specfun import (
-    Jet,
     binom_real,
     jet_psi2_hat,
     laguerre_general,
@@ -200,53 +199,6 @@ def test_hankel_rejects_out_of_regime():
 
 
 # ---------------------------------------------------------------------------
-# Jets
-# ---------------------------------------------------------------------------
-
-def test_jet_polynomial_exactness():
-    # p(x) = 2 - 3x + 0.5 x^3 ; jet arithmetic must reproduce its derivatives
-    x0, order = 1.7, 5
-    x = Jet(order, (x0, 1.0) + (0.0,) * (order - 1))
-    p = Jet.constant(2.0, order) + x.scale(-3.0) + (x * x * x).scale(0.5)
-    # derivatives of p at x0: p, p', p''/2!, ...
-    expected = [
-        2.0 - 3.0 * x0 + 0.5 * x0**3,
-        -3.0 + 1.5 * x0**2,
-        3.0 * x0 / 2.0,
-        0.5,
-        0.0,
-        0.0,
-    ]
-    assert np.allclose(p.coeffs, expected, rtol=1e-14, atol=1e-14)
-
-
-def test_jet_power_minus_half_matches_derivatives():
-    x0, order = 0.37, 4
-    j = Jet.of_power(x0, -0.5, order)
-    # d^k/dx^k x^{-1/2} / k! = binom(-1/2, k) x^{-1/2-k}
-    for k in range(order + 1):
-        expected = binom_real(-0.5, k) * x0 ** (-0.5 - k)
-        assert j.coeffs[k] == pytest.approx(expected, rel=1e-14)
-
-
-def test_jet_composition_with_reciprocal_map():
-    # h(rho) = exp(1/rho): compose outer exp-Taylor with inner 1/rho jet
-    rho0, order = 0.6, 6
-    u = Jet.of_power(rho0, -1.0, order)
-    u0 = 1.0 / rho0
-    outer = [math.exp(u0) / math.factorial(j) for j in range(order + 1)]
-    h = u.compose_outer(outer)
-    # finite-difference check of first two derivatives
-    f = lambda r: math.exp(1.0 / r)
-    d = 1e-6
-    d1 = (f(rho0 + d) - f(rho0 - d)) / (2 * d)
-    d2 = (f(rho0 + d) - 2 * f(rho0) + f(rho0 - d)) / d**2
-    assert h.coeffs[0] == pytest.approx(f(rho0), rel=1e-14)
-    assert h.coeffs[1] == pytest.approx(d1, rel=1e-8)
-    assert 2.0 * h.coeffs[2] == pytest.approx(d2, rel=1e-3)
-
-
-# ---------------------------------------------------------------------------
 # jet_psi2_hat
 # ---------------------------------------------------------------------------
 
@@ -262,14 +214,14 @@ def test_jet_psi2_hat_zero_order_matches_quadrature():
     jet = jet_psi2_hat(0, 0.25, 0)
     oracle = _trapezoid_psi2_coeff(0, 0.5)
     assert oracle == pytest.approx(1.0378, abs=2e-4)  # derived once, frozen
-    assert jet.coeffs[0] == pytest.approx(oracle, rel=1e-12)
+    assert jet[0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_jet_psi2_hat_zero_order_is_function_value():
     for ell, rho0 in [(0, 0.25), (1, 0.01), (5, 0.1)]:
         jet = jet_psi2_hat(ell, rho0, 0)
         direct = SQRT_2PI * rho0 ** (-0.5) * scaled_bessel_i(ell, 1.0 / rho0)
-        assert jet.coeffs[0] == pytest.approx(direct, rel=1e-15)
+        assert jet[0] == pytest.approx(direct, rel=1e-15)
 
 
 def test_jet_psi2_hat_first_derivative_finite_difference():
@@ -281,7 +233,23 @@ def test_jet_psi2_hat_first_derivative_finite_difference():
     d = 1e-6
     fd = (g(rho0 + d) - g(rho0 - d)) / (2 * d)
     jet = jet_psi2_hat(ell, rho0, 1)
-    assert jet.coeffs[1] == pytest.approx(fd, rel=1e-5)
+    assert jet[1] == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("ell, rho0", [(0, 0.25), (3, 0.5), (40, 0.02)])
+def test_jet_psi2_hat_all_orders_match_mpmath(ell, rho0):
+    # every coefficient up to the order-8 ceiling; the route's cancellation
+    # grows with 1/rho0 (at ell = 1, rho0 = 0.01 the order-8 coefficient is
+    # off by 1e12 relative), so these points stay where it is mild
+    with mpmath.workdps(60):
+        def h(r):
+            return mpmath.sqrt(2 * mpmath.pi / r) * mpmath.exp(-1 / r) * mpmath.besseli(ell, 1 / r)
+
+        ref = [float(v) for v in mpmath.taylor(h, mpmath.mpf(rho0), 8)]
+    jet = jet_psi2_hat(ell, rho0, 8)
+    assert len(jet) == 9
+    for k in range(9):
+        assert jet[k] == pytest.approx(ref[k], rel=1e-9), k
 
 
 def test_jet_psi2_hat_rejects_bad_inputs():
