@@ -24,6 +24,8 @@ of f and ``rel_l2`` is the L2 error (torus measure, so it carries a factor
 (2 pi)^(d/2)) over the sup norm of f, both at the pseudorandom evaluation
 points.  All numbers are written in scientific notation with 12
 significant digits, so identical flags and seed reproduce identical bytes.
+One writer, :func:`_write_tables`, formats every table of every subcommand;
+it refuses a non-finite number before any file is written.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
 
@@ -37,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    ConvergenceRow,
     convergence_rates,
     error_norms,
     gp_eval,
@@ -84,10 +85,6 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _fmt_rate(rate: float | None) -> str:
-    return "" if rate is None else _fmt(rate)
-
-
 def _doubling_range(nmin: int, nmax: int) -> list[int]:
     if nmin < 4 or nmin % 2 != 0:
         raise ValueError(f"--nmin must be even and >= 4, got {nmin}")
@@ -101,10 +98,35 @@ def _doubling_range(nmin: int, nmax: int) -> list[int]:
     return out
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _field(name: str, x: int | float | None, path: Path) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, int):
+        return str(x)
+    if not math.isfinite(x):
+        raise NumericsError(f"non-finite {name} = {x} in {path}")
+    return _fmt(x)
+
+
+def _write_tables(tables) -> None:
+    """Write each ``(path, header, rows, sep)`` table, header line first.
+
+    Every field is formatted before the first directory or file is made:
+    integers with ``str``, floats with :func:`_fmt`, ``None`` as an empty
+    field.  A non-finite float raises :class:`NumericsError`, so a command
+    that fails writes nothing.
+    """
+    texts = []
+    for path, header, rows, sep in tables:
+        names = header.split(sep)
+        lines = [header]
+        for row in rows:
+            lines.append(sep.join(_field(n, x, path) for n, x in zip(names, row, strict=True)))
+        texts.append((path, "\n".join(lines) + "\n"))
+    for path, text in texts:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _with_suffix(path: Path, tag: str) -> Path:
@@ -120,45 +142,19 @@ def _errors_1d(ref, approx, pts) -> tuple[float, float]:
     return err_linf, err_l2
 
 
-def _rows_from_errors(ns, errs) -> list[ConvergenceRow]:
+def _convergence_table(out: Path, m: int, gamma: float, ns, errs) -> tuple:
+    """Order m's table ``out_m<m>.csv`` from its (err_linf, err_l2) per N."""
     if any(e == 0.0 for pair in errs for e in pair):
         # a rate of an exactly zero error is undefined: a numerical
         # degeneracy, not an invalid argument
         raise NumericsError("degenerate zero error; rate undefined")
-    rates_inf = convergence_rates(list(zip(ns, (e[0] for e in errs))))
-    rates_l2 = convergence_rates(list(zip(ns, (e[1] for e in errs))))
-    return [
-        ConvergenceRow(
-            N=n,
-            err_linf=errs[i][0],
-            rate_linf=rates_inf[i],
-            err_l2=errs[i][1],
-            rate_l2=rates_l2[i],
-        )
-        for i, n in enumerate(ns)
-    ]
+    rates = [convergence_rates(list(zip(ns, col))) for col in zip(*errs)]
+    rows = [(n, TWO_PI / n, gamma, e_inf, r_inf, e_l2, r_l2)
+            for n, (e_inf, e_l2), r_inf, r_l2 in zip(ns, errs, *rates)]
+    return _with_suffix(out, f"m{m}"), "N,h,gamma,err_linf,rate_linf,err_l2,rate_l2", rows, ","
 
 
-def _write_convergence_csv(path: Path, rows, gamma: float) -> None:
-    lines = ["N,h,gamma,err_linf,rate_linf,err_l2,rate_l2"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.N),
-                    _fmt(TWO_PI / row.N),
-                    _fmt(gamma),
-                    _fmt(row.err_linf),
-                    _fmt_rate(row.rate_linf),
-                    _fmt(row.err_l2),
-                    _fmt_rate(row.rate_l2),
-                ]
-            )
-        )
-    _write_lines(path, lines)
-
-
-def run_table1(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
+def run_table1(args: argparse.Namespace) -> None:
     """1D convergence of g_p per kernel order; best gamma from the sweep.
 
     Per N, g_p is sampled once on the nodes and once at the 4N+1 offset
@@ -176,28 +172,29 @@ def run_table1(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
         ref = g(pts)
         for key, approx in zip(sweep, evaluate_many(qs, pts)):
             errs[key].append(_errors_1d(ref, approx, pts))
-    best: dict[int, tuple[float, list[ConvergenceRow]]] = {}
-    for m in args.m:
-        by_gamma = {gamma: _rows_from_errors(ns, errs[m, gamma]) for gamma in args.gamma}
-        gamma = _best_gamma(args, m, ns, by_gamma)
-        best[m] = gamma, by_gamma[gamma]
-    for m, (gamma, rows) in best.items():
-        _write_convergence_csv(_with_suffix(args.out, f"m{m}"), rows, gamma)
-    return {m: rows for m, (_, rows) in best.items()}
+    tables = []
+    for m in dict.fromkeys(args.m):
+        by_gamma = {gamma: _convergence_table(args.out, m, gamma, ns, errs[m, gamma])
+                    for gamma in args.gamma}
+        tables.append(by_gamma[_best_gamma(args, m, ns, errs)])
+    _write_tables(tables)
 
 
-def _best_gamma(args, m, ns, by_gamma) -> float:
-    """Shape constant matching the reference levels, if any are known."""
+def _best_gamma(args, m, ns, errs) -> float:
+    """Shape constant matching the reference levels, if any are known.
+
+    ``errs[m, gamma]`` holds the (err_linf, err_l2) pair of every N.
+    """
     reference = _G6_LINF_REFERENCE.get(m) if args.p == 6 else None
     common = [n for n in ns if reference and n in reference]
     if not common:
         # no reference: smallest finest-grid error wins
-        return min(args.gamma, key=lambda g: by_gamma[g][-1].err_linf)
+        return min(args.gamma, key=lambda g: errs[m, g][-1][0])
 
     def score(gamma: float) -> float:
         total = 0.0
         for n in common:
-            err = by_gamma[gamma][ns.index(n)].err_linf
+            err = errs[m, gamma][ns.index(n)][0]
             total += math.log(err / reference[n]) ** 2
         return total
 
@@ -228,7 +225,7 @@ def _errors_2d(g1, q, n: int) -> tuple[float, float]:
     return err_linf, err_l2
 
 
-def run_conv2d(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
+def run_conv2d(args: argparse.Namespace) -> None:
     """2D convergence of G_p on tensor grids."""
     gamma = args.gamma
     ns = _doubling_range(args.nmin, args.nmax)
@@ -237,20 +234,18 @@ def run_conv2d(args: argparse.Namespace) -> dict[int, list[ConvergenceRow]]:
     # product of one axis's; only the axes are kept, and each interpolant
     # gets its own outer product, so one N x N sample array exists at a time
     axes = {n: gp_eval(g1, FullGridSpec((n,)).axis(0)) for n in ns}
-    tables: dict[int, list[ConvergenceRow]] = {}
-    for m in args.m:
+    tables = []
+    for m in dict.fromkeys(args.m):
         errs = [
             _errors_2d(g1, from_samples(np.outer(a, a), (m, m), (gamma, gamma)), n)
             for n, a in axes.items()
         ]
-        tables[m] = _rows_from_errors(ns, errs)
+        tables.append(_convergence_table(args.out, m, gamma, ns, errs))
     # every order is checked before the first file is written
-    for m, rows in tables.items():
-        _write_convergence_csv(_with_suffix(args.out, f"m{m}"), rows, gamma)
-    return tables
+    _write_tables(tables)
 
 
-def run_sparse(args: argparse.Namespace) -> Path:
+def run_sparse(args: argparse.Namespace) -> None:
     """Sparse-grid relative errors versus total sample count.
 
     The levels are built and evaluated as one sweep: G_p is the tensor
@@ -271,48 +266,26 @@ def run_sparse(args: argparse.Namespace) -> Path:
     specs = [SparseGridSpec(level, args.dims) for level in range(lo, hi + 1)]
     qs = build_sparse_product_levels(lambda a: gp_eval(g, a), specs, args.m, args.gamma)
     approx = evaluate_many(qs, pts)
-    lines = ["level npoints rel_linf rel_l2"]
+    rows = []
     for spec, row in zip(specs, approx):
         _, _, rel_inf, rel_l2 = error_norms(ref, row, pts, scale)
-        lines.append(
-            " ".join(
-                [
-                    str(spec.level),
-                    str(sparse_grid_count_formula(spec)),
-                    _fmt(rel_inf),
-                    _fmt(rel_l2),
-                ]
-            )
-        )
-    _write_lines(args.out, lines)
-    return args.out
+        rows.append((spec.level, sparse_grid_count_formula(spec), rel_inf, rel_l2))
+    _write_tables([(args.out, "level npoints rel_linf rel_l2", rows, " ")])
 
 
-def run_strangfix(args: argparse.Namespace) -> Path:
+def run_strangfix(args: argparse.Namespace) -> None:
     """Fitted coefficient-saturation exponents per kernel order."""
     ns = _doubling_range(args.nmin, args.nmax)
     probes = [1, 2, 3]
-    lines = ["m gamma ell order saturation_max aliasing_max"]
+    rows = []
     for m in args.m:
         report = strang_fix_certify(m, args.gamma, ns, probes)
-        for ell in probes:
-            lines.append(
-                " ".join(
-                    [
-                        str(m),
-                        _fmt(args.gamma),
-                        str(ell),
-                        _fmt(report.orders[ell]),
-                        _fmt(report.saturation_max),
-                        _fmt(report.aliasing_max),
-                    ]
-                )
-            )
-    _write_lines(args.out, lines)
-    return args.out
+        rows += [(m, args.gamma, ell, report.orders[ell], report.saturation_max,
+                  report.aliasing_max) for ell in probes]
+    _write_tables([(args.out, "m gamma ell order saturation_max aliasing_max", rows, " ")])
 
 
-def run_kernel_dump(args: argparse.Namespace) -> tuple[Path, Path]:
+def run_kernel_dump(args: argparse.Namespace) -> None:
     """Profiles of psi(alpha; c) and psi_hat(ell; c) with c = gamma 2pi/nmin.
 
     Both profiles are computed and checked finite before either is written.
@@ -327,13 +300,8 @@ def run_kernel_dump(args: argparse.Namespace) -> tuple[Path, Path]:
     hats = [psi_fourier_analytic(p, ell) for ell in range(0, args.nmax + 1)]
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(hats))):
         raise NumericsError(f"non-finite kernel values at m = {args.m}, c = {p.c}")
-    psi_path = _with_suffix(args.out, "psi")
-    _write_lines(psi_path, ["alpha psi"]
-                 + [f"{_fmt(a)} {_fmt(v)}" for a, v in zip(alphas, values)])
-    hat_path = _with_suffix(args.out, "psihat")
-    _write_lines(hat_path, ["ell psi_hat"]
-                 + [f"{ell} {_fmt(v)}" for ell, v in enumerate(hats)])
-    return psi_path, hat_path
+    _write_tables([(_with_suffix(args.out, "psi"), "alpha psi", zip(alphas, values), " "),
+                   (_with_suffix(args.out, "psihat"), "ell psi_hat", enumerate(hats), " ")])
 
 
 # ---------------------------------------------------------------------------

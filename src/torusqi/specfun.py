@@ -19,6 +19,7 @@ coefficient cancellation stays below the tolerances certified by the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 __all__ = [
@@ -206,7 +207,18 @@ def _power_taylor(x0: float, p: float, order: int) -> list[float]:
     return [binom_real(p, j) * x0 ** (p - j) for j in range(order + 1)]
 
 
-def _truncated_product(a: list[float], b: list[float]) -> list[float]:
+@lru_cache(maxsize=16)
+def _power_series(rho0: float, order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    r"""Taylor coefficients of :math:`\rho^{-1} - \rho_0^{-1}` and :math:`\sqrt{2\pi}\rho^{-1/2}`.
+
+    Both are expanded at ``rho0`` and depend on the kernel shape alone, so
+    every frequency of one shape shares one memoized pair.
+    """
+    return ((0.0, *_power_taylor(rho0, -1.0, order)[1:]),
+            tuple(SQRT_2PI * c for c in _power_taylor(rho0, -0.5, order)))
+
+
+def _truncated_product(a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Cauchy product of two coefficient lists of equal length, truncated there."""
     n = len(a)
     out = [0.0] * n
@@ -234,12 +246,11 @@ def jet_psi2_hat(ell: int, rho0: float, order: int) -> tuple[float, ...]:
     if not 0 <= order <= JET_MAX_ORDER:
         raise ValueError(f"jet order must satisfy 0 <= order <= {JET_MAX_ORDER}")
     outer = _scaled_bessel_derivative_taylor(ell, 1.0 / rho0, order)
-    delta = [0.0] + _power_taylor(rho0, -1.0, order)[1:]
+    delta, prefactor = _power_series(rho0, order)
     acc = [outer[-1]] + [0.0] * order
     for c in reversed(outer[:-1]):
         acc = _truncated_product(acc, delta)
         acc[0] += c
-    prefactor = [SQRT_2PI * c for c in _power_taylor(rho0, -0.5, order)]
     coeffs = tuple(_truncated_product(prefactor, acc))
     if not all(math.isfinite(c) for c in coeffs):
         raise NumericsError(

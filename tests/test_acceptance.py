@@ -419,11 +419,11 @@ def test_criterion_9e_specfun_invariants():
     ok_norm = worst_norm <= 1e-12
 
     # power-series oracle agreement for small arguments
-    mpmath.mp.dps = 30
     worst_series = 0.0
     for nu in (0, 3, 11, 20):
         for z in (0.2, 1.0, 4.0, 10.0):
-            ref = float(mpmath.besseli(nu, z) * mpmath.e ** (-mpmath.mpf(z)))
+            with mpmath.workdps(30):
+                ref = float(mpmath.besseli(nu, z) * mpmath.e ** (-mpmath.mpf(z)))
             got = scaled_bessel_i(nu, z)
             worst_series = max(worst_series, abs(got - ref) / abs(ref))
     ok_series = worst_series <= 1e-12

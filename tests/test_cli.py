@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -245,9 +246,42 @@ def test_strangfix_non_finite_jet_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_strangfix_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, capsys):
+    from torusqi import kernel
+
+    real = kernel.psi_fourier_analytic
+    monkeypatch.setattr(kernel, "psi_fourier_analytic",
+                        lambda p, ell: math.nan if abs(ell) > 40 else real(p, ell))
+    out = tmp_path / "out" / "sf.dat"
+    assert run(["strangfix", "--m", "0", "--nmin", "64", "--nmax", "128",
+                "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel dump
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "flags, psi_sha256, psihat_sha256",
+    [
+        (["--m", "1", "--gamma", "1.2732", "--nmin", "8", "--nmax", "64"],
+         "a608f5ea2449a1f6b6b86a00ed754a6050e4d0896520cc6438dd6520115863d9",
+         "82871c8b860efa78f6cce80ec64030f8c3023ab79c68e375a6e8c6c12991db00"),
+        (["--m", "8", "--gamma", "3.0", "--nmin", "16", "--nmax", "4096"],
+         "ecabde7e7f80665e853d65f1a4513aae566f9e3e06421a53516e213f33b12e6d",
+         "159b6d9fd076412e8beae2b77822c5515ff5994d9d055a1585a39f334a030495"),
+    ],
+    ids=["readme-m1", "m8-nmax4096"],
+)
+def test_kernel_dump_reproduces_capture(tmp_path, flags, psi_sha256, psihat_sha256):
+    # SHA-256 of both files, captured before every table went through one writer
+    assert run(["kernel", *flags, "--out", str(tmp_path / "k.dat")]) == 0
+    digest = {name: hashlib.sha256((tmp_path / f"k_{name}.dat").read_bytes()).hexdigest()
+              for name in ("psi", "psihat")}
+    assert digest == {"psi": psi_sha256, "psihat": psihat_sha256}
+
 
 def test_kernel_dump_profile_integrates_to_coefficient(tmp_path):
     out = tmp_path / "k.dat"
@@ -295,6 +329,26 @@ def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, c
 # ---------------------------------------------------------------------------
 # conv2d and sparse smoke runs
 # ---------------------------------------------------------------------------
+
+def test_conv2d_non_finite_error_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    import torusqi.cli as cli_mod
+
+    real = cli_mod.evaluate_on_grid_blocks
+
+    def nan_in_first_block(q, axes):
+        blocks = real(q, axes)
+        rows, values = next(blocks)
+        values[0, 0] = math.nan
+        yield rows, values
+        yield from blocks
+
+    monkeypatch.setattr(cli_mod, "evaluate_on_grid_blocks", nan_in_first_block)
+    out = tmp_path / "out" / "c.csv"
+    assert run(["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32",
+                "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.parent.exists()
+
 
 def test_conv2d_smoke(tmp_path):
     out = tmp_path / "c.csv"

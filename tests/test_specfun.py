@@ -133,11 +133,11 @@ def test_scaled_bessel_matches_power_series():
 
 
 def test_scaled_bessel_matches_mpmath_large_arguments():
-    mpmath.mp.dps = 40
     cases = [(0, 100.0), (3, 2500.0), (0, 1e4), (7, 1e5), (1, 1e6), (64, 6400.0),
              (512, 1e4), (2048, 1e5)]
     for nu, z in cases:
-        ref = float(mpmath.besseli(nu, mpmath.mpf(z)) * mpmath.e ** (-mpmath.mpf(z)))
+        with mpmath.workdps(40):
+            ref = float(mpmath.besseli(nu, mpmath.mpf(z)) * mpmath.e ** (-mpmath.mpf(z)))
         val = scaled_bessel_i(nu, z)
         assert val == pytest.approx(ref, rel=1e-12), (nu, z)
 
@@ -250,6 +250,20 @@ def test_jet_psi2_hat_all_orders_match_mpmath(ell, rho0):
     assert len(jet) == 9
     for k in range(9):
         assert jet[k] == pytest.approx(ref[k], rel=1e-9), k
+
+
+def test_jet_psi2_hat_builds_power_series_once_per_shape(monkeypatch):
+    # the power series of rho^-1 and rho^-1/2 depend only on (rho0, order):
+    # 2 x 9 binomials for a whole band of frequencies at one shape
+    from torusqi import specfun
+
+    calls = []
+    real = specfun.binom_real
+    monkeypatch.setattr(specfun, "binom_real", lambda z, k: calls.append(k) or real(z, k))
+    rho0 = 0.0371
+    for ell in range(2049):
+        jet_psi2_hat(ell, rho0, 8)
+    assert len(calls) <= 18
 
 
 def test_jet_psi2_hat_rejects_bad_inputs():
