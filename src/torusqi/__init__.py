@@ -7,7 +7,6 @@ combination technique extend the construction to higher dimensions.
 """
 
 from .analysis import (
-    ConvergenceRow,
     TestFunctionGp,
     convergence_rates,
     dft_coeffs,

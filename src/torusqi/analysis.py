@@ -20,9 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .specfun import NumericsError
+
 __all__ = [
     "TestFunctionGp",
-    "ConvergenceRow",
     "gp_eval",
     "make_gp",
     "dft_coeffs",
@@ -137,7 +138,8 @@ def error_norms(reference, approx, eval_points, ref_scale: float):
     ``reference`` and ``approx`` map an (n, d) point array to n values (or
     are already value arrays of matching length).  err_l2 applies the
     quadrature weight (2 pi)^d / n, i.e. sqrt(mean |diff|^2 (2 pi)^d);
-    relative variants divide by ``ref_scale``.
+    relative variants divide by ``ref_scale``.  A non-finite difference
+    raises :class:`NumericsError`; malformed arguments raise ``ValueError``.
     """
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[0] < 1:
@@ -150,22 +152,11 @@ def error_norms(reference, approx, eval_points, ref_scale: float):
         raise ValueError("reference/approx must produce one value per point")
     diff = ref - app
     if not np.all(np.isfinite(diff)):
-        raise ValueError("non-finite values in error measurement")
+        raise NumericsError("non-finite values in error measurement")
     d = pts.shape[1]
     err_linf = float(np.max(np.abs(diff)))
     err_l2 = float(math.sqrt(np.mean(diff**2) * TWO_PI**d))
     return err_linf, err_l2, err_linf / ref_scale, err_l2 / ref_scale
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One benchmark line: grid size, errors, dyadic rates vs previous row."""
-
-    N: int
-    err_linf: float
-    rate_linf: float | None
-    err_l2: float
-    rate_l2: float | None
 
 
 def convergence_rates(rows) -> list[float | None]:
@@ -176,7 +167,7 @@ def convergence_rates(rows) -> list[float | None]:
         if b != 2 * a:
             raise ValueError(f"grid sizes must double, got {a} -> {b}")
     if any(e == 0.0 for e in errs):
-        raise ValueError("degenerate zero error; rate undefined")
+        raise NumericsError("degenerate zero error; rate undefined")
     out: list[float | None] = [None]
     out.extend(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     return out

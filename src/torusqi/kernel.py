@@ -357,8 +357,8 @@ def strang_fix_certify(
     also records the worst saturation residual at the finest shape and the
     largest alias-band coefficient ``max |psi_hat(ell')|`` over
     ``ell' in [N/2, 3N/2]`` at the largest ``N``.  Raises
-    :class:`NumericsError` when a residual is exactly zero or non-finite,
-    as happens once high orders saturate to round-off.
+    :class:`NumericsError` on a non-finite alias coefficient or a zero or
+    non-finite residual, as happens once high orders saturate to round-off.
     """
     N_arr = [int(N) for N in N_list]
     if len(N_arr) < 2:
@@ -395,10 +395,11 @@ def strang_fix_certify(
     p_fine = KernelParams(m, c_fine)
     saturation_max = max(res[-1] for res in residuals.values())
     n_fine = N_arr[-1]
-    alias = [
-        abs(psi_fourier_analytic(p_fine, ell))
-        for ell in range(n_fine // 2, 3 * n_fine // 2 + 1)
-    ]
+    band = range(n_fine // 2, 3 * n_fine // 2 + 1)
+    alias = [abs(psi_fourier_analytic(p_fine, ell)) for ell in band]
+    for ell, a in zip(band, alias):
+        if not math.isfinite(a):
+            raise NumericsError(f"alias-band coefficient of m={m} at ell={ell} is {a}")
     return StrangFixReport(
         m=m,
         gamma=gamma,

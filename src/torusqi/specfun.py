@@ -41,7 +41,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class NumericsError(RuntimeError):
-    """An iterative numerical procedure failed to converge or normalize."""
+    """A numerical procedure failed to converge or normalize, or a computed
+    number is non-finite or degenerate (such as a zero error with no rate)."""
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_numerical_failure_returns_3(tmp_path, monkeypatch):
 def test_zero_error_exits_3(tmp_path, monkeypatch, capsys, p):
     import torusqi.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_errors_1d", lambda *args: (0.0, 0.0))
+    monkeypatch.setattr(cli_mod, "error_norms", lambda *args: (0.0, 0.0, 0.0, 0.0))
     out = tmp_path / "t.csv"
     assert run(["table1", "--p", p, "--m", "0", "--nmin", "32", "--nmax", "64",
                 "--out", str(out)]) == 3
@@ -259,6 +259,22 @@ def test_strangfix_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, c
     assert not out.parent.exists()
 
 
+def test_strangfix_one_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, capsys):
+    # the alias band is ell = 64..192; Python's max drops a NaN that is not
+    # the first of its arguments, so a NaN inside the band must be caught
+    from torusqi import kernel
+
+    real = kernel.psi_fourier_analytic
+    monkeypatch.setattr(kernel, "psi_fourier_analytic",
+                        lambda p, ell: math.nan if ell == 65 else real(p, ell))
+    out = tmp_path / "out" / "sf.dat"
+    assert run(["strangfix", "--m", "0", "--nmin", "64", "--nmax", "128",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "ell=65" in err
+    assert not out.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # kernel dump
 # ---------------------------------------------------------------------------
@@ -308,8 +324,10 @@ def test_kernel_range_flags_exit_2_before_writing(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["psi_restricted", "psi_fourier_analytic"])
-def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, capsys, name):
+@pytest.mark.parametrize("name, field", [("psi_restricted", "psi"),
+                                         ("psi_fourier_analytic", "psi_hat")])
+def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, capsys, name,
+                                                        field):
     from torusqi import cli as cli_mod
 
     real = getattr(cli_mod, name)
@@ -321,7 +339,7 @@ def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli_mod, name, inf_at_m8)
     out = tmp_path / "out" / "k.dat"
     assert run(["kernel", "--m", "8", "--out", str(out)]) == 3
-    assert "non-finite kernel values" in capsys.readouterr().err
+    assert f"numerical failure: non-finite {field} = " in capsys.readouterr().err
     assert not out.parent.exists()
     assert run(["kernel", "--m", "2", "--out", str(out)]) == 0
 
@@ -346,6 +364,26 @@ def test_conv2d_non_finite_error_exits_3_before_writing(tmp_path, monkeypatch, c
     out = tmp_path / "out" / "c.csv"
     assert run(["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32",
                 "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("flags", [["table1", "--m", "0", "--nmin", "32", "--nmax", "64"],
+                                   ["sparse", "--dims", "2", "--levels", "2..3"]],
+                         ids=lambda flags: flags[0])
+def test_non_finite_approximant_exits_3_before_writing(tmp_path, monkeypatch, capsys, flags):
+    import torusqi.cli as cli_mod
+
+    real = cli_mod.evaluate_many
+
+    def nan_in_first_value(qs, pts):
+        values = real(qs, pts)
+        values[0, 0] = math.nan
+        return values
+
+    monkeypatch.setattr(cli_mod, "evaluate_many", nan_in_first_value)
+    out = tmp_path / "out" / "t.dat"
+    assert run([*flags, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.parent.exists()
 

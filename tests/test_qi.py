@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusqi import qi
+from torusqi.analysis import lcg_uniform_points
 from torusqi.grid import (
     FullGridSpec,
     SparseGridSpec,
@@ -13,7 +14,7 @@ from torusqi.grid import (
     full_grid_nodes,
     sparse_grid_count_formula,
 )
-from torusqi.kernel import KernelParams
+from torusqi.kernel import KernelParams, psi_fourier_quadrature
 from torusqi.qi import (
     build_aniso,
     build_full,
@@ -407,6 +408,22 @@ def test_grid_path_banded_battery():
         dense = evaluate_dense(q, _product_points(axes))
         scale = float(np.max(np.abs(dense)))
         assert np.max(np.abs(got.ravel() - dense)) <= 1e-13 * scale, label
+
+
+@pytest.mark.parametrize("m, gamma, n, k", [(2, 1.0, 64, 3), (8, 1.5, 128, 5),
+                                            (0, 0.6, 32, 1), (5, 3.0, 256, 40)])
+def test_evaluators_match_the_fourier_series(m, gamma, n, k):
+    # with weights 2 pi / N, sampling f = cos(k x) keeps only the frequencies
+    # k + sN, so Qf(x) = sum_s psi_hat(k + sN) cos((k + sN) x); the terms
+    # with |s| > 5 lie far below round-off
+    q = from_samples(np.cos(k * TWO_PI * np.arange(n) / n), (m,), (gamma,))
+    x = lcg_uniform_points(3000, 1, 0x5EED)
+    p = KernelParams(m, gamma * TWO_PI / n)
+    freqs = [k + s * n for s in range(-5, 6)]
+    expected = sum(psi_fourier_quadrature(p, abs(f), 65536) * np.cos(f * x[:, 0]) for f in freqs)
+    bound = 1e-13 * (1.0 + np.max(np.abs(expected)))
+    for got in (evaluate_many([q], x)[0], evaluate_dense(q, x), evaluate_on_grid(q, [x[:, 0]])):
+        assert np.max(np.abs(got - expected)) <= bound
 
 
 def test_grid_row_blocks_cover_each_row_once():
