@@ -29,7 +29,6 @@ from .grid import (
 from .kernel import (
     KernelParams,
     StrangFixReport,
-    TensorKernelSpec,
     comb_identity_residual,
     f2_phi_closed,
     f2_phi_quadrature,

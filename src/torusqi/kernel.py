@@ -44,7 +44,6 @@ from .specfun import (
 
 __all__ = [
     "KernelParams",
-    "TensorKernelSpec",
     "StrangFixReport",
     "phi_generalized",
     "psi_restricted",
@@ -84,24 +83,6 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class TensorKernelSpec:
-    """Tensor-product kernel: per-dimension params and quadrature weights."""
-
-    dims: int
-    params: tuple[KernelParams, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if len(self.params) != self.dims or len(self.weights) != self.dims:
-            raise ValueError("params and weights must both have length dims")
-        for w in self.weights:
-            if not (math.isfinite(w) and w > 0.0):
-                raise ValueError(f"weights must be finite and positive, got {w}")
-
-
-@dataclass(frozen=True)
 class StrangFixReport:
     """Measured periodic Strang-Fix behaviour of one kernel order."""
 
@@ -119,14 +100,13 @@ class StrangFixReport:
 def phi_generalized(p: KernelParams, s):
     r"""Planar radial kernel :math:`\phi_{2m+2}(s; c)` at distance ``s >= 0``.
 
-    Accepts scalars or arrays; returns the same shape.
+    Equals ``psi_from_chord(p, s^2 / 2)``.  Accepts scalars or arrays;
+    returns the same shape.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0):
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0.0):
         raise ValueError("distance must be >= 0")
-    u = s_arr**2 / (2.0 * p.c**2)
-    out = laguerre_general(p.m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
-    return out if out.ndim else float(out)
+    return psi_from_chord(p, s * s / 2.0)
 
 
 def psi_from_chord(p: KernelParams, t):

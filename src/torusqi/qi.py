@@ -5,12 +5,14 @@ An interpolant-free approximant is assembled directly from samples,
     Qf(x) = sum_j f(x_j) * prod_r w_r psi_{2 m_r + 2}(x_r - x_{j,r}; c_r),
 
 with weights w_r = 2 pi / N_r (the grid spacing) and shapes coupled to the
-mesh as c_r = gamma_r * 2 pi / N_r.  ``from_samples`` takes the sample
-array itself; ``build_full`` and ``build_aniso`` first sample a callable on
-the grid.  Evaluation contracts the samples separably against one kernel
-matrix per dimension.  Each dimension's node window is truncated where the
-kernel envelope falls below 1e-15 of its peak, and that truncation window
-sets the matrix's sparsity (dense when the window spans the axis).  The
+mesh as c_r = gamma_r * 2 pi / N_r.  ``QuasiInterpolant`` is built from the
+samples and one ``KernelParams`` per axis, and the grid fixes the rest;
+``from_samples`` takes the sample array and (m_r, gamma_r); ``build_full``
+and ``build_aniso`` first sample a callable on the grid.  Evaluation
+contracts the samples separably against one kernel matrix per dimension.
+Each dimension's node window is truncated where the kernel envelope falls
+below 1e-15 of its peak, and that truncation window sets the matrix's
+sparsity (dense when the window spans the axis).  The
 kernel depends on an offset alpha only through the chord term
 t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
 once per dimension and node count and takes the window of every kernel
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
@@ -73,7 +75,6 @@ from .grid import (
 )
 from .kernel import (
     KernelParams,
-    TensorKernelSpec,
     psi_from_chord,
     psi_restricted,
 )
@@ -113,20 +114,26 @@ _GEMM_ELEMS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class QuasiInterpolant:
-    """Immutable evaluator binding grid, kernel, samples, and stencil."""
+    """Immutable evaluator of samples on a full grid, one kernel per axis.
 
-    grid: FullGridSpec
-    kernel: TensorKernelSpec
-    samples: np.ndarray  # shape grid.counts, C order
-    stencil_halfwidths: tuple[int, ...]
+    ``grid`` is ``FullGridSpec(samples.shape)``; axis r is weighted by its
+    spacing 2 pi / N_r and truncated at ``stencil_halfwidth(params[r], N_r)``
+    nodes.  The samples array is made read-only, not copied.
+    """
+
+    samples: np.ndarray
+    params: tuple[KernelParams, ...]
+    grid: FullGridSpec = field(init=False)
+    stencil_halfwidths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.kernel.dims != self.grid.dims:
-            raise ValueError("kernel and grid dimensions disagree")
-        if self.samples.shape != self.grid.counts:
-            raise ValueError(
-                f"samples must have shape {self.grid.counts}, got {self.samples.shape}"
-            )
+        grid = FullGridSpec(self.samples.shape)
+        if len(self.params) != grid.dims:
+            raise ValueError(f"need {grid.dims} kernel params, got {len(self.params)}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "stencil_halfwidths", tuple(
+            stencil_halfwidth(p, n) for p, n in zip(self.params, grid.counts)
+        ))
         self.samples.setflags(write=False)
 
 
@@ -143,15 +150,16 @@ class SparseQuasiInterpolant:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def stencil_halfwidth(params: KernelParams, spacing: float, n_points: int) -> int:
+def stencil_halfwidth(params: KernelParams, n_points: int) -> int:
     """Node halfwidth beyond which kernel contributions are negligible.
 
     Bisects the absolute-coefficient envelope P_m(u) e^{-u},
     u = 2 sin^2(alpha/2) / c^2, for the largest u where it still exceeds
     ``TRUNCATION_EPS`` of the peak; past ``u > m`` the envelope is strictly
     decreasing, so the bisection bracket starts there.  Returns at most
-    ``n_points // 2`` (the window then spans the whole grid).  Memoized:
-    combination terms repeat the same few (params, spacing, n_points).
+    ``n_points // 2`` (the window then spans the whole grid); the nodes
+    are 2 pi / n_points apart.  Memoized: combination terms repeat the
+    same few (params, n_points).
     """
     abs_coeffs = [abs(x) for x in laguerre_coeffs(params.m, 0.5)]
 
@@ -163,23 +171,18 @@ def stencil_halfwidth(params: KernelParams, spacing: float, n_points: int) -> in
 
     target = TRUNCATION_EPS * abs_coeffs[0]
     full = max(1, n_points // 2)
-    u_lo = params.m + 1.0
-    if envelope(u_lo) <= target:
-        u_star = u_lo
-    else:
-        u_hi = 800.0
-        for _ in range(80):
-            mid = 0.5 * (u_lo + u_hi)
-            if envelope(mid) > target:
-                u_lo = mid
-            else:
-                u_hi = mid
-        u_star = u_hi
-    half_chord = params.c * math.sqrt(u_star / 2.0)
+    u_lo, u_hi = params.m + 1.0, 800.0
+    for _ in range(80):
+        mid = 0.5 * (u_lo + u_hi)
+        if envelope(mid) > target:
+            u_lo = mid
+        else:
+            u_hi = mid
+    half_chord = params.c * math.sqrt(u_hi / 2.0)
     if half_chord >= 1.0:
         return full
     alpha_star = 2.0 * math.asin(half_chord)
-    hw = int(math.ceil(alpha_star / spacing)) + 1
+    hw = int(math.ceil(alpha_star / (TWO_PI / n_points))) + 1
     return min(hw, full)
 
 
@@ -206,24 +209,11 @@ def _check_gamma(gamma: float) -> None:
 def _assemble(
     samples: np.ndarray, ms: Sequence[int], gammas: Sequence[float]
 ) -> QuasiInterpolant:
-    grid = FullGridSpec(samples.shape)
     params = []
-    weights = []
-    halfwidths = []
-    for n, m, gamma in zip(grid.counts, ms, gammas, strict=True):
+    for n, m, gamma in zip(samples.shape, ms, gammas, strict=True):
         _check_gamma(gamma)
-        spacing = TWO_PI / n
-        p = KernelParams(int(m), gamma * spacing)
-        params.append(p)
-        weights.append(spacing)
-        halfwidths.append(stencil_halfwidth(p, spacing, n))
-    kernel = TensorKernelSpec(grid.dims, tuple(params), tuple(weights))
-    return QuasiInterpolant(
-        grid=grid,
-        kernel=kernel,
-        samples=samples,
-        stencil_halfwidths=tuple(halfwidths),
-    )
+        params.append(KernelParams(int(m), gamma * (TWO_PI / n)))
+    return QuasiInterpolant(samples, tuple(params))
 
 
 def from_samples(
@@ -309,7 +299,7 @@ def _sparse_sweep(
     if any(spec.dims != dims for spec in specs):
         raise ValueError("sparse-grid specs must have equal dims")
     # for d >= 2 the combination holds 2-point axes (n_r = 1); for d = 1 it
-    # is one full grid, whose gamma is also capped at n / 2 in _assemble
+    # is one full grid, where KernelParams also rejects c = gamma 2 pi / n > pi
     if dims == 1:
         _check_gamma(gamma)
     elif not 0.0 < gamma <= 1.0:
@@ -402,36 +392,36 @@ def build_sparse(
 # ---------------------------------------------------------------------------
 
 def _axis_kernel(q: QuasiInterpolant, r: int) -> tuple:
-    """(params, weight, halfwidth) of axis r: all its window depends on
-    besides the coordinates and the node count."""
-    return q.kernel.params[r], q.kernel.weights[r], q.stencil_halfwidths[r]
+    """(params, halfwidth) of axis r: all its window depends on besides
+    the coordinates and the node count."""
+    return q.params[r], q.stencil_halfwidths[r]
 
 
 def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
     """Windows of kernels at coordinates x on an n-node axis, on demand.
 
-    ``kernels`` holds the (params, weight, halfwidth) triples of kernels on
-    that axis.  Returns a function that maps one of them to its node
-    indices and weighted kernel values.  The indices of each row are
-    consecutive and not reduced mod n (they run from round(x / h) - hw to
-    round(x / h) + hw), so they rise with x; reduce them mod n to index the
-    samples.  When a kernel's window spans the axis, no indices are built
-    (None is returned in their place): its values are in node order
-    0..n-1.  The offsets and their chords 2 sin^2(offset / 2) are
-    computed once, here: over the widest truncated window, whose middle
-    columns the narrower ones take, and over the whole axis for the
-    spanning kernels; each kernel then only evaluates ``psi_from_chord``,
-    so its values equal a window computed for it alone.  The chords live
-    as long as the returned function.
+    ``kernels`` holds the (params, halfwidth) pairs of kernels on that
+    axis.  Returns a function that maps one of them to its node indices
+    and kernel values weighted by the spacing h = 2 pi / n.  The indices
+    of each row are consecutive and not reduced mod n (they run from
+    round(x / h) - hw to round(x / h) + hw), so they rise with x; reduce
+    them mod n to index the samples.  When a kernel's window spans the
+    axis, no indices are built (None is returned in their place): its
+    values are in node order 0..n-1.  The offsets and their chords
+    2 sin^2(offset / 2) are computed once, here: over the widest truncated
+    window, whose middle columns the narrower ones take, and over the
+    whole axis for the spanning kernels; each kernel then only evaluates
+    ``psi_from_chord``, so its values equal a window computed for it
+    alone.  The chords live as long as the returned function.
     """
     spacing = TWO_PI / n
-    spans = [2 * hw + 1 >= n for _, _, hw in kernels]
+    spans = [2 * hw + 1 >= n for _, hw in kernels]
     full_chord = base = chord = wide = None
     if any(spans):
         full_chord = x[:, None] - spacing * np.arange(n)[None, :]
         full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
     if not all(spans):
-        wide = max(hw for (_, _, hw), span in zip(kernels, spans) if not span)
+        wide = max(hw for (_, hw), span in zip(kernels, spans) if not span)
         base = np.round(x / spacing).astype(np.int64)[:, None]
         # psi is exactly periodic, so unreduced nodes give the same values;
         # the offsets are freed before any kernel is evaluated
@@ -439,13 +429,13 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
         chord = 2.0 * np.sin(chord / 2.0) ** 2
 
     def window(kernel: tuple) -> tuple[np.ndarray | None, np.ndarray]:
-        params, weight, hw = kernel
+        params, hw = kernel
         if 2 * hw + 1 >= n:
             raw, kern = None, psi_from_chord(params, full_chord)
         else:
             raw = base + np.arange(-hw, hw + 1)
             kern = psi_from_chord(params, chord[:, wide - hw : wide + hw + 1])
-        kern *= weight
+        kern *= spacing
         return raw, kern
 
     return window
@@ -699,15 +689,15 @@ def evaluate_dense(q, points) -> np.ndarray:
             acc += term.coeff * evaluate_dense(component, pts)
         return acc
     pts = _as_points(points, q.grid.dims)
-    axes = list(zip(q.grid.counts, q.kernel.params, q.kernel.weights))
+    axes = list(zip(q.grid.counts, q.params))
     out = np.empty(pts.shape[0])
     chunk = max(1, _CHUNK_ELEMS // q.grid.size)
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         acc = q.samples
-        for r, (n, params, weight) in enumerate(axes):
+        for r, (n, params) in enumerate(axes):
             offsets = block[:, r, None] - TWO_PI / n * np.arange(n)
-            mat = weight * psi_restricted(params, offsets)
+            mat = (TWO_PI / n) * psi_restricted(params, offsets)
             # axis 0 against the samples, then each later axis per point
             acc = np.einsum("pj,j...->p..." if r == 0 else "pj,pj...->p...", mat, acc)
         out[start : start + chunk] = acc

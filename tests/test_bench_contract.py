@@ -43,6 +43,19 @@ def test_traced_sparse_build_counts_nodes_and_restores():
     assert tracer.unrestored() == []
 
 
+def test_window_self_check_holds():
+    # perfbench's traced passes pin the window figure of d = 3, level 9
+    # (109 terms, 71,186 elements per point), counted from each component's
+    # stencil_halfwidths and grid: both must stay readable attributes
+    from worker import _self_check
+
+    q = torusqi.qi.build_sparse(lambda p: np.ones(len(p)), SparseGridSpec(9, 3), 2, 1.0)
+    assert (len(q.terms), tracer.window_elems_per_point(q)) == (109, 71186)
+    errors = []
+    _self_check(errors)
+    assert errors == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -178,6 +178,24 @@ def test_scalar_flag_rejects_list(argv, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+# values the subcommands' own parsers reject, each with its message
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table1", "--m", "0,a"], "expected comma-separated ints: 0,a"),
+        (["table1", "--gamma", "x"], "expected comma-separated floats: x"),
+        (["sparse", "--levels", "3-8"], "expected A..B level range: 3-8"),
+        (["sparse", "--seed", "zz"], "expected a hex seed: zz"),
+    ],
+    ids=["m", "gamma", "levels", "seed"],
+)
+def test_malformed_value_exits_2_with_its_message(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_invalid_value_returns_2(tmp_path):
     out = tmp_path / "t.csv"
     # gamma outside the supported range surfaces as invalid arguments
@@ -186,6 +204,11 @@ def test_invalid_value_returns_2(tmp_path):
     assert run(["table1", "--m", "0", "--nmin", "33", "--nmax", "64",
                 "--out", str(out)]) == 2
     assert run(["sparse", "--levels", "5..2", "--out", str(out)]) == 2
+    assert run(["table1", "--m", "0", "--nmin", "64", "--nmax", "32",
+                "--out", str(out)]) == 2
+    assert run(["sparse", "--dims", "0", "--out", str(out)]) == 2
+    assert run(["table1", "--p", "0", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_returns_3(tmp_path, monkeypatch):

@@ -4,10 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusqi.grid import FullGridSpec
 from torusqi.kernel import (
     KernelParams,
-    TensorKernelSpec,
     comb_identity_residual,
     f2_phi_closed,
     f2_phi_quadrature,
@@ -142,19 +140,15 @@ def test_psi_from_chord_holds_two_arrays_of_its_input():
 
 
 def test_tensor_kernel_zero_factor():
-    # L_1^{1/2}(u) = 0 at u = 3/2: alpha0 = 2 asin(c sqrt(3)/2); a unit
-    # sample at the origin makes the evaluator return the tensor kernel itself
+    # L_1^{1/2}(u) = 0 at u = 3/2: alpha0 = 2 asin(c sqrt(3)/2); a sample
+    # of 1 / w^2 at the origin (w = 2 pi / 8, the weight of each axis) makes
+    # the evaluator return the tensor kernel itself
     c = 1.0
     alpha0 = 2.0 * math.asin(c * math.sqrt(0.75))
     p0, p1 = KernelParams(1, c), KernelParams(0, 0.5)
     samples = np.zeros((8, 8))
-    samples[0, 0] = 1.0
-    q = QuasiInterpolant(
-        grid=FullGridSpec((8, 8)),
-        kernel=TensorKernelSpec(2, (p0, p1), (1.0, 1.0)),
-        samples=samples,
-        stencil_halfwidths=(4, 4),
-    )
+    samples[0, 0] = 1.0 / (2.0 * math.pi / 8) ** 2
+    q = QuasiInterpolant(samples, (p0, p1))
     assert abs(evaluate(q, [alpha0, 0.3])[0]) < 1e-15
     assert abs(evaluate_dense(q, [alpha0, 0.3])[0]) < 1e-15
     assert evaluate(q, [0.0, 0.3])[0] == pytest.approx(

@@ -484,7 +484,7 @@ def test_from_samples_matches_build_full(N):
         ref = build_full(make_gp(6, 2), N, 2, m, gamma)
         assert np.array_equal(q.samples, ref.samples)
         assert q.stencil_halfwidths == ref.stencil_halfwidths
-        assert q.kernel == ref.kernel
+        assert q.params == ref.params
         pts = np.random.default_rng(N).uniform(0, TWO_PI, size=(64, 2))
         assert np.array_equal(evaluate(q, pts), evaluate(ref, pts))
     # the interpolant owns a copy: the caller's array stays writeable
@@ -510,6 +510,29 @@ def test_from_samples_validation():
     for gamma in (0.0, -1.0, 8.5, np.nan):
         with pytest.raises(ValueError):
             qi.from_samples(good, (1, 1), (1.0, gamma))
+
+
+def test_constructor_takes_samples_and_one_kernel_per_axis():
+    # the samples and each axis's kernel fix everything else: the grid,
+    # the halfwidths and the values are those of from_samples
+    counts, ms, gammas = (128, 64, 8), (0, 3, 8), (1.5, 0.3, 2.0)
+    samples = _asymmetric(full_grid_nodes(FullGridSpec(counts))).reshape(counts)
+    ref = from_samples(samples, ms, gammas)
+    params = tuple(
+        KernelParams(m, gamma * (TWO_PI / n)) for n, m, gamma in zip(counts, ms, gammas)
+    )
+    q = qi.QuasiInterpolant(samples.copy(), params)
+    assert q.grid == ref.grid
+    assert q.params == ref.params
+    assert q.stencil_halfwidths == ref.stencil_halfwidths
+    assert [2 * hw + 1 < n for hw, n in zip(q.stencil_halfwidths, counts)] == [
+        True, True, False,
+    ]
+    pts = lcg_uniform_points(700, 3, 0x5EED)
+    assert np.array_equal(evaluate(q, pts), evaluate(ref, pts))
+    for wrong in (params[:2], params + params[:1]):
+        with pytest.raises(ValueError, match="kernel params"):
+            qi.QuasiInterpolant(samples.copy(), wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +842,7 @@ def test_product_levels_match_generic_build(d, levels, m, gamma):
         assert [t for t, _ in qp.terms] == [t for t, _ in qg.terms]
         for (term, cp), (_, cg) in zip(qp.terms, qg.terms):
             assert np.array_equal(cp.samples, cg.samples), term.index
-            assert (cp.kernel, cp.stencil_halfwidths) == (cg.kernel, cg.stencil_halfwidths)
+            assert (cp.params, cp.stencil_halfwidths) == (cg.params, cg.stencil_halfwidths)
     pts = _sweep_points(500, d)
     assert np.array_equal(evaluate_many(product, pts), evaluate_many(generic, pts))
 
@@ -904,7 +927,7 @@ def test_kernel_sweep_rows_match_lone_evaluations(monkeypatch, counts, kernels, 
     assert (len(pts) > qi._CHUNK_ELEMS // rest) == (chunk is not None)
     rows = evaluate_many(qs, pts)
     for q, row in zip(qs, rows):
-        assert np.array_equal(row, evaluate(q, pts)), q.kernel.params
+        assert np.array_equal(row, evaluate(q, pts)), q.params
 
 
 def test_kernel_sweep_mixes_grid_sizes():
@@ -939,7 +962,7 @@ def test_kernel_sweep_holds_one_matrix_at_a_time():
         tracemalloc.stop()
     assert peak < values
     for q, row in zip(qs, rows):
-        assert np.array_equal(row, evaluate(q, pts)), q.kernel.params
+        assert np.array_equal(row, evaluate(q, pts)), q.params
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +1009,19 @@ _BLOCK_CASES = {
 def _rest(qs):
     return max(c.grid.size // max(c.grid.counts)
                for q in qs for _, c in qi._components(q)[1])
+
+
+@pytest.mark.parametrize("cols", [4, 8, 33])
+def test_dense_product_joins_a_one_row_tail_to_the_slice_before(monkeypatch, cols):
+    # with one row tile per slice, a row count one more than a multiple of
+    # the tile would leave a lone last row, which numpy sends to a BLAS
+    # vector routine that rounds it differently from one product's GEMM
+    monkeypatch.setattr(qi, "_GEMM_ELEMS", 1)
+    rng = np.random.default_rng(cols)
+    for tiles in (1, 2, 3):
+        mat = rng.standard_normal((tiles * qi._ROW_TILE + 1, 48))
+        samples = rng.standard_normal((48, cols))
+        assert np.array_equal(qi._dense_product(mat, samples), mat @ samples)
 
 
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
@@ -1108,11 +1144,11 @@ def test_point_blocks_partition(count, rest):
 def test_stencil_halfwidth_properties():
     N = 256
     spacing = TWO_PI / N
-    hw1 = stencil_halfwidth(KernelParams(0, 1.0 * spacing), spacing, N)
-    hw2 = stencil_halfwidth(KernelParams(0, 2.0 * spacing), spacing, N)
+    hw1 = stencil_halfwidth(KernelParams(0, 1.0 * spacing), N)
+    hw2 = stencil_halfwidth(KernelParams(0, 2.0 * spacing), N)
     assert 1 <= hw1 < hw2 <= N // 2
     # c comparable to the period spans the whole grid
-    assert stencil_halfwidth(KernelParams(0, 3.0), TWO_PI / 8, 8) == 4
+    assert stencil_halfwidth(KernelParams(0, 3.0), 8) == 4
 
 
 def test_stencil_covers_envelope():
@@ -1121,7 +1157,7 @@ def test_stencil_covers_envelope():
     spacing = TWO_PI / N
     for m in (0, 1, 2):
         p = KernelParams(m, 1.5 * spacing)
-        hw = stencil_halfwidth(p, spacing, N)
+        hw = stencil_halfwidth(p, N)
         from torusqi.kernel import psi_restricted
 
         peak = abs(psi_restricted(p, 0.0))
