@@ -58,11 +58,15 @@ def _lambda_p(p: int) -> float:
 
 @dataclass(frozen=True)
 class TestFunctionGp:
-    """Tensor-product benchmark function G_p on the dims-torus."""
+    """Tensor-product benchmark function G_p on the dims-torus, fixed by
+    (p, dims); ``lambda_p`` is g_p's memoized normalization."""
 
     p: int
     dims: int
-    lambda_p: float
+
+    @property
+    def lambda_p(self) -> float:
+        return _lambda_p(self.p)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -79,7 +83,7 @@ def make_gp(p: int, dims: int = 1) -> TestFunctionGp:
         raise ValueError(f"smoothness index must be >= 1, got {p}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    return TestFunctionGp(p=p, dims=dims, lambda_p=_lambda_p(p))
+    return TestFunctionGp(p=p, dims=dims)
 
 
 def gp_eval(tf: TestFunctionGp, alpha) -> np.ndarray:

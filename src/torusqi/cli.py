@@ -25,7 +25,8 @@ of f and ``rel_l2`` is the L2 error (torus measure, so it carries a factor
 points.  All numbers are written in scientific notation with 12
 significant digits, so identical flags and seed reproduce identical bytes.
 One writer, :func:`_write_tables`, formats every table of every subcommand;
-it refuses a non-finite number before any file is written.
+it refuses a non-finite number before any file is written.  Only an OS
+error while writing (exit 2) leaves a failed command's earlier files.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
 
@@ -113,8 +114,9 @@ def _write_tables(tables) -> None:
 
     Every field is formatted before the first directory or file is made:
     integers with ``str``, floats with :func:`_fmt`, ``None`` as an empty
-    field.  A non-finite float raises :class:`NumericsError`, so a command
-    that fails writes nothing.
+    field.  A non-finite float raises :class:`NumericsError` before any
+    file is made; an ``OSError`` on one file (say, a directory at its
+    path) leaves the files written before it.
     """
     texts = []
     for path, header, rows, sep in tables:
@@ -245,8 +247,6 @@ def run_sparse(args: argparse.Namespace) -> None:
     component grid and per-axis kernel matrix is built and evaluated once
     for every level holding it.
     """
-    if args.dims < 1:
-        raise ValueError(f"--dims must be >= 1, got {args.dims}")
     lo, hi = args.levels
     if lo < 1 or hi < lo:
         raise ValueError(f"--levels range invalid: {args.levels}")
@@ -379,8 +379,6 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "p", 1) < 1:  # table1, conv2d and sparse take --p
-            raise ValueError(f"--p must be >= 1, got {args.p}")
         _RUNNERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"torus-qi: invalid arguments: {exc}", file=sys.stderr)

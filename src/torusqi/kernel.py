@@ -84,10 +84,9 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class StrangFixReport:
-    """Measured periodic Strang-Fix behaviour of one kernel order."""
+    """Fitted Strang-Fix exponent per probe frequency of one kernel, with
+    the finest shape's worst residual and the alias-band maximum."""
 
-    m: int
-    gamma: float
     orders: dict[int, float]
     saturation_max: float
     aliasing_max: float
@@ -381,8 +380,6 @@ def strang_fix_certify(
         if not math.isfinite(a):
             raise NumericsError(f"alias-band coefficient of m={m} at ell={ell} is {a}")
     return StrangFixReport(
-        m=m,
-        gamma=gamma,
         orders=orders,
         saturation_max=saturation_max,
         aliasing_max=max(alias),

@@ -116,9 +116,11 @@ _GEMM_ELEMS = 1 << 18
 class QuasiInterpolant:
     """Immutable evaluator of samples on a full grid, one kernel per axis.
 
-    ``grid`` is ``FullGridSpec(samples.shape)``; axis r is weighted by its
-    spacing 2 pi / N_r and truncated at ``stencil_halfwidth(params[r], N_r)``
-    nodes.  The samples array is made read-only, not copied.
+    The samples' only gate: they are converted to float64 (not copied if
+    they already are), a NaN or infinity raises ``ValueError``, and the
+    array is made read-only.  ``grid`` is ``FullGridSpec(samples.shape)``;
+    axis r is weighted by its spacing 2 pi / N_r and truncated at
+    ``stencil_halfwidth(params[r], N_r)`` nodes.
     """
 
     samples: np.ndarray
@@ -127,14 +129,18 @@ class QuasiInterpolant:
     stencil_halfwidths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        grid = FullGridSpec(self.samples.shape)
+        samples = np.asarray(self.samples, dtype=float)
+        grid = FullGridSpec(samples.shape)
         if len(self.params) != grid.dims:
             raise ValueError(f"need {grid.dims} kernel params, got {len(self.params)}")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples hold a non-finite value")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "stencil_halfwidths", tuple(
             stencil_halfwidth(p, n) for p, n in zip(self.params, grid.counts)
         ))
-        self.samples.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +202,6 @@ def _sample_function(f: Callable, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sample function must map (n, d) points to (n,) values, got {vals.shape}"
         )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sample function produced non-finite values")
     return vals
 
 
@@ -209,11 +213,10 @@ def _check_gamma(gamma: float) -> None:
 def _assemble(
     samples: np.ndarray, ms: Sequence[int], gammas: Sequence[float]
 ) -> QuasiInterpolant:
-    params = []
-    for n, m, gamma in zip(samples.shape, ms, gammas, strict=True):
-        _check_gamma(gamma)
-        params.append(KernelParams(int(m), gamma * (TWO_PI / n)))
-    return QuasiInterpolant(samples, tuple(params))
+    return QuasiInterpolant(samples, tuple(
+        KernelParams(int(m), gamma * (TWO_PI / n))
+        for n, m, gamma in zip(samples.shape, ms, gammas, strict=True)
+    ))
 
 
 def from_samples(
@@ -226,7 +229,7 @@ def from_samples(
     ``samples.shape``; each must be even and >= 4.  ``ms`` and ``gammas``
     give the kernel order and shape constant of each dimension
     (c_r = gamma_r 2 pi / N_r).  The samples are copied, so the
-    interpolant stays immutable.
+    interpolant stays immutable, and the constructor checks them finite.
     """
     vals = np.array(samples, dtype=float)
     if len(ms) != vals.ndim or len(gammas) != vals.ndim:
@@ -234,14 +237,9 @@ def from_samples(
     for n in vals.shape:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid sizes must be even and >= 4, got {n}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("samples must be finite")
+    for gamma in gammas:
+        _check_gamma(gamma)
     return _assemble(vals, ms, gammas)
-
-
-def _sampled_on_grid(f: Callable, counts: Sequence[int]) -> np.ndarray:
-    grid = FullGridSpec(tuple(int(n) for n in counts))
-    return _sample_function(f, full_grid_nodes(grid)).reshape(grid.counts)
 
 
 def build_full(
@@ -252,7 +250,7 @@ def build_full(
     ``f`` receives an (n, d) array of points and must return n values.
     Sets c = gamma 2 pi / N and w = 2 pi / N in every dimension.
     """
-    return from_samples(_sampled_on_grid(f, (N,) * d), (m,) * d, (gamma,) * d)
+    return build_aniso(f, (N,) * d, (m,) * d, (gamma,) * d)
 
 
 def build_aniso(
@@ -262,7 +260,9 @@ def build_aniso(
     gammas: Sequence[float],
 ) -> QuasiInterpolant:
     """Directionally uniform quasi-interpolant with per-dimension N, m, gamma."""
-    return from_samples(_sampled_on_grid(f, counts), ms, gammas)
+    grid = FullGridSpec(tuple(int(n) for n in counts))
+    samples = _sample_function(f, full_grid_nodes(grid)).reshape(grid.counts)
+    return from_samples(samples, ms, gammas)
 
 
 def _gather_term_samples(
@@ -391,20 +391,15 @@ def build_sparse(
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _axis_kernel(q: QuasiInterpolant, r: int) -> tuple:
-    """(params, halfwidth) of axis r: all its window depends on besides
-    the coordinates and the node count."""
-    return q.params[r], q.stencil_halfwidths[r]
-
-
-def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
+def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[KernelParams]) -> Callable:
     """Windows of kernels at coordinates x on an n-node axis, on demand.
 
-    ``kernels`` holds the (params, halfwidth) pairs of kernels on that
-    axis.  Returns a function that maps one of them to its node indices
-    and kernel values weighted by the spacing h = 2 pi / n.  The indices
-    of each row are consecutive and not reduced mod n (they run from
-    round(x / h) - hw to round(x / h) + hw), so they rise with x; reduce
+    ``kernels`` holds the ``KernelParams`` of kernels on that axis, each
+    truncated at hw = ``stencil_halfwidth(params, n)``.  Returns a function
+    that maps one of them to its node indices and kernel values weighted
+    by the spacing h = 2 pi / n.  The indices of each row are consecutive
+    and not reduced mod n (they run from round(x / h) - hw to
+    round(x / h) + hw), so they rise with x; reduce
     them mod n to index the samples.  When a kernel's window spans the
     axis, no indices are built (None is returned in their place): its
     values are in node order 0..n-1.  The offsets and their chords
@@ -415,21 +410,22 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[tuple]) -> Callable:
     alone.  The chords live as long as the returned function.
     """
     spacing = TWO_PI / n
-    spans = [2 * hw + 1 >= n for _, hw in kernels]
+    widths = [stencil_halfwidth(params, n) for params in kernels]
+    spans = [2 * hw + 1 >= n for hw in widths]
     full_chord = base = chord = wide = None
     if any(spans):
         full_chord = x[:, None] - spacing * np.arange(n)[None, :]
         full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
     if not all(spans):
-        wide = max(hw for (_, hw), span in zip(kernels, spans) if not span)
+        wide = max(hw for hw, span in zip(widths, spans) if not span)
         base = np.round(x / spacing).astype(np.int64)[:, None]
         # psi is exactly periodic, so unreduced nodes give the same values;
         # the offsets are freed before any kernel is evaluated
         chord = x[:, None] - spacing * (base + np.arange(-wide, wide + 1))
         chord = 2.0 * np.sin(chord / 2.0) ** 2
 
-    def window(kernel: tuple) -> tuple[np.ndarray | None, np.ndarray]:
-        params, hw = kernel
+    def window(params: KernelParams) -> tuple[np.ndarray | None, np.ndarray]:
+        hw = stencil_halfwidth(params, n)
         if 2 * hw + 1 >= n:
             raw, kern = None, psi_from_chord(params, full_chord)
         else:
@@ -561,23 +557,23 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
     unbuilt: dict = {}  # (r, n) -> the group's matrices not built yet
     mats: dict = {}
 
-    def matrix(r: int, n: int, kernel: tuple):
-        if (r, n, kernel) not in mats:
+    def matrix(r: int, n: int, params: KernelParams):
+        if (r, n, params) not in mats:
             if (r, n) not in unbuilt:
                 windows[r, n] = _dim_windows(block[:, r], n, list(groups[r, n]))
                 unbuilt[r, n] = len(groups[r, n])
-            mats[r, n, kernel] = _window_matrix(*windows[r, n](kernel), n)
+            mats[r, n, params] = _window_matrix(*windows[r, n](params), n)
             unbuilt[r, n] -= 1
             if not unbuilt[r, n]:
                 del windows[r, n]  # frees the group's chords
-        return mats[r, n, kernel]
+        return mats[r, n, params]
 
     values: dict = {}
     for i, parts in enumerate(rows):
         for coeff, component in parts:
             key = id(component)
             if key not in values:
-                keys = [(r, n, _axis_kernel(component, r))
+                keys = [(r, n, component.params[r])
                         for r, n in enumerate(component.grid.counts)]
                 values[key] = _evaluate_separable(
                     component, [matrix(*k) for k in keys]
@@ -642,9 +638,9 @@ def evaluate_many(qs, points) -> np.ndarray:
     groups: dict = {}
     last_user: dict = {}
     for c in {id(c): c for parts in rows for _, c in parts}.values():
-        for r, n in enumerate(c.grid.counts):
-            groups.setdefault((r, n), {})[_axis_kernel(c, r)] = None
-            last_user[r, n, _axis_kernel(c, r)] = id(c)
+        for r, (n, params) in enumerate(zip(c.grid.counts, c.params)):
+            groups.setdefault((r, n), {})[params] = None
+            last_user[r, n, params] = id(c)
     out = np.zeros((len(qs), pts.shape[0]))
     blocks = _point_blocks(pts.shape[0], rest)
 
@@ -737,13 +733,13 @@ def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
     """
     n = q.grid.counts[r]
     hw = q.stencil_halfwidths[r]
-    kernel = _axis_kernel(q, r)
+    params = q.params[r]
     if 2 * hw + 1 >= n:
-        _, kern = _dim_windows(x, n, [kernel])(kernel)
+        _, kern = _dim_windows(x, n, [params])(params)
         yield slice(None), kern, slice(None)
         return
     order = np.argsort(x, kind="stable")
-    raw, kern = _dim_windows(x[order], n, [kernel])(kernel)
+    raw, kern = _dim_windows(x[order], n, [params])(params)
     width = 2 * hw + 1
     # a block of `step` sorted, evenly spread rows touches about
     # step n / M + width nodes, twice the window: the GEMM multiplies

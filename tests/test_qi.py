@@ -1,6 +1,7 @@
 import math
 import threading
 import warnings
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -410,6 +411,32 @@ def test_grid_path_banded_battery():
         assert np.max(np.abs(got.ravel() - dense)) <= 1e-13 * scale, label
 
 
+@lru_cache(maxsize=None)
+def _psi_hat(params, ell):
+    return psi_fourier_quadrature(params, ell, 4096)
+
+
+def _mode_response(m, gamma, n, k, x):
+    """Q[cos(k .)](x) on an n-node axis: sum_s psi_hat(k + sn) cos((k + sn) x).
+
+    With weights 2 pi / n, sampling cos(k x) keeps only the frequencies
+    k + sn (Poisson summation).  k is first replaced by its alias nearest
+    0, and s runs over |s| <= max(5, 64 / n): on a 2-node axis at
+    gamma = 0.3 (c = 0.94) psi_hat decays only like a Bessel function,
+    and its first terms past |s| = 5, at |k + sn| = 11 and 13, are 4e-11
+    and 8e-14 for m = 0, 1.9e-6 and 1.1e-8 for m = 8.
+    """
+    p = KernelParams(m, gamma * TWO_PI / n)
+    k = (k + n // 2) % n - n // 2
+    reach = max(5, 64 // n)
+    return sum(_psi_hat(p, abs(k + s * n)) * np.cos((k + s * n) * x)
+               for s in range(-reach, reach + 1))
+
+
+def _within_round_off(got, expected):
+    return np.max(np.abs(got - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("m, gamma, n, k", [(2, 1.0, 64, 3), (8, 1.5, 128, 5),
                                             (0, 0.6, 32, 1), (5, 3.0, 256, 40)])
 def test_evaluators_match_the_fourier_series(m, gamma, n, k):
@@ -424,6 +451,65 @@ def test_evaluators_match_the_fourier_series(m, gamma, n, k):
     bound = 1e-13 * (1.0 + np.max(np.abs(expected)))
     for got in (evaluate_many([q], x)[0], evaluate_dense(q, x), evaluate_on_grid(q, [x[:, 0]])):
         assert np.max(np.abs(got - expected)) <= bound
+
+
+_REFEREE_MS = (0, 3, 5, 8)
+
+
+@pytest.mark.parametrize("m", _REFEREE_MS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_evaluators_match_the_fourier_series_on_tensor_grids(d, m):
+    # the response to prod_r cos(k_r x_r) is the product of the axis
+    # responses; the anisotropic grid differs per axis in N, m and gamma
+    x = lcg_uniform_points(1000, d, 0x5EED)
+    axes = [x[: 50 if d == 2 else 16, r] for r in range(d)]
+    turn = _REFEREE_MS.index(m)
+    grids = [((32, 32) if d == 2 else (16, 16, 16), (m,) * d),
+             ((8, 64) if d == 2 else (8, 32, 16),
+              tuple(_REFEREE_MS[(turn + r) % 4] for r in range(d)))]
+    for counts, ms in grids:
+        ks = [n // 4 - 1 for n in counts]
+        samples = reduce(np.multiply.outer,
+                         [np.cos(k * TWO_PI * np.arange(n) / n) for n, k in zip(counts, ks)])
+        for gamma in (0.3, 1.0, None):
+            gammas = [min(8.0, n / 2) if gamma is None else gamma for n in counts]
+            q = from_samples(samples, ms, gammas)
+            factors = list(zip(ms, gammas, counts, ks))
+            at_points = np.prod([_mode_response(*f, x[:, r]) for r, f in enumerate(factors)],
+                                axis=0)
+            on_grid = reduce(np.multiply.outer,
+                             [_mode_response(*f, a) for f, a in zip(factors, axes)])
+            label = (counts, ms, gammas)
+            assert _within_round_off(evaluate_many([q], x)[0], at_points), label
+            assert _within_round_off(evaluate_dense(q, x), at_points), label
+            assert _within_round_off(evaluate_on_grid(q, axes), on_grid), label
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+@pytest.mark.parametrize("d, level", [(2, 6), (3, 4)])
+def test_evaluators_match_the_fourier_series_on_sparse_grids(d, level, gamma):
+    # a sparse interpolant's response is the combination sum of its
+    # component grids' product responses
+    ks = (1, 3, 2)[:d]
+    x = lcg_uniform_points(1000, d, 0x5EED)
+
+    def f(pts):
+        return np.prod([np.cos(k * pts[:, r]) for r, k in enumerate(ks)], axis=0)
+
+    spec = SparseGridSpec(level, d)
+    for m in _REFEREE_MS:
+        q = build_sparse(f, spec, m, gamma)
+        axis = {}  # (r, n) -> response of axis r on n nodes
+        for term in combination_terms(spec):
+            for r, n in enumerate(term.grid.counts):
+                if (r, n) not in axis:
+                    axis[r, n] = _mode_response(m, gamma, n, ks[r], x[:, r])
+        expected = sum(
+            term.coeff * np.prod([axis[r, n] for r, n in enumerate(term.grid.counts)], axis=0)
+            for term in combination_terms(spec)
+        )
+        assert _within_round_off(evaluate_many([q], x)[0], expected), m
+        assert _within_round_off(evaluate_dense(q, x), expected), m
 
 
 def test_grid_row_blocks_cover_each_row_once():
@@ -533,6 +619,27 @@ def test_constructor_takes_samples_and_one_kernel_per_axis():
     for wrong in (params[:2], params + params[:1]):
         with pytest.raises(ValueError, match="kernel params"):
             qi.QuasiInterpolant(samples.copy(), wrong)
+    # the constructor is the samples' only gate
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = samples.copy()
+        vals[5, 7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qi.QuasiInterpolant(vals, params)
+    # a list of floats and an int64 array are stored as float64 and give
+    # bitwise the values of the float64 array
+    one = (KernelParams(2, 1.5 * (TWO_PI / 16)),)
+    wave = np.cos(3 * TWO_PI * np.arange(16) / 16)
+    ints = np.arange(16, dtype=np.int64) % 5 - 2
+    x = lcg_uniform_points(300, 1, 0x5EED)
+    for given, as_float in ((wave.tolist(), wave), (ints, ints.astype(float))):
+        q1 = qi.QuasiInterpolant(given, one)
+        assert q1.samples.dtype == np.float64 and not q1.samples.flags.writeable
+        assert np.array_equal(evaluate(q1, x), evaluate(qi.QuasiInterpolant(as_float, one), x))
+    # the benchmark function is fixed by (p, dims) alone
+    from torusqi.analysis import TestFunctionGp, make_gp
+
+    assert TestFunctionGp(6, 1) == make_gp(6, 1)
+    assert TestFunctionGp(6, 1).lambda_p == make_gp(6, 1).lambda_p
 
 
 # ---------------------------------------------------------------------------
