@@ -410,14 +410,14 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[KernelParams]) -> Call
     alone.  The chords live as long as the returned function.
     """
     spacing = TWO_PI / n
-    widths = [stencil_halfwidth(params, n) for params in kernels]
-    spans = [2 * hw + 1 >= n for hw in widths]
+    widths = {params: stencil_halfwidth(params, n) for params in kernels}
+    narrow = [hw for hw in widths.values() if 2 * hw + 1 < n]
     full_chord = base = chord = wide = None
-    if any(spans):
+    if len(narrow) < len(widths):
         full_chord = x[:, None] - spacing * np.arange(n)[None, :]
         full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
-    if not all(spans):
-        wide = max(hw for hw, span in zip(widths, spans) if not span)
+    if narrow:
+        wide = max(narrow)
         base = np.round(x / spacing).astype(np.int64)[:, None]
         # psi is exactly periodic, so unreduced nodes give the same values;
         # the offsets are freed before any kernel is evaluated
@@ -425,7 +425,7 @@ def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[KernelParams]) -> Call
         chord = 2.0 * np.sin(chord / 2.0) ** 2
 
     def window(params: KernelParams) -> tuple[np.ndarray | None, np.ndarray]:
-        hw = stencil_halfwidth(params, n)
+        hw = widths[params]
         if 2 * hw + 1 >= n:
             raw, kern = None, psi_from_chord(params, full_chord)
         else:

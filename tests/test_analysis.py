@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusqi import analysis
 from torusqi.analysis import (
     convergence_rates,
     dft_coeffs,
@@ -36,6 +37,9 @@ def test_lambda6_matches_wallis_closed_form():
     closed = 1.0 / math.sqrt(8.0 * math.pi + TWO_PI * math.comb(12, 6) / 4**6)
     assert g.lambda_p == pytest.approx(closed, rel=1e-10)
     assert g.lambda_p == pytest.approx(0.194074, abs=1e-6)
+    # the function is fixed by (p, dims) alone
+    assert analysis.TestFunctionGp(6, 1) == g
+    assert analysis.TestFunctionGp(6, 1).lambda_p == g.lambda_p
 
 
 def test_gp_unit_l2_norm():

@@ -251,6 +251,16 @@ def test_strangfix_orders(tmp_path):
         assert float(row[3]) == pytest.approx(2 * m + 2, abs=0.15)
 
 
+def test_strangfix_alias_band_from_n_over_2_exits_0(tmp_path):
+    # --nmax 128 puts ell = 64..192 in the alias band, so this run passes
+    # the coefficient at ell = 65 through the finite check
+    out = tmp_path / "sf.dat"
+    assert run(["strangfix", "--m", "0", "--nmin", "64", "--nmax", "128",
+                "--out", str(out)]) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines()[1:]]
+    assert [row[5] for row in rows] == ["7.22158506936e-03"] * 3
+
+
 def test_strangfix_saturated_residual_exits_3(tmp_path, capsys):
     out = tmp_path / "sf.dat"
     assert run(["strangfix", "--m", "6", "--gamma", "1", "--out", str(out)]) == 3
