@@ -150,63 +150,88 @@ def _convergence_table(out: Path, m: int, gamma: float, ns, errs) -> tuple:
 def run_table1(args: argparse.Namespace) -> None:
     """1D convergence of g_p per kernel order; best gamma from the sweep.
 
-    Per N, g_p is sampled once on the nodes and once at the 4N+1 offset
-    points, and every (m, gamma) interpolant is evaluated in one call.
+    Only the errors a table prints or a choice reads are computed.  The
+    whole (m, gamma) sweep is evaluated at the N's that choose each order's
+    gamma (:func:`_choice_levels`), then only each order's chosen gamma at
+    the other N's.  Per N and pass, g_p is sampled once on the nodes and
+    once at the 4N+1 offset points, and that pass's interpolants are
+    evaluated in one call, whose rows are bitwise those of each alone.
     Every table is built before the first file is written.
     """
     ns = _doubling_range(args.nmin, args.nmax)
     g = make_gp(args.p, 1)
-    sweep = list(dict.fromkeys((m, gamma) for m in args.m for gamma in args.gamma))
-    errs: dict[tuple[int, float], list] = {key: [] for key in sweep}
-    for n in ns:
+    ms = list(dict.fromkeys(args.m))
+    errs: dict[tuple[int, float, int], tuple[float, float]] = {}
+
+    def evaluate(n: int, keys) -> None:
+        keys = [key for key in dict.fromkeys(keys) if (*key, n) not in errs]
+        if not keys:
+            return
         samples = gp_eval(g, FullGridSpec((n,)).axis(0))
-        qs = [from_samples(samples, (m,), (gamma,)) for m, gamma in sweep]
+        qs = [from_samples(samples, (m,), (gamma,)) for m, gamma in keys]
         pts = offset_eval_axis(n)[:, None]
         ref = g(pts)
-        for key, approx in zip(sweep, evaluate_many(qs, pts)):
-            errs[key].append(error_norms(ref, approx, pts, 1.0)[:2])
-    tables = []
-    for m in dict.fromkeys(args.m):
-        by_gamma = {gamma: _convergence_table(args.out, m, gamma, ns, errs[m, gamma])
-                    for gamma in args.gamma}
-        tables.append(by_gamma[_best_gamma(args, m, ns, errs)])
-    _write_tables(tables)
+        for (m, gamma), approx in zip(keys, evaluate_many(qs, pts)):
+            errs[m, gamma, n] = error_norms(ref, approx, pts, 1.0)[:2]
+
+    levels = {m: _choice_levels(args.p, m, ns) for m in ms}
+    for n in ns:
+        evaluate(n, [(m, gamma) for m in ms if n in levels[m] for gamma in args.gamma])
+    best = {m: _best_gamma(m, levels[m], args.gamma, errs) for m in ms}
+    for n in ns:
+        evaluate(n, [(m, best[m]) for m in ms])
+    _write_tables([
+        _convergence_table(args.out, m, best[m], ns, [errs[m, best[m], n] for n in ns])
+        for m in ms
+    ])
 
 
-def _best_gamma(args, m, ns, errs) -> float:
-    """Shape constant matching the reference levels, if any are known.
+def _choice_levels(p: int, m: int, ns: list[int]) -> dict[int, float | None]:
+    """The N's whose errors choose order m's gamma, each with its reference.
 
-    ``errs[m, gamma]`` holds the (err_linf, err_l2) pair of every N.
+    The N's of ``ns`` that have a published level for g_p at order m, or
+    else the finest N alone, with no level (None).
     """
-    reference = _G6_LINF_REFERENCE.get(m) if args.p == 6 else None
-    common = [n for n in ns if reference and n in reference]
-    if not common:
-        # no reference: smallest finest-grid error wins
-        return min(args.gamma, key=lambda g: errs[m, g][-1][0])
+    known = _G6_LINF_REFERENCE.get(m, {}) if p == 6 else {}
+    return {n: known[n] for n in ns if n in known} or {ns[-1]: None}
+
+
+def _best_gamma(m: int, levels: dict[int, float | None], gammas, errs) -> float:
+    """Order m's shape constant whose L-infinity errors best match ``levels``.
+
+    ``errs[m, gamma, n]`` holds the (err_linf, err_l2) pair of each gamma
+    at each N of ``levels``.  Against reference levels the smallest sum of
+    squared log ratios wins; with no level, the smallest error.  A zero
+    error has no log ratio and raises :class:`NumericsError`.
+    """
+    if None in levels.values():
+        (n,) = levels
+        return min(gammas, key=lambda gamma: errs[m, gamma, n][0])
 
     def score(gamma: float) -> float:
         total = 0.0
-        for n in common:
-            err = errs[m, gamma][ns.index(n)][0]
-            total += math.log(err / reference[n]) ** 2
+        for n, level in levels.items():
+            err = errs[m, gamma, n][0]
+            if err == 0.0:
+                raise NumericsError(f"degenerate zero error at N={n}, gamma={gamma}")
+            total += math.log(err / level) ** 2
         return total
 
-    return min(args.gamma, key=score)
+    return min(gammas, key=score)
 
 
 def _errors_2d(g1, q, n: int) -> tuple[float, float]:
     """Errors of q against G_p = g1 x g1 on the (4N+1)^2 offset grid.
 
-    The approximant streams in row blocks (:func:`evaluate_on_grid_blocks`);
-    the reference is subtracted from each block in place, and the block's
-    extremes and sum of squares are reduced before the next block exists,
-    so no (4N+1)^2 array is ever built.
+    The error streams in row blocks (:func:`evaluate_on_grid_blocks`),
+    which subtract G_p's axes inside their last GEMM; each block's extremes
+    and sum of squares are reduced before the next block exists, so no
+    (4N+1)^2 array is ever built.
     """
     ax = offset_eval_axis(n)
     g_ax = gp_eval(g1, ax)
     hi = lo = sq = 0.0
-    for rows, diff in evaluate_on_grid_blocks(q, [ax, ax]):
-        diff -= np.outer(g_ax[rows], g_ax)
+    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
         # numpy's max and min carry a NaN through, Python's would drop it
         hi, lo = np.maximum(hi, diff.max()), np.minimum(lo, diff.min())
         flat = diff.reshape(-1)

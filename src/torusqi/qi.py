@@ -32,6 +32,9 @@ mod N where the window wraps).  Axes d-1, ..., 1 are contracted in full and
 axis 0 block by block, so the grid's values come out as a stream of row
 blocks (``evaluate_on_grid_blocks``) that a caller can reduce without ever
 holding the whole grid; ``evaluate_on_grid`` collects them into one array.
+Given the per-axis values of a separable function (``minus``), each axis-0
+GEMM also subtracts that function, as one more inner-product term, so an
+error grid needs no reference grid and no subtraction pass.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -787,17 +790,38 @@ def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
     return xs
 
 
-def _grid_row_blocks(q: QuasiInterpolant, xs: list[np.ndarray]):
+def _grid_minus(xs: list[np.ndarray], minus: Sequence) -> list[np.ndarray]:
+    if len(minus) != len(xs):
+        raise ValueError(f"need {len(xs)} minus axes")
+    out = []
+    for r, (x, values) in enumerate(zip(xs, minus)):
+        v = np.asarray(values, dtype=float)
+        if v.shape != x.shape:
+            raise ValueError(f"minus axis {r} must have shape {x.shape}, got {v.shape}")
+        out.append(v)
+    return out
+
+
+def _grid_row_blocks(q: QuasiInterpolant, xs: list[np.ndarray], minus):
     res = q.samples
     for r in range(q.grid.dims - 1, 0, -1):
         res = _contract_axis(q, res, xs[r], r)
     src = res.reshape(q.grid.counts[0], -1)
+    if minus is not None:
+        # the subtracted product's later axes, as one more row of src
+        tail = reduce(np.multiply.outer, minus[1:], np.ones(())).reshape(1, -1)
     for rows, kern, nodes in _axis_blocks(q, xs[0], 0):
-        vals = kern @ src[nodes]
+        if minus is None:
+            vals = kern @ src[nodes]
+        else:
+            vals = (np.hstack([kern, -minus[0][rows, None]])
+                    @ np.vstack([src[nodes], tail]))
         yield rows, vals.reshape(vals.shape[:1] + res.shape[1:])
 
 
-def evaluate_on_grid_blocks(q: QuasiInterpolant, axes: Sequence[np.ndarray]):
+def evaluate_on_grid_blocks(
+    q: QuasiInterpolant, axes: Sequence[np.ndarray], minus: Sequence | None = None
+):
     """Separable evaluation on a tensor-product point grid, in row blocks.
 
     Each axis must be 1-D and finite (checked here, before the first
@@ -814,8 +838,17 @@ def evaluate_on_grid_blocks(q: QuasiInterpolant, axes: Sequence[np.ndarray]):
     where ``rows`` is a slice or an index array.  The blocks cover every
     index of axes[0] exactly once, and only one block's values are new
     per step, so the full grid never has to exist.
+
+    ``minus``, if given, holds one array of values per axis, each as long
+    as that axis (checked here too): the values are then those of the
+    grid minus the separable function minus[0][i_0] * ... *
+    minus[d-1][i_{d-1}].  It is subtracted inside each axis-0 GEMM as one
+    more inner-product term, the block's -minus[0][rows] against the
+    product of the later axes, so it needs no grid of its own and no
+    pass of its own.
     """
-    return _grid_row_blocks(q, _grid_axes(q, axes))
+    xs = _grid_axes(q, axes)
+    return _grid_row_blocks(q, xs, None if minus is None else _grid_minus(xs, minus))
 
 
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:

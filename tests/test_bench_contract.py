@@ -165,16 +165,28 @@ def test_cli_reproduces_golden_bytes(tmp_path, workload, out):
     assert (tmp_path / out).read_bytes() == golden.read_bytes()
 
 
-def test_conv2d_command_passes_the_benchmark_check(tmp_path):
-    # conv2d's err_l2 may move in its last digits with the summation order,
-    # so its rows are held to the benchmark's own row check, not to bytes
+def _owed_and_failed_rows(tmp_path, out):
+    """Run one paper_tables command; (owed, failed) rows of each of its files."""
     w = WORKLOADS["paper_tables"]
     ((command, argv),) = [
-        (c, a) for c, a in zip(w.commands, w.argvs(0, str(tmp_path)))
-        if c.out == "conv2d.csv"
+        (c, a) for c, a in zip(w.commands, w.argvs(0, str(tmp_path))) if c.out == out
     ]
     assert main(argv) == 0
     golden = PERFBENCH / "golden" / "paper_tables" / "seed0"
-    for name in command.outputs:
-        owed, failed = failed_rows(tmp_path / name, golden / name, same_seed=True)
-        assert (owed, failed) == (7, 0), name
+    return {name: failed_rows(tmp_path / name, golden / name, same_seed=True)
+            for name in command.outputs}
+
+
+def test_conv2d_command_passes_the_benchmark_check(tmp_path):
+    # conv2d's err_l2 may move in its last digits with the summation order,
+    # so its rows are held to the benchmark's own row check, not to bytes
+    for name, rows in _owed_and_failed_rows(tmp_path, "conv2d.csv").items():
+        assert rows == (7, 0), name
+
+
+def test_table1_command_passes_the_benchmark_check(tmp_path):
+    # the golden table1 files, captured by an earlier version, differ from
+    # today's output in the last digits of some rows from N = 128 on, so
+    # they are held to the row check; test_cli pins today's bytes
+    for name, rows in _owed_and_failed_rows(tmp_path, "table1.csv").items():
+        assert rows == (9, 0), name

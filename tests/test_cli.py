@@ -61,6 +61,48 @@ def test_table1_reproduces_capture(tmp_path):
         assert (tmp_path / f"t_m{m}.csv").read_bytes() == capture.read_bytes()
 
 
+@pytest.mark.parametrize("stem, flags", [
+    # the benchmark's table1 flags
+    ("table1_n8192", ["--p", "6", "--m", "0,1,2", "--gamma", "0.6,0.8,1.0,1.5",
+                      "--nmin", "32", "--nmax", "8192"]),
+    # no reference levels: gamma is chosen at the finest N
+    ("table1_p4", ["--p", "4", "--m", "0,1", "--gamma", "0.6,1.5",
+                   "--nmin", "32", "--nmax", "1024"]),
+])
+def test_table1_reproduces_capture_beyond_the_choice(tmp_path, stem, flags):
+    # captured when every (m, gamma) was evaluated at every N; past the N's
+    # that choose gamma only the chosen one is, with the same bytes
+    out = tmp_path / f"{stem}.csv"
+    assert run(["table1", *flags, "--out", str(out)]) == 0
+    ms = flags[flags.index("--m") + 1].split(",")
+    for m in ms:
+        capture = Path(__file__).parent / "data" / f"{stem}_m{m}.csv"
+        assert (tmp_path / f"{stem}_m{m}.csv").read_bytes() == capture.read_bytes()
+
+
+@pytest.mark.parametrize("p, sweep_ns", [("6", (32, 64, 128, 256, 512)), ("4", (8192,))])
+def test_table1_sweeps_gamma_only_where_the_choice_reads_it(tmp_path, monkeypatch, p,
+                                                            sweep_ns):
+    # the 12 (m, gamma) interpolants are evaluated at the N's with reference
+    # levels (p = 6) or else at the finest N; elsewhere only each order's
+    # chosen gamma is
+    import torusqi.cli as cli_mod
+
+    real = cli_mod.evaluate_many
+    rows: dict[int, int] = {}
+
+    def counted(qs, pts):
+        n = (len(pts) - 1) // 4
+        rows[n] = rows.get(n, 0) + len(qs)
+        return real(qs, pts)
+
+    monkeypatch.setattr(cli_mod, "evaluate_many", counted)
+    assert run(["table1", "--p", p, "--m", "0,1,2", "--gamma", "0.6,0.8,1.0,1.5",
+                "--nmin", "32", "--nmax", "8192", "--out", str(tmp_path / "t.csv")]) == 0
+    ns = [32 * 2**k for k in range(9)]
+    assert rows == {n: 12 if n in sweep_ns else 3 for n in ns}
+
+
 def test_table1_repeated_values_write_one_table(tmp_path):
     base = ["table1", "--nmin", "32", "--nmax", "64"]
     assert run(base + ["--m", "1", "--gamma", "0.8", "--out", str(tmp_path / "a.csv")]) == 0
@@ -386,8 +428,8 @@ def test_conv2d_non_finite_error_exits_3_before_writing(tmp_path, monkeypatch, c
 
     real = cli_mod.evaluate_on_grid_blocks
 
-    def nan_in_first_block(q, axes):
-        blocks = real(q, axes)
+    def nan_in_first_block(q, axes, minus=None):
+        blocks = real(q, axes, minus)
         rows, values = next(blocks)
         values[0, 0] = math.nan
         yield rows, values
@@ -472,7 +514,7 @@ def test_conv2d_streamed_norms_match_materialized(m):
     from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
     from torusqi.cli import _errors_2d
     from torusqi.grid import FullGridSpec
-    from torusqi.qi import evaluate_on_grid, from_samples
+    from torusqi.qi import evaluate_on_grid_blocks, from_samples
 
     g1 = make_gp(6, 1)
     for n in (16, 32, 64, 128):
@@ -480,7 +522,9 @@ def test_conv2d_streamed_norms_match_materialized(m):
         q = from_samples(np.outer(a, a), (m, m), (1.5, 1.5))
         ax = offset_eval_axis(n)
         g_ax = gp_eval(g1, ax)
-        diff = evaluate_on_grid(q, [ax, ax]) - np.outer(g_ax, g_ax)
+        diff = np.empty((ax.size, ax.size))
+        for rows, vals in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
+            diff[rows] = vals
         linf = float(np.max(np.abs(diff)))
         l2 = math.sqrt(np.mean(diff**2) * TWO_PI**2)
         got_linf, got_l2 = _errors_2d(g1, q, n)

@@ -519,6 +519,33 @@ def test_grid_row_blocks_cover_each_row_once():
         assert np.all(hits == 1), label
 
 
+def test_grid_row_blocks_subtract_a_separable_function():
+    # minus is folded into the axis-0 GEMMs as one more inner-product term:
+    # banded and spanning axis-0 windows, wrapped slabs, d = 1, 2, 3
+    rng = np.random.default_rng(19)
+    dims = set()
+    for label, q, axes in _banded_battery():
+        dims.add(q.grid.dims)
+        minus = [rng.uniform(-1.0, 1.0, len(ax)) for ax in axes]
+        values = evaluate_on_grid(q, axes)
+        expected = values - reduce(np.multiply.outer, minus)
+        got = np.full(values.shape, np.nan)
+        for rows, vals in evaluate_on_grid_blocks(q, axes, minus=minus):
+            got[rows] = vals
+        tol = 1e-13 * (1.0 + float(np.max(np.abs(values))))
+        assert np.max(np.abs(got - expected)) <= tol, label
+    assert dims == {1, 2, 3}
+
+
+def test_grid_row_blocks_check_minus_before_the_first_block():
+    q = build_full(const_one, 16, 2, 0, 1.0)
+    axes = [np.array([0.1, 0.2]), np.array([0.3])]
+    with pytest.raises(ValueError, match="need 2 minus axes"):
+        evaluate_on_grid_blocks(q, axes, minus=[np.ones(2)])
+    with pytest.raises(ValueError, match="minus axis 1"):
+        evaluate_on_grid_blocks(q, axes, minus=[np.ones(2), np.ones(2)])
+
+
 def test_grid_row_blocks_validate_before_the_first_block():
     q = build_full(const_one, 16, 2, 0, 1.0)
     with pytest.raises(ValueError, match="finite"):

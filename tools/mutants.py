@@ -116,12 +116,21 @@ MUTANTS = (
     Mutant(
         "nan-in-conv2d-row-block",
         "cli.py",
-        "        diff -= np.outer(g_ax[rows], g_ax)\n",
-        "        diff -= np.outer(g_ax[rows], g_ax)\n        diff[0, 0] = np.nan\n",
+        "    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n",
+        "    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n"
+        "        diff[0, 0] = np.nan\n",
         (
             "tests/test_cli.py::test_conv2d_smoke",
             "tests/test_cli.py::test_conv2d_streamed_norms_match_materialized",
         ),
+    ),
+    Mutant(
+        # the subtracted function added instead
+        "grid-minus-sign-flipped",
+        "qi.py",
+        "            vals = (np.hstack([kern, -minus[0][rows, None]])\n",
+        "            vals = (np.hstack([kern, minus[0][rows, None]])\n",
+        ("tests/test_qi.py::test_grid_row_blocks_subtract_a_separable_function",),
     ),
     Mutant(
         # ell = 65 is inside the alias band of a tier-1 run that expects success
