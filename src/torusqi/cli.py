@@ -25,15 +25,18 @@ of f and ``rel_l2`` is the L2 error (torus measure, so it carries a factor
 points.  All numbers are written in scientific notation with 12
 significant digits, so identical flags and seed reproduce identical bytes.
 One writer, :func:`_write_tables`, formats every table of every subcommand;
-it refuses a non-finite number before any file is written.  Only an OS
-error while writing (exit 2) leaves a failed command's earlier files.
+it refuses a non-finite number before any file is written, and it
+renames its files into place only once all of them are written, so an OS
+error while writing (exit 2) leaves none of a failed command's files.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -115,8 +118,11 @@ def _write_tables(tables) -> None:
     Every field is formatted before the first directory or file is made:
     integers with ``str``, floats with :func:`_fmt`, ``None`` as an empty
     field.  A non-finite float raises :class:`NumericsError` before any
-    file is made; an ``OSError`` on one file (say, a directory at its
-    path) leaves the files written before it.
+    file is made.  Each table is then written to a temporary file beside
+    its path, and the temporary files are renamed onto their paths only
+    once every one is written and no path is a directory.  An ``OSError``
+    before the renames (say, a directory at a path) leaves no table and no
+    temporary file behind; directories made for the tables stay.
     """
     texts = []
     for path, header, rows, sep in tables:
@@ -125,10 +131,22 @@ def _write_tables(tables) -> None:
         for row in rows:
             lines.append(sep.join(_field(n, x, path) for n, x in zip(names, row, strict=True)))
         texts.append((path, "\n".join(lines) + "\n"))
-    for path, text in texts:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    staged = []
+    try:
+        for path, text in texts:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.tmp")
+            staged.append((tmp, path))
+            with open(tmp, "w", newline="") as fh:
+                fh.write(text)
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in staged:
+            tmp.replace(path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _with_suffix(path: Path, tag: str) -> Path:
@@ -223,15 +241,15 @@ def _best_gamma(m: int, levels: dict[int, float | None], gammas, errs) -> float:
 def _errors_2d(g1, q, n: int) -> tuple[float, float]:
     """Errors of q against G_p = g1 x g1 on the (4N+1)^2 offset grid.
 
-    The error streams in row blocks (:func:`evaluate_on_grid_blocks`),
-    which subtract G_p's axes inside their last GEMM; each block's extremes
-    and sum of squares are reduced before the next block exists, so no
-    (4N+1)^2 array is ever built.
+    The error streams in tiles (:func:`evaluate_on_grid_blocks`), which
+    subtract G_p's axes inside their last GEMM; each tile's extremes and
+    sum of squares are reduced before the next tile exists, so no
+    (4N+1)^2 array, nor any N x (4N+1) intermediate, is ever built.
     """
     ax = offset_eval_axis(n)
     g_ax = gp_eval(g1, ax)
     hi = lo = sq = 0.0
-    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
+    for _, _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
         # numpy's max and min carry a NaN through, Python's would drop it
         hi, lo = np.maximum(hi, diff.max()), np.minimum(lo, diff.min())
         flat = diff.reshape(-1)

@@ -28,13 +28,18 @@ at any CPU count.  Tensor-product evaluation grids contract one axis at a
 time as banded BLAS blocks: the axis's coordinates are sorted, and each
 block of sorted rows scatters its window entries into a small dense matrix
 that multiplies the contiguous slab of nodes the block touches (gathered
-mod N where the window wraps).  Axes d-1, ..., 1 are contracted in full and
-axis 0 block by block, so the grid's values come out as a stream of row
-blocks (``evaluate_on_grid_blocks``) that a caller can reduce without ever
-holding the whole grid; ``evaluate_on_grid`` collects them into one array.
-Given the per-axis values of a separable function (``minus``), each axis-0
-GEMM also subtracts that function, as one more inner-product term, so an
-error grid needs no reference grid and no subtraction pass.
+mod N where the window wraps).  The last axis's blocks are taken in
+column groups of whole blocks, each small enough that its intermediate
+(N_0 x ... x its columns) holds at most ``_CHUNK_ELEMS`` values; per group,
+axes d-1, ..., 1 are contracted and then axis 0 block by block, and the
+group's intermediate is freed before the next is built.  The grid's values
+thus come out as a stream of tiles, (axis-0 block) x (column group)
+(``evaluate_on_grid_blocks``), that a caller can reduce without ever
+holding the whole grid or an N_0 x len(last axis) array;
+``evaluate_on_grid`` collects them into one array.  Given the per-axis
+values of a separable function (``minus``), each axis-0 GEMM also
+subtracts that function, as one more inner-product term, so an error grid
+needs no reference grid and no subtraction pass.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -756,26 +761,58 @@ def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
         first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
         block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
         nodes = slice(lo, hi + 1) if 0 <= lo and hi < n else np.arange(lo, hi + 1) % n
-        rows = order[start:stop]
-        if np.all(np.diff(rows) == 1):
-            rows = slice(rows[0], rows[-1] + 1)
-        yield rows, block, nodes
+        yield _as_slice(order[start:stop]), block, nodes
 
 
-def _contract_axis(
-    q: QuasiInterpolant, res: np.ndarray, x: np.ndarray, r: int
-) -> np.ndarray:
-    """Contract axis r of the C-ordered array ``res`` against the kernel at x.
+def _as_slice(idx: np.ndarray):
+    """A slice in place of a non-empty index array that runs consecutively."""
+    if np.all(np.diff(idx) == 1):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
-    Returns a C-ordered array with axis r of length len(x): one GEMM per
-    banded block of :func:`_axis_blocks`, written through a slice when the
+
+def _contract_axis(res: np.ndarray, blocks, size: int, r: int) -> np.ndarray:
+    """Contract axis r of the C-ordered array ``res`` against banded blocks.
+
+    ``blocks`` holds (rows, kern, nodes) triples as :func:`_axis_blocks`
+    yields them.  Returns a C-ordered array with axis r of length
+    ``size``: one GEMM per block, written through a slice when the
     block's rows are consecutive in the output.
     """
-    src = res.reshape(math.prod(res.shape[:r]), q.grid.counts[r], -1)
-    out = np.empty((src.shape[0], x.size, src.shape[2]))
-    for rows, kern, nodes in _axis_blocks(q, x, r):
+    src = res.reshape(math.prod(res.shape[:r]), res.shape[r], -1)
+    out = np.empty((src.shape[0], size, src.shape[2]))
+    for rows, kern, nodes in blocks:
         _gemm_into(out, rows, kern, src[:, nodes])
-    return out.reshape(res.shape[:r] + (x.size,) + res.shape[r + 1 :])
+    return out.reshape(res.shape[:r] + (size,) + res.shape[r + 1 :])
+
+
+def _column_groups(blocks, size: int, cap: int):
+    """The last axis's banded blocks, in groups of at most ``cap`` columns.
+
+    ``blocks`` are those of :func:`_axis_blocks` on an axis of ``size``
+    points.  Yields (cols, local) per group of consecutive whole blocks:
+    the group's point indices on the axis, ascending, and its blocks with
+    their rows renumbered as positions in ``cols`` (a slice where they are
+    consecutive), so a group of every block keeps each block's rows.  Only
+    a block of more than ``cap`` rows is cut, by rows.
+    """
+    def renumbered(group):
+        cols = np.sort(np.concatenate([rows for rows, _, _ in group]))
+        return cols, [(_as_slice(np.searchsorted(cols, rows)), kern, nodes)
+                      for rows, kern, nodes in group]
+
+    group, width = [], 0
+    for rows, kern, nodes in blocks:
+        rows = np.arange(size)[rows]
+        for start in range(0, rows.size, cap):
+            piece = rows[start : start + cap]
+            if width + piece.size > cap:
+                yield renumbered(group)
+                group, width = [], 0
+            group.append((piece, kern[start : start + cap], nodes))
+            width += piece.size
+    if group:
+        yield renumbered(group)
 
 
 def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
@@ -802,64 +839,102 @@ def _grid_minus(xs: list[np.ndarray], minus: Sequence) -> list[np.ndarray]:
     return out
 
 
-def _grid_row_blocks(q: QuasiInterpolant, xs: list[np.ndarray], minus):
-    res = q.samples
-    for r in range(q.grid.dims - 1, 0, -1):
-        res = _contract_axis(q, res, xs[r], r)
-    src = res.reshape(q.grid.counts[0], -1)
-    if minus is not None:
-        # the subtracted product's later axes, as one more row of src
-        tail = reduce(np.multiply.outer, minus[1:], np.ones(())).reshape(1, -1)
-    for rows, kern, nodes in _axis_blocks(q, xs[0], 0):
-        if minus is None:
-            vals = kern @ src[nodes]
-        else:
-            vals = (np.hstack([kern, -minus[0][rows, None]])
-                    @ np.vstack([src[nodes], tail]))
-        yield rows, vals.reshape(vals.shape[:1] + res.shape[1:])
+def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray], minus):
+    d = q.grid.dims
+    counts = q.grid.counts
+    # axis 0's and the middle axes' blocks serve every column group
+    blocks = [list(_axis_blocks(q, xs[r], r)) for r in range(max(1, d - 1))]
+    if d == 1:
+        groups = [(None, [])]
+    else:
+        # a group's largest intermediate, per column of the last axis
+        per_col = counts[0] * math.prod(max(counts[r], xs[r].size) for r in range(1, d - 1))
+        groups = _column_groups(_axis_blocks(q, xs[-1], d - 1), xs[-1].size,
+                                max(1, _CHUNK_ELEMS // per_col))
+    for cols, local in groups:
+        res = q.samples
+        if d > 1:
+            res = _contract_axis(res, local, cols.size, d - 1)
+        for r in range(d - 2, 0, -1):
+            res = _contract_axis(res, blocks[r], xs[r].size, r)
+        src = res.reshape(counts[0], -1)
+        if minus is not None:
+            # the subtracted product's later axes over the group, as one
+            # more row of src
+            later = [*minus[1:-1], minus[-1][cols]] if d > 1 else []
+            tail = reduce(np.multiply.outer, later, np.ones(())).reshape(1, -1)
+        tile_cols = None if d == 1 else _as_slice(cols)
+        for rows, kern, nodes in blocks[0]:
+            if minus is None:
+                vals = kern @ src[nodes]
+            else:
+                vals = (np.hstack([kern, -minus[0][rows, None]])
+                        @ np.vstack([src[nodes], tail]))
+            yield rows, tile_cols, vals.reshape(vals.shape[:1] + res.shape[1:])
+        # the group's intermediate goes before the next group's is built
+        del res, src
+
+
+def _tile_index(rows, cols, shape: tuple[int, ...]):
+    """Index of a tile's values in a C-ordered grid array of ``shape``."""
+    if cols is None:
+        return rows
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return (rows, *[slice(None)] * (len(shape) - 2), cols)
+    return np.ix_(rows, *map(np.arange, shape[1:-1]), cols)
 
 
 def evaluate_on_grid_blocks(
     q: QuasiInterpolant, axes: Sequence[np.ndarray], minus: Sequence | None = None
 ):
-    """Separable evaluation on a tensor-product point grid, in row blocks.
+    """Separable evaluation on a tensor-product point grid, in tiles.
 
     Each axis must be 1-D and finite (checked here, before the first
-    block); it is reduced mod 2 pi and contracted against the same
-    truncated kernel window :func:`evaluate` uses.  Axes d-1, ..., 1 are
-    contracted in full, one at a time; axis 0 is then contracted one
-    banded block at a time.  Per axis, the sorted coordinates are cut into
-    blocks whose window entries fill a small dense matrix, and each block
-    is one BLAS GEMM against the contiguous slab of nodes it touches
-    (wrapped mod N_r at 0 and 2 pi); an axis whose window spans it is one
-    GEMM with the dense kernel.  Returns an iterator of (rows, values)
-    pairs: ``values`` has shape (len(rows), len(axes[1]), ...,
-    len(axes[d-1])) and holds the grid's values at ``axes[0][rows]``,
-    where ``rows`` is a slice or an index array.  The blocks cover every
-    index of axes[0] exactly once, and only one block's values are new
-    per step, so the full grid never has to exist.
+    tile); it is reduced mod 2 pi and contracted against the same
+    truncated kernel window :func:`evaluate` uses.  Per axis, the sorted
+    coordinates are cut into blocks whose window entries fill a small
+    dense matrix, and each block is one BLAS GEMM against the contiguous
+    slab of nodes it touches (wrapped mod N_r at 0 and 2 pi); an axis
+    whose window spans it is one GEMM with the dense kernel.  For d >= 2
+    the last axis's blocks are taken in column groups of whole blocks, so
+    that each intermediate of a group, N_0 x max(N_r, len(axes[r])) for
+    the middle axes x the group's columns, holds at most ``_CHUNK_ELEMS``
+    (2^21) values; a block wider than that alone is cut by rows.  Per
+    group, axes d-1, ..., 1 are contracted, then axis 0 one banded block
+    at a time, and the group's intermediate is freed before the next
+    group's is built.
+
+    Returns an iterator of (rows, cols, values) tiles.  ``values`` holds
+    the grid's values at ``axes[0][rows]`` x ``axes[1]`` x ... x
+    ``axes[d-1][cols]``, with shape (len(rows), len(axes[1]), ...,
+    len(cols)); ``rows`` and ``cols`` are slices or index arrays, and
+    ``cols`` ascend.  For d = 1, ``cols`` is None and ``values`` has shape
+    (len(rows),).  The tiles cover every grid point exactly once, and only
+    one tile's values are new per step, so the full grid never has to
+    exist.  Where the whole last axis fits one group, each tile is one
+    axis-0 block over every column.
 
     ``minus``, if given, holds one array of values per axis, each as long
     as that axis (checked here too): the values are then those of the
     grid minus the separable function minus[0][i_0] * ... *
     minus[d-1][i_{d-1}].  It is subtracted inside each axis-0 GEMM as one
     more inner-product term, the block's -minus[0][rows] against the
-    product of the later axes, so it needs no grid of its own and no
-    pass of its own.
+    product of the later axes over the group's columns, so it needs no
+    grid of its own and no pass of its own.
     """
     xs = _grid_axes(q, axes)
-    return _grid_row_blocks(q, xs, None if minus is None else _grid_minus(xs, minus))
+    return _grid_tiles(q, xs, None if minus is None else _grid_minus(xs, minus))
 
 
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Separable evaluation on a tensor-product point grid.
 
     Fills a C-ordered array of shape (len(axes[0]), ..., len(axes[d-1]))
-    from the row blocks of :func:`evaluate_on_grid_blocks`.  Agrees with
+    from the tiles of :func:`evaluate_on_grid_blocks`.  Agrees with
     :func:`evaluate_dense` on the product points to truncation accuracy.
     """
-    blocks = evaluate_on_grid_blocks(q, axes)
+    tiles = evaluate_on_grid_blocks(q, axes)
     out = np.empty(tuple(np.size(ax) for ax in axes))
-    for rows, vals in blocks:
-        out[rows] = vals
+    for rows, cols, vals in tiles:
+        out[_tile_index(rows, cols, out.shape)] = vals
     return out

@@ -253,6 +253,20 @@ def test_invalid_value_returns_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_error_leaves_no_table_behind(tmp_path, capsys):
+    # the second order's path is a directory: the first order's table must
+    # not be renamed into place, and no temporary file may stay
+    (tmp_path / "x_m1.csv").mkdir()
+    assert run(["table1", "--m", "0,1", "--nmin", "32", "--nmax", "64",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_m1.csv"]
+    assert list((tmp_path / "x_m1.csv").iterdir()) == []
+    assert run(["table1", "--m", "0", "--nmin", "32", "--nmax", "64",
+                "--out", str(tmp_path / "x.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_m0.csv", "x_m1.csv"]
+
+
 def test_numerical_failure_returns_3(tmp_path, monkeypatch):
     import torusqi.cli as cli_mod
 
@@ -429,11 +443,11 @@ def test_conv2d_non_finite_error_exits_3_before_writing(tmp_path, monkeypatch, c
     real = cli_mod.evaluate_on_grid_blocks
 
     def nan_in_first_block(q, axes, minus=None):
-        blocks = real(q, axes, minus)
-        rows, values = next(blocks)
+        tiles = real(q, axes, minus)
+        rows, cols, values = next(tiles)
         values[0, 0] = math.nan
-        yield rows, values
-        yield from blocks
+        yield rows, cols, values
+        yield from tiles
 
     monkeypatch.setattr(cli_mod, "evaluate_on_grid_blocks", nan_in_first_block)
     out = tmp_path / "out" / "c.csv"
@@ -493,7 +507,7 @@ def test_conv2d_frees_each_grid(tmp_path):
 
 
 def test_conv2d_streams_below_one_grid(tmp_path):
-    # the approximant is reduced one row block at a time, so no (4N+1)^2
+    # the approximant is reduced one tile at a time, so no (4N+1)^2
     # array exists; materializing the approximant alone takes one grid
     import tracemalloc
 
@@ -509,6 +523,31 @@ def test_conv2d_streams_below_one_grid(tmp_path):
     assert peak < (4 * 512 + 1) ** 2 * 8
 
 
+def test_conv2d_error_grid_holds_no_n_by_4n_intermediate():
+    # each column group's intermediate holds at most 2^21 values, so one
+    # N = 1024 error grid peaks below the 1024 x 4097 array that
+    # contracting the whole last axis at once would build
+    import tracemalloc
+
+    from torusqi.analysis import gp_eval, make_gp
+    from torusqi.cli import _errors_2d
+    from torusqi.grid import FullGridSpec
+    from torusqi.qi import from_samples
+
+    n = 1024
+    g1 = make_gp(6, 1)
+    a = gp_eval(g1, FullGridSpec((n,)).axis(0))
+    q = from_samples(np.outer(a, a), (0, 0), (1.5, 1.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _errors_2d(g1, q, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (4 * n + 1) * 8
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_conv2d_streamed_norms_match_materialized(m):
     from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
@@ -522,22 +561,23 @@ def test_conv2d_streamed_norms_match_materialized(m):
         q = from_samples(np.outer(a, a), (m, m), (1.5, 1.5))
         ax = offset_eval_axis(n)
         g_ax = gp_eval(g1, ax)
+        idx = np.arange(ax.size)
         diff = np.empty((ax.size, ax.size))
-        for rows, vals in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
-            diff[rows] = vals
+        for rows, cols, vals in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
+            diff[np.ix_(idx[rows], idx[cols])] = vals
         linf = float(np.max(np.abs(diff)))
         l2 = math.sqrt(np.mean(diff**2) * TWO_PI**2)
         got_linf, got_l2 = _errors_2d(g1, q, n)
-        # both come from the same row blocks: only the summation order of
-        # the squares differs
+        # both come from the same tiles: only the summation order of the
+        # squares differs
         assert got_linf == linf, (m, n)
         assert got_l2 == pytest.approx(l2, rel=1e-12, abs=0.0), (m, n)
 
 
 def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at these flags the approximant's row blocks come out bitwise equal at
+    # at these flags the approximant's tiles come out bitwise equal at
     # 1 and 2 BLAS threads (OpenBLAS 0.3.31; at m = 2, gamma = 1.5 its
-    # threaded GEMMs round differently), and the blocks are long enough
+    # threaded GEMMs round differently), and the tiles are long enough
     # (13,364 to 106,548 values) for a BLAS dot to split its sum of squares
     # across threads; the sum must not depend on how many there are
     src = str(Path(__file__).resolve().parents[1] / "src")

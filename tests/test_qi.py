@@ -506,17 +506,31 @@ def test_evaluators_match_the_fourier_series_on_sparse_grids(d, level, gamma):
         assert _within_round_off(evaluate_dense(q, x), expected), m
 
 
+def _tiled(q, axes, minus=None):
+    """The grid as evaluate_on_grid_blocks' tiles fill it, and each point's hit count."""
+    idx = [np.arange(len(ax)) for ax in axes]
+    shape = tuple(len(ax) for ax in axes)
+    got = np.full(shape, np.nan)
+    hits = np.zeros(shape, dtype=int)
+    for rows, cols, vals in evaluate_on_grid_blocks(q, axes, minus=minus):
+        if cols is None:
+            assert q.grid.dims == 1
+            where = np.ix_(idx[0][rows])
+        else:
+            where = np.ix_(idx[0][rows], *idx[1:-1], idx[-1][cols])
+        assert vals.shape == got[where].shape
+        np.add.at(hits, where, 1)
+        got[where] = vals
+    return got, hits
+
+
 def test_grid_row_blocks_cover_each_row_once():
-    # evaluate_on_grid is filled from these blocks, so each block must hold
-    # exactly the rows it names, and every row must come exactly once
+    # evaluate_on_grid is filled from these tiles, so each tile must hold
+    # exactly the points it names, and every point must come exactly once
     for label, q, axes in _banded_battery():
-        full = evaluate_on_grid(q, axes)
-        hits = np.zeros(len(axes[0]), dtype=int)
-        for rows, vals in evaluate_on_grid_blocks(q, axes):
-            np.add.at(hits, np.arange(len(axes[0]))[rows], 1)
-            assert vals.shape == (len(hits[rows]),) + full.shape[1:], label
-            assert np.array_equal(vals, full[rows]), label
+        got, hits = _tiled(q, axes)
         assert np.all(hits == 1), label
+        assert np.array_equal(got, evaluate_on_grid(q, axes)), label
 
 
 def test_grid_row_blocks_subtract_a_separable_function():
@@ -529,12 +543,54 @@ def test_grid_row_blocks_subtract_a_separable_function():
         minus = [rng.uniform(-1.0, 1.0, len(ax)) for ax in axes]
         values = evaluate_on_grid(q, axes)
         expected = values - reduce(np.multiply.outer, minus)
-        got = np.full(values.shape, np.nan)
-        for rows, vals in evaluate_on_grid_blocks(q, axes, minus=minus):
-            got[rows] = vals
+        got, hits = _tiled(q, axes, minus)
+        assert np.all(hits == 1), label
         tol = 1e-13 * (1.0 + float(np.max(np.abs(values))))
         assert np.max(np.abs(got - expected)) <= tol, label
     assert dims == {1, 2, 3}
+
+
+@pytest.mark.parametrize("cap", [1, 50])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
+    # a budget of `cap` columns per group: 1 cuts every last-axis block by
+    # rows, 50 groups two whole banded blocks of 21 columns (or cuts the
+    # one block of a spanning window); the last axis wraps past 2 pi and
+    # is shuffled, and the minus tail follows each group
+    from torusqi.analysis import make_gp, offset_eval_axis
+
+    rng = np.random.default_rng(20)
+    last = rng.permutation(offset_eval_axis(32))  # 129 points
+    short = np.array([0.02, 3.3, 6.27])
+    cases = {
+        1: [build_full(make_gp(6, 1), 32, 1, 2, 1.5)],
+        # a banded, then a spanning last axis
+        2: [build_aniso(make_gp(6, 2), (16, 128), (2, 1), (1.5, 1.0)),
+            build_aniso(make_gp(6, 2), (16, 8), (1, 2), (1.0, 1.5))],
+        3: [build_aniso(make_gp(6, 3), (8, 16, 128), (0, 2, 1), (1.0, 1.5, 1.0))],
+    }[d]
+    for q in cases:
+        axes = [short, offset_eval_axis(4)][: d - 1] + [last]
+        counts = q.grid.counts
+        per_col = counts[0] * math.prod(max(n, len(ax)) for n, ax in zip(counts[1:-1], axes[1:-1]))
+        monkeypatch.setattr(qi, "_CHUNK_ELEMS", per_col * cap)
+        minus = [rng.uniform(-1.0, 1.0, len(ax)) for ax in axes]
+        values = evaluate_on_grid(q, axes)
+        got, hits = _tiled(q, axes)
+        assert np.all(hits == 1), counts
+        assert np.array_equal(got, values), counts
+        if d > 1:
+            groups = {tuple(np.arange(len(last))[cols])
+                      for _, cols, _ in evaluate_on_grid_blocks(q, axes)}
+            assert len(groups) >= -(-len(last) // cap) > 1, counts
+            assert max(map(len, groups)) <= cap, counts
+        got_minus, hits = _tiled(q, axes, minus)
+        assert np.all(hits == 1), counts
+        dense = evaluate_dense(q, _product_points(axes)).reshape(values.shape)
+        expected = dense - reduce(np.multiply.outer, minus)
+        tol = 1e-13 * (1.0 + float(np.max(np.abs(dense))))
+        assert np.max(np.abs(values - dense)) <= tol, counts
+        assert np.max(np.abs(got_minus - expected)) <= tol, counts
 
 
 def test_grid_row_blocks_check_minus_before_the_first_block():

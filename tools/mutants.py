@@ -116,8 +116,8 @@ MUTANTS = (
     Mutant(
         "nan-in-conv2d-row-block",
         "cli.py",
-        "    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n",
-        "    for _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n"
+        "    for _, _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n",
+        "    for _, _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):\n"
         "        diff[0, 0] = np.nan\n",
         (
             "tests/test_cli.py::test_conv2d_smoke",
@@ -130,7 +130,37 @@ MUTANTS = (
         "qi.py",
         "            vals = (np.hstack([kern, -minus[0][rows, None]])\n",
         "            vals = (np.hstack([kern, minus[0][rows, None]])\n",
-        ("tests/test_qi.py::test_grid_row_blocks_subtract_a_separable_function",),
+        (
+            "tests/test_qi.py::test_grid_row_blocks_subtract_a_separable_function",
+            "tests/test_qi.py::test_grid_tiles_cover_each_point_once_in_column_groups",
+        ),
+    ),
+    Mutant(
+        # the grid's last columns never come out
+        "last-column-group-dropped",
+        "qi.py",
+        "    if group:\n        yield renumbered(group)\n",
+        "",
+        (
+            "tests/test_qi.py::test_grid_row_blocks_cover_each_row_once",
+            "tests/test_qi.py::test_grid_tiles_cover_each_point_once_in_column_groups",
+        ),
+    ),
+    Mutant(
+        # every group subtracts the first group's columns of the last axis
+        "minus-tail-first-group-columns",
+        "qi.py",
+        "            later = [*minus[1:-1], minus[-1][cols]] if d > 1 else []\n",
+        "            later = [*minus[1:-1], minus[-1][: cols.size]] if d > 1 else []\n",
+        ("tests/test_qi.py::test_grid_tiles_cover_each_point_once_in_column_groups",),
+    ),
+    Mutant(
+        # a directory at a later path fails its rename after earlier renames
+        "write-directory-check-dropped",
+        "cli.py",
+        "            if path.is_dir():\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_write_error_leaves_no_table_behind",),
     ),
     Mutant(
         # ell = 65 is inside the alias band of a tier-1 run that expects success
