@@ -24,22 +24,22 @@ fixed partition of blocks (up to four, from the point count and the grids
 alone), which a per-call thread pool evaluates on the usable CPUs, each
 block into its own columns of the result.  The blocks are whole BLAS row
 tiles, so the values are those of one unblocked evaluation, bitwise equal
-at any CPU count.  Tensor-product evaluation grids contract one axis at a
-time as banded BLAS blocks: the axis's coordinates are sorted, and each
-block of sorted rows scatters its window entries into a small dense matrix
-that multiplies the contiguous slab of nodes the block touches (gathered
-mod N where the window wraps).  The last axis's blocks are taken in
-column groups of whole blocks, each small enough that its intermediate
-(N_0 x ... x its columns) holds at most ``_CHUNK_ELEMS`` values; per group,
-axes d-1, ..., 1 are contracted and then axis 0 block by block, and the
-group's intermediate is freed before the next is built.  The grid's values
-thus come out as a stream of tiles, (axis-0 block) x (column group)
-(``evaluate_on_grid_blocks``), that a caller can reduce without ever
-holding the whole grid or an N_0 x len(last axis) array;
-``evaluate_on_grid`` collects them into one array.  Given the per-axis
-values of a separable function (``minus``), each axis-0 GEMM also
-subtracts that function, as one more inner-product term, so an error grid
-needs no reference grid and no subtraction pass.
+at any CPU count.  Tensor-product evaluation grids sort each axis once
+and contract one axis at a time at its ascending coordinates, as banded
+BLAS blocks: each block of consecutive points scatters its window entries
+into a small dense matrix that multiplies the contiguous slab of nodes it
+touches (gathered mod N where the window wraps) and writes one slice of
+the result.  The last axis is cut into equal column groups whose
+intermediates (N_0 x ... x its columns) hold at most ``_CHUNK_ELEMS``
+values; per group, axes d-1, ..., 1 are contracted and then axis 0 block
+by block, and the group's intermediate is freed before the next is built.
+The values come out as a stream of tiles, (axis-0 block) x (column group)
+(``evaluate_on_grid_blocks``), named by the points' given indices, that a
+caller can reduce without ever holding the whole grid or an
+N_0 x len(last axis) array; ``evaluate_on_grid`` collects them into one
+array.  Given the per-axis values of a separable function (``minus``),
+each axis-0 GEMM also subtracts that function, as one more inner-product
+term, so an error grid needs no reference grid and no subtraction pass.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -708,47 +708,35 @@ def evaluate_dense(q, points) -> np.ndarray:
     return out
 
 
-def _gemm_into(out: np.ndarray, dest, kern: np.ndarray, slab: np.ndarray) -> None:
-    """out[:, dest, :] = kern @ slab per leading index (one BLAS GEMM each).
-
-    A slice ``dest`` is written in place; an index array goes through a
-    temporary.
-    """
+def _gemm_into(out: np.ndarray, rows: slice, kern: np.ndarray, slab: np.ndarray) -> None:
+    """out[:, rows, :] = kern @ slab per leading index (one BLAS GEMM each)."""
     if out.shape[2] == 1:
         # last axis: all leading indices in one GEMM, not one GEMV each
-        lhs, rhs, target = slab[:, :, 0], kern.T, out[:, :, 0]
+        np.matmul(slab[:, :, 0], kern.T, out=out[:, rows, 0])
     else:
-        lhs, rhs, target = kern, slab, out
-    if isinstance(dest, slice):
-        np.matmul(lhs, rhs, out=target[:, dest])
-    else:
-        target[:, dest] = lhs @ rhs
+        np.matmul(kern, slab, out=out[:, rows])
 
 
 def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
-    """Banded blocks of axis r's kernel matrix at the coordinates x.
+    """Banded blocks of axis r's kernel matrix at the ascending coordinates x.
 
-    Yields (rows, kern, nodes): the output rows (a slice when they are
-    consecutive, else an index array), a dense len(rows) x len(nodes)
-    kernel block, and the axis nodes it multiplies (a slice, or an index
-    array gathered mod n_r where the window wraps past 0 or 2 pi).  When
-    the window spans the axis, the one block is the whole dense kernel
-    matrix.  Otherwise the coordinates are sorted and cut into blocks
-    whose nodes advance by about one window, and each block's window
-    values are scattered into its matrix; the blocks hold exactly the
-    truncated window entries, so only the summation order differs from a
-    sparse product.
+    Yields (rows, kern, nodes): the slice of x the block covers, a dense
+    len(rows) x len(nodes) kernel block, and the axis nodes it multiplies
+    (a slice, or an index array gathered mod n_r where the window wraps
+    past 0 or 2 pi).  When the window spans the axis, the one block is the
+    whole dense kernel matrix.  Otherwise x is cut into blocks whose nodes
+    advance by about one window, and each block's window values are
+    scattered into its matrix; the blocks hold exactly the truncated
+    window entries, so only the summation order differs from a sparse
+    product.
     """
     n = q.grid.counts[r]
-    hw = q.stencil_halfwidths[r]
     params = q.params[r]
-    if 2 * hw + 1 >= n:
-        _, kern = _dim_windows(x, n, [params])(params)
+    raw, kern = _dim_windows(x, n, [params])(params)
+    if raw is None:
         yield slice(None), kern, slice(None)
         return
-    order = np.argsort(x, kind="stable")
-    raw, kern = _dim_windows(x[order], n, [params])(params)
-    width = 2 * hw + 1
+    width = 2 * q.stencil_halfwidths[r] + 1
     # a block of `step` sorted, evenly spread rows touches about
     # step n / M + width nodes, twice the window: the GEMM multiplies
     # about as many zeros as window entries
@@ -761,14 +749,7 @@ def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
         first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
         block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
         nodes = slice(lo, hi + 1) if 0 <= lo and hi < n else np.arange(lo, hi + 1) % n
-        yield _as_slice(order[start:stop]), block, nodes
-
-
-def _as_slice(idx: np.ndarray):
-    """A slice in place of a non-empty index array that runs consecutively."""
-    if np.all(np.diff(idx) == 1):
-        return slice(idx[0], idx[-1] + 1)
-    return idx
+        yield slice(start, stop), block, nodes
 
 
 def _contract_axis(res: np.ndarray, blocks, size: int, r: int) -> np.ndarray:
@@ -776,43 +757,13 @@ def _contract_axis(res: np.ndarray, blocks, size: int, r: int) -> np.ndarray:
 
     ``blocks`` holds (rows, kern, nodes) triples as :func:`_axis_blocks`
     yields them.  Returns a C-ordered array with axis r of length
-    ``size``: one GEMM per block, written through a slice when the
-    block's rows are consecutive in the output.
+    ``size``, one GEMM per block written through its slice of rows.
     """
     src = res.reshape(math.prod(res.shape[:r]), res.shape[r], -1)
     out = np.empty((src.shape[0], size, src.shape[2]))
     for rows, kern, nodes in blocks:
         _gemm_into(out, rows, kern, src[:, nodes])
     return out.reshape(res.shape[:r] + (size,) + res.shape[r + 1 :])
-
-
-def _column_groups(blocks, size: int, cap: int):
-    """The last axis's banded blocks, in groups of at most ``cap`` columns.
-
-    ``blocks`` are those of :func:`_axis_blocks` on an axis of ``size``
-    points.  Yields (cols, local) per group of consecutive whole blocks:
-    the group's point indices on the axis, ascending, and its blocks with
-    their rows renumbered as positions in ``cols`` (a slice where they are
-    consecutive), so a group of every block keeps each block's rows.  Only
-    a block of more than ``cap`` rows is cut, by rows.
-    """
-    def renumbered(group):
-        cols = np.sort(np.concatenate([rows for rows, _, _ in group]))
-        return cols, [(_as_slice(np.searchsorted(cols, rows)), kern, nodes)
-                      for rows, kern, nodes in group]
-
-    group, width = [], 0
-    for rows, kern, nodes in blocks:
-        rows = np.arange(size)[rows]
-        for start in range(0, rows.size, cap):
-            piece = rows[start : start + cap]
-            if width + piece.size > cap:
-                yield renumbered(group)
-                group, width = [], 0
-            group.append((piece, kern[start : start + cap], nodes))
-            width += piece.size
-    if group:
-        yield renumbered(group)
 
 
 def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
@@ -835,6 +786,8 @@ def _grid_minus(xs: list[np.ndarray], minus: Sequence) -> list[np.ndarray]:
         v = np.asarray(values, dtype=float)
         if v.shape != x.shape:
             raise ValueError(f"minus axis {r} must have shape {x.shape}, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"minus axis {r} holds a non-finite value")
         out.append(v)
     return out
 
@@ -842,19 +795,33 @@ def _grid_minus(xs: list[np.ndarray], minus: Sequence) -> list[np.ndarray]:
 def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray], minus):
     d = q.grid.dims
     counts = q.grid.counts
+    # every axis is contracted at its ascending coordinates, as BLAS may
+    # round a GEMM column by its position; tiles name points via `orders`
+    orders = [np.argsort(x, kind="stable") for x in xs]
+    xs = [x[order] for x, order in zip(xs, orders)]
+    if minus is not None:
+        minus = [v[order] for v, order in zip(minus, orders)]
     # axis 0's and the middle axes' blocks serve every column group
     blocks = [list(_axis_blocks(q, xs[r], r)) for r in range(max(1, d - 1))]
+    # the inverse orders put each tile's middle axes back in their given order
+    given = [np.argsort(order) for order in orders[1:-1]]
     if d == 1:
-        groups = [(None, [])]
+        groups = [slice(None)]
     else:
-        # a group's largest intermediate, per column of the last axis
+        # equal groups of the last axis's sorted points, at most `cap` each,
+        # so that a group's largest intermediate, per_col values per column,
+        # stays within _CHUNK_ELEMS
         per_col = counts[0] * math.prod(max(counts[r], xs[r].size) for r in range(1, d - 1))
-        groups = _column_groups(_axis_blocks(q, xs[-1], d - 1), xs[-1].size,
-                                max(1, _CHUNK_ELEMS // per_col))
-    for cols, local in groups:
+        cap = max(1, _CHUNK_ELEMS // per_col)
+        size = xs[-1].size
+        parts = -(-size // cap)
+        width = -(-size // parts) if parts else 1  # an empty axis has no groups
+        groups = [slice(start, start + width) for start in range(0, size, width)]
+    for cols in groups:
         res = q.samples
         if d > 1:
-            res = _contract_axis(res, local, cols.size, d - 1)
+            x = xs[-1][cols]
+            res = _contract_axis(res, _axis_blocks(q, x, d - 1), x.size, d - 1)
         for r in range(d - 2, 0, -1):
             res = _contract_axis(res, blocks[r], xs[r].size, r)
         src = res.reshape(counts[0], -1)
@@ -863,14 +830,17 @@ def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray], minus):
             # more row of src
             later = [*minus[1:-1], minus[-1][cols]] if d > 1 else []
             tail = reduce(np.multiply.outer, later, np.ones(())).reshape(1, -1)
-        tile_cols = None if d == 1 else _as_slice(cols)
+        tile_cols = None if d == 1 else orders[-1][cols]
         for rows, kern, nodes in blocks[0]:
             if minus is None:
                 vals = kern @ src[nodes]
             else:
                 vals = (np.hstack([kern, -minus[0][rows, None]])
                         @ np.vstack([src[nodes], tail]))
-            yield rows, tile_cols, vals.reshape(vals.shape[:1] + res.shape[1:])
+            vals = vals.reshape(vals.shape[:1] + res.shape[1:])
+            for r, inverse in enumerate(given, 1):
+                vals = np.take(vals, inverse, axis=r)
+            yield orders[0][rows], tile_cols, vals
         # the group's intermediate goes before the next group's is built
         del res, src
 
@@ -879,8 +849,6 @@ def _tile_index(rows, cols, shape: tuple[int, ...]):
     """Index of a tile's values in a C-ordered grid array of ``shape``."""
     if cols is None:
         return rows
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return (rows, *[slice(None)] * (len(shape) - 2), cols)
     return np.ix_(rows, *map(np.arange, shape[1:-1]), cols)
 
 
@@ -890,33 +858,35 @@ def evaluate_on_grid_blocks(
     """Separable evaluation on a tensor-product point grid, in tiles.
 
     Each axis must be 1-D and finite (checked here, before the first
-    tile); it is reduced mod 2 pi and contracted against the same
-    truncated kernel window :func:`evaluate` uses.  Per axis, the sorted
-    coordinates are cut into blocks whose window entries fill a small
-    dense matrix, and each block is one BLAS GEMM against the contiguous
-    slab of nodes it touches (wrapped mod N_r at 0 and 2 pi); an axis
-    whose window spans it is one GEMM with the dense kernel.  For d >= 2
-    the last axis's blocks are taken in column groups of whole blocks, so
-    that each intermediate of a group, N_0 x max(N_r, len(axes[r])) for
-    the middle axes x the group's columns, holds at most ``_CHUNK_ELEMS``
-    (2^21) values; a block wider than that alone is cut by rows.  Per
-    group, axes d-1, ..., 1 are contracted, then axis 0 one banded block
-    at a time, and the group's intermediate is freed before the next
-    group's is built.
+    tile); it is reduced mod 2 pi, sorted once (stably), and contracted at
+    its ascending coordinates against the same truncated kernel window
+    :func:`evaluate` uses.  Per axis, the sorted coordinates are cut into
+    blocks whose window entries fill a small dense matrix, and each block
+    is one BLAS GEMM against the contiguous slab of nodes it touches
+    (wrapped mod N_r at 0 and 2 pi); an axis whose window spans it is one
+    GEMM with the dense kernel.  For d >= 2 the last axis's M sorted
+    points are cut into ceil(M / cap) equal column groups (the last may be
+    shorter), where cap columns keep each intermediate of a group,
+    N_0 x max(N_r, len(axes[r])) for the middle axes x the group's
+    columns, at most ``_CHUNK_ELEMS`` (2^21) values.  Per group, axes
+    d-1, ..., 1 are contracted, then axis 0 one banded block at a time,
+    and the group's intermediate is freed before the next one's is built.
 
     Returns an iterator of (rows, cols, values) tiles.  ``values`` holds
     the grid's values at ``axes[0][rows]`` x ``axes[1]`` x ... x
     ``axes[d-1][cols]``, with shape (len(rows), len(axes[1]), ...,
-    len(cols)); ``rows`` and ``cols`` are slices or index arrays, and
-    ``cols`` ascend.  For d = 1, ``cols`` is None and ``values`` has shape
+    len(cols)); ``rows`` and ``cols`` are index arrays into the given
+    axes.  For d = 1, ``cols`` is None and ``values`` has shape
     (len(rows),).  The tiles cover every grid point exactly once, and only
     one tile's values are new per step, so the full grid never has to
     exist.  Where the whole last axis fits one group, each tile is one
-    axis-0 block over every column.
+    axis-0 block over every column.  The values depend only on the sorted
+    coordinates (equal ones in their given order), so permuting an axis
+    of distinct points permutes them, bitwise.
 
-    ``minus``, if given, holds one array of values per axis, each as long
-    as that axis (checked here too): the values are then those of the
-    grid minus the separable function minus[0][i_0] * ... *
+    ``minus``, if given, holds one finite array of values per axis, each
+    as long as that axis (checked here too): the values are then those of
+    the grid minus the separable function minus[0][i_0] * ... *
     minus[d-1][i_{d-1}].  It is subtracted inside each axis-0 GEMM as one
     more inner-product term, the block's -minus[0][rows] against the
     product of the later axes over the group's columns, so it needs no

@@ -364,8 +364,8 @@ def test_grid_path_matches_dense():
 def _banded_battery():
     """(label, interpolant, axes) cases of the banded grid contraction.
 
-    Sorted-row blocks, wrapped slabs at 0 and 2 pi, slice and index-array
-    writes, every GEMM layout (first, middle and last axis), and windows
+    Sorted-row blocks, wrapped slabs at 0 and 2 pi, reversed and permuted
+    axes, every GEMM layout (first, middle and last axis), and windows
     that span their axis; the 3D cases mix banded and spanning axes.
     """
     from torusqi.analysis import make_gp, offset_eval_axis
@@ -553,10 +553,10 @@ def test_grid_row_blocks_subtract_a_separable_function():
 @pytest.mark.parametrize("cap", [1, 50])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
-    # a budget of `cap` columns per group: 1 cuts every last-axis block by
-    # rows, 50 groups two whole banded blocks of 21 columns (or cuts the
-    # one block of a spanning window); the last axis wraps past 2 pi and
-    # is shuffled, and the minus tail follows each group
+    # a budget of `cap` columns per group cuts the last axis's 129 sorted
+    # points into ceil(129 / cap) equal groups, across banded blocks and
+    # the one block of a spanning window; the last axis wraps past 2 pi
+    # and is shuffled, and the minus tail follows each group
     from torusqi.analysis import make_gp, offset_eval_axis
 
     rng = np.random.default_rng(20)
@@ -582,8 +582,9 @@ def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
         if d > 1:
             groups = {tuple(np.arange(len(last))[cols])
                       for _, cols, _ in evaluate_on_grid_blocks(q, axes)}
-            assert len(groups) >= -(-len(last) // cap) > 1, counts
-            assert max(map(len, groups)) <= cap, counts
+            widths = sorted(map(len, groups))
+            assert len(groups) == -(-len(last) // cap) > 1, counts
+            assert widths[-1] <= cap and len(set(widths[1:])) == 1, counts
         got_minus, hits = _tiled(q, axes, minus)
         assert np.all(hits == 1), counts
         dense = evaluate_dense(q, _product_points(axes)).reshape(values.shape)
@@ -593,6 +594,68 @@ def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
         assert np.max(np.abs(got_minus - expected)) <= tol, counts
 
 
+def _random_grid(counts, seed):
+    """Interpolant of random samples: N = 64 axes are banded, N = 8 ones span."""
+    rng = np.random.default_rng(seed)
+    return from_samples(rng.uniform(-1.0, 1.0, counts), (0,) * len(counts),
+                        (1.0,) * len(counts))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_tiles_take_empty_and_one_point_axes(d):
+    # each axis position in turn empty or one point, the others wrapped
+    # past 2 pi, under banded and under spanning windows
+    from torusqi.analysis import offset_eval_axis
+
+    rng = np.random.default_rng(21)
+    for n in (64, 8):
+        q = _random_grid((n,) * d, d)
+        assert (2 * q.stencil_halfwidths[0] + 1 < n) == (n == 64)
+        for r in range(d):
+            for ax in (np.array([]), np.array([6.2])):
+                axes = [offset_eval_axis(2)] * d
+                axes[r] = ax
+                minus = [rng.uniform(-1.0, 1.0, len(a)) for a in axes]
+                values = evaluate_on_grid(q, axes)
+                assert values.shape == tuple(len(a) for a in axes), (n, r, ax)
+                got, hits = _tiled(q, axes)
+                assert np.all(hits == 1) and np.array_equal(got, values), (n, r, ax)
+                _, hits = _tiled(q, axes, minus)
+                assert np.all(hits == 1), (n, r, ax)
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_values_follow_permuted_axes_bitwise(monkeypatch, d, cap):
+    # every axis is contracted at its sorted coordinates, so the values,
+    # read in each axis's stable sorted order, have the same bits whatever
+    # order the points come in: axes that wrap past 2 pi, hold duplicates
+    # and lie outside [0, 2 pi), on banded and spanning windows, in one
+    # group or in groups of `cap` columns.  They are read sorted because
+    # BLAS may round equal points at different row or column positions
+    # differently, and a tie's position follows the given order
+    from torusqi.analysis import offset_eval_axis
+
+    def sorted_values(q, axes):
+        reduced = [np.remainder(a, TWO_PI) for a in axes]
+        where = np.ix_(*[np.argsort(x, kind="stable") for x in reduced])
+        tiles, hits = _tiled(q, axes, [np.cos(3.0 * x) for x in reduced])
+        assert np.all(hits == 1)
+        return evaluate_on_grid(q, axes)[where], tiles[where]
+
+    rng = np.random.default_rng(22)
+    ax = np.concatenate([offset_eval_axis(4), [0.3, 0.3, 6.2, -1.0, TWO_PI + 0.3]])
+    for counts in [(64, 8, 64)[:d], (8, 64, 8)[:d]]:
+        q = _random_grid(counts, d)
+        if cap is not None:
+            per_col = counts[0] * math.prod(max(n, ax.size) for n in counts[1:-1])
+            monkeypatch.setattr(qi, "_CHUNK_ELEMS", per_col * cap)
+        axes = [ax + 0.1 * r for r in range(d)]
+        permuted = [rng.permutation(a) for a in axes]
+        for got, expected in zip(sorted_values(q, permuted), sorted_values(q, axes)):
+            assert np.array_equal(got, expected), counts
+
+
 def test_grid_row_blocks_check_minus_before_the_first_block():
     q = build_full(const_one, 16, 2, 0, 1.0)
     axes = [np.array([0.1, 0.2]), np.array([0.3])]
@@ -600,6 +663,11 @@ def test_grid_row_blocks_check_minus_before_the_first_block():
         evaluate_on_grid_blocks(q, axes, minus=[np.ones(2)])
     with pytest.raises(ValueError, match="minus axis 1"):
         evaluate_on_grid_blocks(q, axes, minus=[np.ones(2), np.ones(2)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="minus axis 1 holds a non-finite value"):
+            evaluate_on_grid_blocks(q, axes, minus=[np.ones(2), np.array([bad])])
+        with pytest.raises(ValueError, match="minus axis 0 holds a non-finite value"):
+            evaluate_on_grid_blocks(q, axes, minus=[np.array([0.5, bad]), np.ones(1)])
 
 
 def test_grid_row_blocks_validate_before_the_first_block():

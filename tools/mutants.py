@@ -139,12 +139,45 @@ MUTANTS = (
         # the grid's last columns never come out
         "last-column-group-dropped",
         "qi.py",
-        "    if group:\n        yield renumbered(group)\n",
-        "",
+        "        groups = [slice(start, start + width) for start in range(0, size, width)]\n",
+        "        groups = [slice(start, start + width) for start in range(0, size - width, width)]\n",
         (
             "tests/test_qi.py::test_grid_row_blocks_cover_each_row_once",
             "tests/test_qi.py::test_grid_tiles_cover_each_point_once_in_column_groups",
+            "tests/test_qi.py::test_grid_tiles_take_empty_and_one_point_axes",
         ),
+    ),
+    Mutant(
+        # a tile's middle axes stay in sorted order
+        "middle-axis-take-dropped",
+        "qi.py",
+        "            for r, inverse in enumerate(given, 1):\n"
+        "                vals = np.take(vals, inverse, axis=r)\n",
+        "",
+        (
+            "tests/test_qi.py::test_grid_values_follow_permuted_axes_bitwise",
+            "tests/test_qi.py::test_grid_path_banded_battery",
+        ),
+    ),
+    Mutant(
+        # tiles name sorted positions, not the points' given indices
+        "tiles-name-sorted-positions",
+        "qi.py",
+        "        tile_cols = None if d == 1 else orders[-1][cols]\n",
+        "        orders = [np.arange(x.size) for x in xs]\n"
+        "        tile_cols = None if d == 1 else orders[-1][cols]\n",
+        (
+            "tests/test_qi.py::test_grid_values_follow_permuted_axes_bitwise",
+            "tests/test_qi.py::test_grid_path_banded_battery",
+        ),
+    ),
+    Mutant(
+        "minus-finite-check-dropped",
+        "qi.py",
+        "        if not np.all(np.isfinite(v)):\n"
+        "            raise ValueError(f\"minus axis {r} holds a non-finite value\")\n",
+        "",
+        ("tests/test_qi.py::test_grid_row_blocks_check_minus_before_the_first_block",),
     ),
     Mutant(
         # every group subtracts the first group's columns of the last axis
