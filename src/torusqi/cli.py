@@ -67,7 +67,6 @@ from .qi import (  # noqa: F401
     evaluate,
     evaluate_many,
     evaluate_on_grid,
-    evaluate_on_grid_blocks,
     from_samples,
 )
 from .specfun import NumericsError
@@ -238,47 +237,59 @@ def _best_gamma(m: int, levels: dict[int, float | None], gammas, errs) -> float:
     return min(gammas, key=score)
 
 
-def _errors_2d(g1, q, n: int) -> tuple[float, float]:
-    """Errors of q against G_p = g1 x g1 on the (4N+1)^2 offset grid.
+def _errors_2d(u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Errors of Q = u x u against G_p = g x g on the (4N+1)^2 offset grid.
 
-    The error streams in tiles (:func:`evaluate_on_grid_blocks`), which
-    subtract G_p's axes inside their last GEMM; each tile's extremes and
-    sum of squares are reduced before the next tile exists, so no
-    (4N+1)^2 array, nor any N x (4N+1) intermediate, is ever built.
+    ``u`` and ``g`` are the 1D interpolant and g_p at the 4N+1 offset
+    points.  With e = u - g, Q - G_p = e x u + g x e, so the sum of
+    squares over the grid is (e.e)(u.u + g.g) + 2 (e.g)(e.u); every term
+    is nonnegative up to round-off, since u is close to g, so nothing
+    cancels.  The maximum is taken over row blocks of about 2^20 values,
+    so no (4N+1)^2 array is ever built.
     """
-    ax = offset_eval_axis(n)
-    g_ax = gp_eval(g1, ax)
-    hi = lo = sq = 0.0
-    for _, _, diff in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
-        # numpy's max and min carry a NaN through, Python's would drop it
-        hi, lo = np.maximum(hi, diff.max()), np.minimum(lo, diff.min())
-        flat = diff.reshape(-1)
+    e = u - g
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
         # einsum sums on this thread; a BLAS dot splits long vectors across
         # its threads, which moves the last bits with the thread count
-        sq += float(np.einsum("i,i->", flat, flat))
-    err_linf = float(max(hi, -lo))
-    err_l2 = math.sqrt(sq / ax.size**2 * TWO_PI**2)
-    return err_linf, err_l2
+        return float(np.einsum("i,i->", x, y))
+
+    sq = dot(e, e) * (dot(u, u) + dot(g, g)) + 2.0 * dot(e, g) * dot(e, u)
+    step = max(1, (1 << 20) // u.size)
+    err_linf = 0.0
+    for start in range(0, u.size, step):
+        rows = slice(start, start + step)
+        block = np.multiply.outer(e[rows], u)
+        block += np.multiply.outer(g[rows], e)
+        # numpy's maximum carries a NaN through, Python's max would drop it
+        err_linf = np.maximum(err_linf, np.abs(block, out=block).max())
+    return float(err_linf), math.sqrt(sq / u.size**2 * TWO_PI**2)
 
 
 def run_conv2d(args: argparse.Namespace) -> None:
-    """2D convergence of G_p on tensor grids."""
+    """2D convergence of G_p on tensor grids.
+
+    G_p = g_p x g_p and the interpolant's kernel is a tensor product, so
+    the interpolant of G_p's N x N samples is u x u, where u is the 1D
+    interpolant of one axis's samples.  Per N, g_p is sampled once on the
+    nodes and once at the 4N+1 offset points, and every order's u is
+    evaluated in one call, whose rows are bitwise those of each alone; the
+    errors follow from u and g_p by :func:`_errors_2d`.  Every table is
+    built before the first file is written.
+    """
     gamma = args.gamma
     ns = _doubling_range(args.nmin, args.nmax)
     g1 = make_gp(args.p, 1)
-    # G_p is the tensor product of g_p, so its N x N samples are the outer
-    # product of one axis's; only the axes are kept, and each interpolant
-    # gets its own outer product, so one N x N sample array exists at a time
-    axes = {n: gp_eval(g1, FullGridSpec((n,)).axis(0)) for n in ns}
-    tables = []
-    for m in dict.fromkeys(args.m):
-        errs = [
-            _errors_2d(g1, from_samples(np.outer(a, a), (m, m), (gamma, gamma)), n)
-            for n, a in axes.items()
-        ]
-        tables.append(_convergence_table(args.out, m, gamma, ns, errs))
-    # every order is checked before the first file is written
-    _write_tables(tables)
+    ms = list(dict.fromkeys(args.m))
+    errs: dict[int, list[tuple[float, float]]] = {m: [] for m in ms}
+    for n in ns:
+        a = gp_eval(g1, FullGridSpec((n,)).axis(0))
+        ax = offset_eval_axis(n)
+        g = gp_eval(g1, ax)
+        qs = [from_samples(a, (m,), (gamma,)) for m in ms]
+        for m, u in zip(ms, evaluate_many(qs, ax[:, None])):
+            errs[m].append(_errors_2d(u, g))
+    _write_tables([_convergence_table(args.out, m, gamma, ns, errs[m]) for m in ms])
 
 
 def run_sparse(args: argparse.Namespace) -> None:

@@ -37,9 +37,7 @@ The values come out as a stream of tiles, (axis-0 block) x (column group)
 (``evaluate_on_grid_blocks``), named by the points' given indices, that a
 caller can reduce without ever holding the whole grid or an
 N_0 x len(last axis) array; ``evaluate_on_grid`` collects them into one
-array.  Given the per-axis values of a separable function (``minus``),
-each axis-0 GEMM also subtracts that function, as one more inner-product
-term, so an error grid needs no reference grid and no subtraction pass.
+array.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -778,29 +776,13 @@ def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
     return xs
 
 
-def _grid_minus(xs: list[np.ndarray], minus: Sequence) -> list[np.ndarray]:
-    if len(minus) != len(xs):
-        raise ValueError(f"need {len(xs)} minus axes")
-    out = []
-    for r, (x, values) in enumerate(zip(xs, minus)):
-        v = np.asarray(values, dtype=float)
-        if v.shape != x.shape:
-            raise ValueError(f"minus axis {r} must have shape {x.shape}, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"minus axis {r} holds a non-finite value")
-        out.append(v)
-    return out
-
-
-def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray], minus):
+def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray]):
     d = q.grid.dims
     counts = q.grid.counts
     # every axis is contracted at its ascending coordinates, as BLAS may
     # round a GEMM column by its position; tiles name points via `orders`
     orders = [np.argsort(x, kind="stable") for x in xs]
     xs = [x[order] for x, order in zip(xs, orders)]
-    if minus is not None:
-        minus = [v[order] for v, order in zip(minus, orders)]
     # axis 0's and the middle axes' blocks serve every column group
     blocks = [list(_axis_blocks(q, xs[r], r)) for r in range(max(1, d - 1))]
     # the inverse orders put each tile's middle axes back in their given order
@@ -825,19 +807,9 @@ def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray], minus):
         for r in range(d - 2, 0, -1):
             res = _contract_axis(res, blocks[r], xs[r].size, r)
         src = res.reshape(counts[0], -1)
-        if minus is not None:
-            # the subtracted product's later axes over the group, as one
-            # more row of src
-            later = [*minus[1:-1], minus[-1][cols]] if d > 1 else []
-            tail = reduce(np.multiply.outer, later, np.ones(())).reshape(1, -1)
         tile_cols = None if d == 1 else orders[-1][cols]
         for rows, kern, nodes in blocks[0]:
-            if minus is None:
-                vals = kern @ src[nodes]
-            else:
-                vals = (np.hstack([kern, -minus[0][rows, None]])
-                        @ np.vstack([src[nodes], tail]))
-            vals = vals.reshape(vals.shape[:1] + res.shape[1:])
+            vals = (kern @ src[nodes]).reshape(kern.shape[:1] + res.shape[1:])
             for r, inverse in enumerate(given, 1):
                 vals = np.take(vals, inverse, axis=r)
             yield orders[0][rows], tile_cols, vals
@@ -852,9 +824,7 @@ def _tile_index(rows, cols, shape: tuple[int, ...]):
     return np.ix_(rows, *map(np.arange, shape[1:-1]), cols)
 
 
-def evaluate_on_grid_blocks(
-    q: QuasiInterpolant, axes: Sequence[np.ndarray], minus: Sequence | None = None
-):
+def evaluate_on_grid_blocks(q: QuasiInterpolant, axes: Sequence[np.ndarray]):
     """Separable evaluation on a tensor-product point grid, in tiles.
 
     Each axis must be 1-D and finite (checked here, before the first
@@ -883,17 +853,8 @@ def evaluate_on_grid_blocks(
     axis-0 block over every column.  The values depend only on the sorted
     coordinates (equal ones in their given order), so permuting an axis
     of distinct points permutes them, bitwise.
-
-    ``minus``, if given, holds one finite array of values per axis, each
-    as long as that axis (checked here too): the values are then those of
-    the grid minus the separable function minus[0][i_0] * ... *
-    minus[d-1][i_{d-1}].  It is subtracted inside each axis-0 GEMM as one
-    more inner-product term, the block's -minus[0][rows] against the
-    product of the later axes over the group's columns, so it needs no
-    grid of its own and no pass of its own.
     """
-    xs = _grid_axes(q, axes)
-    return _grid_tiles(q, xs, None if minus is None else _grid_minus(xs, minus))
+    return _grid_tiles(q, _grid_axes(q, axes))
 
 
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -437,27 +437,8 @@ def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, c
 # conv2d and sparse smoke runs
 # ---------------------------------------------------------------------------
 
-def test_conv2d_non_finite_error_exits_3_before_writing(tmp_path, monkeypatch, capsys):
-    import torusqi.cli as cli_mod
-
-    real = cli_mod.evaluate_on_grid_blocks
-
-    def nan_in_first_block(q, axes, minus=None):
-        tiles = real(q, axes, minus)
-        rows, cols, values = next(tiles)
-        values[0, 0] = math.nan
-        yield rows, cols, values
-        yield from tiles
-
-    monkeypatch.setattr(cli_mod, "evaluate_on_grid_blocks", nan_in_first_block)
-    out = tmp_path / "out" / "c.csv"
-    assert run(["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32",
-                "--out", str(out)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
-    assert not out.parent.exists()
-
-
 @pytest.mark.parametrize("flags", [["table1", "--m", "0", "--nmin", "32", "--nmax", "64"],
+                                   ["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32"],
                                    ["sparse", "--dims", "2", "--levels", "2..3"]],
                          ids=lambda flags: flags[0])
 def test_non_finite_approximant_exits_3_before_writing(tmp_path, monkeypatch, capsys, flags):
@@ -507,7 +488,7 @@ def test_conv2d_frees_each_grid(tmp_path):
 
 
 def test_conv2d_streams_below_one_grid(tmp_path):
-    # the approximant is reduced one tile at a time, so no (4N+1)^2
+    # the errors are reduced one row block at a time, so no (4N+1)^2
     # array exists; materializing the approximant alone takes one grid
     import tracemalloc
 
@@ -523,63 +504,87 @@ def test_conv2d_streams_below_one_grid(tmp_path):
     assert peak < (4 * 512 + 1) ** 2 * 8
 
 
-def test_conv2d_error_grid_holds_no_n_by_4n_intermediate():
-    # each column group's intermediate holds at most 2^21 values, so one
-    # N = 1024 error grid peaks below the 1024 x 4097 array that
-    # contracting the whole last axis at once would build
-    import tracemalloc
-
-    from torusqi.analysis import gp_eval, make_gp
-    from torusqi.cli import _errors_2d
+def _conv2d_factors(m: int, gamma: float, n: int):
+    """g_p's node samples, the offset axis, u and g_p there, as conv2d takes them."""
+    from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
     from torusqi.grid import FullGridSpec
-    from torusqi.qi import from_samples
+    from torusqi.qi import evaluate, from_samples
 
-    n = 1024
     g1 = make_gp(6, 1)
     a = gp_eval(g1, FullGridSpec((n,)).axis(0))
-    q = from_samples(np.outer(a, a), (0, 0), (1.5, 1.5))
+    ax = offset_eval_axis(n)
+    u = evaluate(from_samples(a, (m,), (gamma,)), ax[:, None])
+    return a, ax, u, gp_eval(g1, ax)
+
+
+def _errors_2d_peak(n: int) -> int:
+    import tracemalloc
+
+    from torusqi.cli import _errors_2d
+
+    _, _, u, g = _conv2d_factors(2, 1.5, n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _errors_2d(g1, q, n)
+        _errors_2d(u, g)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_error_grid_holds_no_n_by_4n_intermediate():
+    # the maximum is taken over row blocks of about 2^20 values, so one
+    # N = 1024 error grid peaks below an N x (4N+1) array
+    n = 1024
+    assert _errors_2d_peak(n) < n * (4 * n + 1) * 8
+
+
+def test_conv2d_errors_hold_no_n_by_n_array(tmp_path):
+    # conv2d's errors come from 1D factors, so at N = 2048 neither they
+    # nor the command's one-N run hold an N x N array, such as the samples
+    # of a 2D interpolant
+    import tracemalloc
+
+    n = 2048
+    assert _errors_2d_peak(n) < n * n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = run(["conv2d", "--m", "2", "--gamma", "1.5", "--nmin", str(n),
+                    "--nmax", str(n), "--out", str(tmp_path / "c.csv")])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < n * (4 * n + 1) * 8
+    assert code == 0
+    assert peak < n * n * 8
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_conv2d_streamed_norms_match_materialized(m):
-    from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
+def test_conv2d_errors_match_the_2d_interpolant(m, gamma):
+    # the interpolant of G_p's N x N samples is u x u, with u the 1D
+    # interpolant of one axis's samples; the referee is the 2D grid engine
+    # on the outer-product samples, and its error grid's norms
     from torusqi.cli import _errors_2d
-    from torusqi.grid import FullGridSpec
-    from torusqi.qi import evaluate_on_grid_blocks, from_samples
+    from torusqi.qi import evaluate_on_grid, from_samples
 
-    g1 = make_gp(6, 1)
     for n in (16, 32, 64, 128):
-        a = gp_eval(g1, FullGridSpec((n,)).axis(0))
-        q = from_samples(np.outer(a, a), (m, m), (1.5, 1.5))
-        ax = offset_eval_axis(n)
-        g_ax = gp_eval(g1, ax)
-        idx = np.arange(ax.size)
-        diff = np.empty((ax.size, ax.size))
-        for rows, cols, vals in evaluate_on_grid_blocks(q, [ax, ax], minus=[g_ax, g_ax]):
-            diff[np.ix_(idx[rows], idx[cols])] = vals
+        a, ax, u, g = _conv2d_factors(m, gamma, n)
+        grid = evaluate_on_grid(from_samples(np.outer(a, a), (m, m), (gamma, gamma)), [ax, ax])
+        assert np.max(np.abs(np.outer(u, u) - grid)) <= 1e-14 * np.max(np.abs(grid)), (m, n)
+        diff = grid - np.outer(g, g)
         linf = float(np.max(np.abs(diff)))
         l2 = math.sqrt(np.mean(diff**2) * TWO_PI**2)
-        got_linf, got_l2 = _errors_2d(g1, q, n)
-        # both come from the same tiles: only the summation order of the
-        # squares differs
-        assert got_linf == linf, (m, n)
-        assert got_l2 == pytest.approx(l2, rel=1e-12, abs=0.0), (m, n)
+        got_linf, got_l2 = _errors_2d(u, g)
+        assert abs(got_linf - linf) <= 1e-14, (m, n)
+        assert abs(got_l2 - l2) <= 1e-14, (m, n)
 
 
 def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at these flags the approximant's tiles come out bitwise equal at
-    # 1 and 2 BLAS threads (OpenBLAS 0.3.31; at m = 2, gamma = 1.5 its
-    # threaded GEMMs round differently), and the tiles are long enough
-    # (13,364 to 106,548 values) for a BLAS dot to split its sum of squares
-    # across threads; the sum must not depend on how many there are
+    # at these flags the 2D grid engine's threaded GEMMs rounded
+    # differently at 1 and 2 BLAS threads (OpenBLAS 0.3.31); conv2d now
+    # evaluates 1D factors with no BLAS call and sums without BLAS, so its
+    # bytes must not depend on the thread count
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
@@ -588,11 +593,11 @@ def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / threads / "c.csv"
         subprocess.run(
-            [sys.executable, "-m", "torusqi.cli", "conv2d", "--m", "0", "--gamma", "0.5",
-             "--nmin", "64", "--nmax", "512", "--out", str(out)],
+            [sys.executable, "-m", "torusqi.cli", "conv2d", "--m", "2", "--gamma", "1.5",
+             "--nmin", "512", "--nmax", "1024", "--out", str(out)],
             env=env, check=True,
         )
-        outs.append((out.parent / "c_m0.csv").read_bytes())
+        outs.append((out.parent / "c_m2.csv").read_bytes())
     assert outs[0] == outs[1]
 
 

@@ -506,13 +506,13 @@ def test_evaluators_match_the_fourier_series_on_sparse_grids(d, level, gamma):
         assert _within_round_off(evaluate_dense(q, x), expected), m
 
 
-def _tiled(q, axes, minus=None):
+def _tiled(q, axes):
     """The grid as evaluate_on_grid_blocks' tiles fill it, and each point's hit count."""
     idx = [np.arange(len(ax)) for ax in axes]
     shape = tuple(len(ax) for ax in axes)
     got = np.full(shape, np.nan)
     hits = np.zeros(shape, dtype=int)
-    for rows, cols, vals in evaluate_on_grid_blocks(q, axes, minus=minus):
+    for rows, cols, vals in evaluate_on_grid_blocks(q, axes):
         if cols is None:
             assert q.grid.dims == 1
             where = np.ix_(idx[0][rows])
@@ -533,30 +533,13 @@ def test_grid_row_blocks_cover_each_row_once():
         assert np.array_equal(got, evaluate_on_grid(q, axes)), label
 
 
-def test_grid_row_blocks_subtract_a_separable_function():
-    # minus is folded into the axis-0 GEMMs as one more inner-product term:
-    # banded and spanning axis-0 windows, wrapped slabs, d = 1, 2, 3
-    rng = np.random.default_rng(19)
-    dims = set()
-    for label, q, axes in _banded_battery():
-        dims.add(q.grid.dims)
-        minus = [rng.uniform(-1.0, 1.0, len(ax)) for ax in axes]
-        values = evaluate_on_grid(q, axes)
-        expected = values - reduce(np.multiply.outer, minus)
-        got, hits = _tiled(q, axes, minus)
-        assert np.all(hits == 1), label
-        tol = 1e-13 * (1.0 + float(np.max(np.abs(values))))
-        assert np.max(np.abs(got - expected)) <= tol, label
-    assert dims == {1, 2, 3}
-
-
 @pytest.mark.parametrize("cap", [1, 50])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
     # a budget of `cap` columns per group cuts the last axis's 129 sorted
     # points into ceil(129 / cap) equal groups, across banded blocks and
     # the one block of a spanning window; the last axis wraps past 2 pi
-    # and is shuffled, and the minus tail follows each group
+    # and is shuffled
     from torusqi.analysis import make_gp, offset_eval_axis
 
     rng = np.random.default_rng(20)
@@ -574,7 +557,6 @@ def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
         counts = q.grid.counts
         per_col = counts[0] * math.prod(max(n, len(ax)) for n, ax in zip(counts[1:-1], axes[1:-1]))
         monkeypatch.setattr(qi, "_CHUNK_ELEMS", per_col * cap)
-        minus = [rng.uniform(-1.0, 1.0, len(ax)) for ax in axes]
         values = evaluate_on_grid(q, axes)
         got, hits = _tiled(q, axes)
         assert np.all(hits == 1), counts
@@ -585,13 +567,9 @@ def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
             widths = sorted(map(len, groups))
             assert len(groups) == -(-len(last) // cap) > 1, counts
             assert widths[-1] <= cap and len(set(widths[1:])) == 1, counts
-        got_minus, hits = _tiled(q, axes, minus)
-        assert np.all(hits == 1), counts
         dense = evaluate_dense(q, _product_points(axes)).reshape(values.shape)
-        expected = dense - reduce(np.multiply.outer, minus)
         tol = 1e-13 * (1.0 + float(np.max(np.abs(dense))))
         assert np.max(np.abs(values - dense)) <= tol, counts
-        assert np.max(np.abs(got_minus - expected)) <= tol, counts
 
 
 def _random_grid(counts, seed):
@@ -607,7 +585,6 @@ def test_grid_tiles_take_empty_and_one_point_axes(d):
     # past 2 pi, under banded and under spanning windows
     from torusqi.analysis import offset_eval_axis
 
-    rng = np.random.default_rng(21)
     for n in (64, 8):
         q = _random_grid((n,) * d, d)
         assert (2 * q.stencil_halfwidths[0] + 1 < n) == (n == 64)
@@ -615,13 +592,10 @@ def test_grid_tiles_take_empty_and_one_point_axes(d):
             for ax in (np.array([]), np.array([6.2])):
                 axes = [offset_eval_axis(2)] * d
                 axes[r] = ax
-                minus = [rng.uniform(-1.0, 1.0, len(a)) for a in axes]
                 values = evaluate_on_grid(q, axes)
                 assert values.shape == tuple(len(a) for a in axes), (n, r, ax)
                 got, hits = _tiled(q, axes)
                 assert np.all(hits == 1) and np.array_equal(got, values), (n, r, ax)
-                _, hits = _tiled(q, axes, minus)
-                assert np.all(hits == 1), (n, r, ax)
 
 
 @pytest.mark.parametrize("cap", [None, 7])
@@ -639,7 +613,7 @@ def test_grid_values_follow_permuted_axes_bitwise(monkeypatch, d, cap):
     def sorted_values(q, axes):
         reduced = [np.remainder(a, TWO_PI) for a in axes]
         where = np.ix_(*[np.argsort(x, kind="stable") for x in reduced])
-        tiles, hits = _tiled(q, axes, [np.cos(3.0 * x) for x in reduced])
+        tiles, hits = _tiled(q, axes)
         assert np.all(hits == 1)
         return evaluate_on_grid(q, axes)[where], tiles[where]
 
@@ -654,20 +628,6 @@ def test_grid_values_follow_permuted_axes_bitwise(monkeypatch, d, cap):
         permuted = [rng.permutation(a) for a in axes]
         for got, expected in zip(sorted_values(q, permuted), sorted_values(q, axes)):
             assert np.array_equal(got, expected), counts
-
-
-def test_grid_row_blocks_check_minus_before_the_first_block():
-    q = build_full(const_one, 16, 2, 0, 1.0)
-    axes = [np.array([0.1, 0.2]), np.array([0.3])]
-    with pytest.raises(ValueError, match="need 2 minus axes"):
-        evaluate_on_grid_blocks(q, axes, minus=[np.ones(2)])
-    with pytest.raises(ValueError, match="minus axis 1"):
-        evaluate_on_grid_blocks(q, axes, minus=[np.ones(2), np.ones(2)])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="minus axis 1 holds a non-finite value"):
-            evaluate_on_grid_blocks(q, axes, minus=[np.ones(2), np.array([bad])])
-        with pytest.raises(ValueError, match="minus axis 0 holds a non-finite value"):
-            evaluate_on_grid_blocks(q, axes, minus=[np.array([0.5, bad]), np.ones(1)])
 
 
 def test_grid_row_blocks_validate_before_the_first_block():
