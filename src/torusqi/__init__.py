@@ -51,7 +51,6 @@ from .qi import (
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
-    evaluate_on_grid_blocks,
     from_samples,
 )
 from .specfun import (

@@ -24,20 +24,9 @@ fixed partition of blocks (up to four, from the point count and the grids
 alone), which a per-call thread pool evaluates on the usable CPUs, each
 block into its own columns of the result.  The blocks are whole BLAS row
 tiles, so the values are those of one unblocked evaluation, bitwise equal
-at any CPU count.  Tensor-product evaluation grids sort each axis once
-and contract one axis at a time at its ascending coordinates, as banded
-BLAS blocks: each block of consecutive points scatters its window entries
-into a small dense matrix that multiplies the contiguous slab of nodes it
-touches (gathered mod N where the window wraps) and writes one slice of
-the result.  The last axis is cut into equal column groups whose
-intermediates (N_0 x ... x its columns) hold at most ``_CHUNK_ELEMS``
-values; per group, axes d-1, ..., 1 are contracted and then axis 0 block
-by block, and the group's intermediate is freed before the next is built.
-The values come out as a stream of tiles, (axis-0 block) x (column group)
-(``evaluate_on_grid_blocks``), named by the points' given indices, that a
-caller can reduce without ever holding the whole grid or an
-N_0 x len(last axis) array; ``evaluate_on_grid`` collects them into one
-array.
+at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
+contract one axis at a time, last first, each as one sparse product of
+that axis's window matrix, built as ``evaluate_many`` builds it.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -99,7 +88,6 @@ __all__ = [
     "evaluate_many",
     "evaluate_dense",
     "evaluate_on_grid",
-    "evaluate_on_grid_blocks",
     "stencil_halfwidth",
 ]
 
@@ -706,64 +694,6 @@ def evaluate_dense(q, points) -> np.ndarray:
     return out
 
 
-def _gemm_into(out: np.ndarray, rows: slice, kern: np.ndarray, slab: np.ndarray) -> None:
-    """out[:, rows, :] = kern @ slab per leading index (one BLAS GEMM each)."""
-    if out.shape[2] == 1:
-        # last axis: all leading indices in one GEMM, not one GEMV each
-        np.matmul(slab[:, :, 0], kern.T, out=out[:, rows, 0])
-    else:
-        np.matmul(kern, slab, out=out[:, rows])
-
-
-def _axis_blocks(q: QuasiInterpolant, x: np.ndarray, r: int):
-    """Banded blocks of axis r's kernel matrix at the ascending coordinates x.
-
-    Yields (rows, kern, nodes): the slice of x the block covers, a dense
-    len(rows) x len(nodes) kernel block, and the axis nodes it multiplies
-    (a slice, or an index array gathered mod n_r where the window wraps
-    past 0 or 2 pi).  When the window spans the axis, the one block is the
-    whole dense kernel matrix.  Otherwise x is cut into blocks whose nodes
-    advance by about one window, and each block's window values are
-    scattered into its matrix; the blocks hold exactly the truncated
-    window entries, so only the summation order differs from a sparse
-    product.
-    """
-    n = q.grid.counts[r]
-    params = q.params[r]
-    raw, kern = _dim_windows(x, n, [params])(params)
-    if raw is None:
-        yield slice(None), kern, slice(None)
-        return
-    width = 2 * q.stencil_halfwidths[r] + 1
-    # a block of `step` sorted, evenly spread rows touches about
-    # step n / M + width nodes, twice the window: the GEMM multiplies
-    # about as many zeros as window entries
-    step = max(1, width * x.size // n)
-    for start in range(0, x.size, step):
-        stop = min(start + step, x.size)
-        lo, hi = int(raw[start, 0]), int(raw[stop - 1, -1])
-        span = hi - lo + 1
-        block = np.zeros((stop - start, span))
-        first = np.arange(stop - start) * span + raw[start:stop, 0] - lo
-        block.reshape(-1)[first[:, None] + np.arange(width)] = kern[start:stop]
-        nodes = slice(lo, hi + 1) if 0 <= lo and hi < n else np.arange(lo, hi + 1) % n
-        yield slice(start, stop), block, nodes
-
-
-def _contract_axis(res: np.ndarray, blocks, size: int, r: int) -> np.ndarray:
-    """Contract axis r of the C-ordered array ``res`` against banded blocks.
-
-    ``blocks`` holds (rows, kern, nodes) triples as :func:`_axis_blocks`
-    yields them.  Returns a C-ordered array with axis r of length
-    ``size``, one GEMM per block written through its slice of rows.
-    """
-    src = res.reshape(math.prod(res.shape[:r]), res.shape[r], -1)
-    out = np.empty((src.shape[0], size, src.shape[2]))
-    for rows, kern, nodes in blocks:
-        _gemm_into(out, rows, kern, src[:, nodes])
-    return out.reshape(res.shape[:r] + (size,) + res.shape[r + 1 :])
-
-
 def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
     if len(axes) != q.grid.dims:
         raise ValueError(f"need {q.grid.dims} axes")
@@ -776,96 +706,29 @@ def _grid_axes(q: QuasiInterpolant, axes: Sequence) -> list[np.ndarray]:
     return xs
 
 
-def _grid_tiles(q: QuasiInterpolant, xs: list[np.ndarray]):
-    d = q.grid.dims
-    counts = q.grid.counts
-    # every axis is contracted at its ascending coordinates, as BLAS may
-    # round a GEMM column by its position; tiles name points via `orders`
-    orders = [np.argsort(x, kind="stable") for x in xs]
-    xs = [x[order] for x, order in zip(xs, orders)]
-    # axis 0's and the middle axes' blocks serve every column group
-    blocks = [list(_axis_blocks(q, xs[r], r)) for r in range(max(1, d - 1))]
-    # the inverse orders put each tile's middle axes back in their given order
-    given = [np.argsort(order) for order in orders[1:-1]]
-    if d == 1:
-        groups = [slice(None)]
-    else:
-        # equal groups of the last axis's sorted points, at most `cap` each,
-        # so that a group's largest intermediate, per_col values per column,
-        # stays within _CHUNK_ELEMS
-        per_col = counts[0] * math.prod(max(counts[r], xs[r].size) for r in range(1, d - 1))
-        cap = max(1, _CHUNK_ELEMS // per_col)
-        size = xs[-1].size
-        parts = -(-size // cap)
-        width = -(-size // parts) if parts else 1  # an empty axis has no groups
-        groups = [slice(start, start + width) for start in range(0, size, width)]
-    for cols in groups:
-        res = q.samples
-        if d > 1:
-            x = xs[-1][cols]
-            res = _contract_axis(res, _axis_blocks(q, x, d - 1), x.size, d - 1)
-        for r in range(d - 2, 0, -1):
-            res = _contract_axis(res, blocks[r], xs[r].size, r)
-        src = res.reshape(counts[0], -1)
-        tile_cols = None if d == 1 else orders[-1][cols]
-        for rows, kern, nodes in blocks[0]:
-            vals = (kern @ src[nodes]).reshape(kern.shape[:1] + res.shape[1:])
-            for r, inverse in enumerate(given, 1):
-                vals = np.take(vals, inverse, axis=r)
-            yield orders[0][rows], tile_cols, vals
-        # the group's intermediate goes before the next group's is built
-        del res, src
-
-
-def _tile_index(rows, cols, shape: tuple[int, ...]):
-    """Index of a tile's values in a C-ordered grid array of ``shape``."""
-    if cols is None:
-        return rows
-    return np.ix_(rows, *map(np.arange, shape[1:-1]), cols)
-
-
-def evaluate_on_grid_blocks(q: QuasiInterpolant, axes: Sequence[np.ndarray]):
-    """Separable evaluation on a tensor-product point grid, in tiles.
-
-    Each axis must be 1-D and finite (checked here, before the first
-    tile); it is reduced mod 2 pi, sorted once (stably), and contracted at
-    its ascending coordinates against the same truncated kernel window
-    :func:`evaluate` uses.  Per axis, the sorted coordinates are cut into
-    blocks whose window entries fill a small dense matrix, and each block
-    is one BLAS GEMM against the contiguous slab of nodes it touches
-    (wrapped mod N_r at 0 and 2 pi); an axis whose window spans it is one
-    GEMM with the dense kernel.  For d >= 2 the last axis's M sorted
-    points are cut into ceil(M / cap) equal column groups (the last may be
-    shorter), where cap columns keep each intermediate of a group,
-    N_0 x max(N_r, len(axes[r])) for the middle axes x the group's
-    columns, at most ``_CHUNK_ELEMS`` (2^21) values.  Per group, axes
-    d-1, ..., 1 are contracted, then axis 0 one banded block at a time,
-    and the group's intermediate is freed before the next one's is built.
-
-    Returns an iterator of (rows, cols, values) tiles.  ``values`` holds
-    the grid's values at ``axes[0][rows]`` x ``axes[1]`` x ... x
-    ``axes[d-1][cols]``, with shape (len(rows), len(axes[1]), ...,
-    len(cols)); ``rows`` and ``cols`` are index arrays into the given
-    axes.  For d = 1, ``cols`` is None and ``values`` has shape
-    (len(rows),).  The tiles cover every grid point exactly once, and only
-    one tile's values are new per step, so the full grid never has to
-    exist.  Where the whole last axis fits one group, each tile is one
-    axis-0 block over every column.  The values depend only on the sorted
-    coordinates (equal ones in their given order), so permuting an axis
-    of distinct points permutes them, bitwise.
-    """
-    return _grid_tiles(q, _grid_axes(q, axes))
-
-
 def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Separable evaluation on a tensor-product point grid.
 
-    Fills a C-ordered array of shape (len(axes[0]), ..., len(axes[d-1]))
-    from the tiles of :func:`evaluate_on_grid_blocks`.  Agrees with
-    :func:`evaluate_dense` on the product points to truncation accuracy.
+    Returns a C-ordered array of shape (len(axes[0]), ..., len(axes[d-1]))
+    whose entry (i_0, ..., i_{d-1}) is ``q`` at (axes[0][i_0], ...,
+    axes[d-1][i_{d-1}]).  Each axis must be 1-D and finite; it is reduced
+    mod 2 pi.  The axes are contracted one at a time, last first, each as
+    one sparse (CSR) product of its kernel matrix, built from the same
+    truncated windows :func:`evaluate` uses (every node where the window
+    spans the axis), against the samples with that axis moved first.  So
+    contracting axis r holds one intermediate of M_r x (the other axes'
+    current lengths) values, and every value is a sequential sum over its
+    window, in window order: it depends only on the point's coordinates,
+    not on its position in an axis, on equal coordinates elsewhere, or on
+    the BLAS thread count.  Agrees with :func:`evaluate_dense` on the
+    product points to truncation accuracy.
     """
-    tiles = evaluate_on_grid_blocks(q, axes)
-    out = np.empty(tuple(np.size(ax) for ax in axes))
-    for rows, cols, vals in tiles:
-        out[_tile_index(rows, cols, out.shape)] = vals
-    return out
+    xs = _grid_axes(q, axes)
+    res = q.samples
+    for r in reversed(range(q.grid.dims)):
+        n, params = q.grid.counts[r], q.params[r]
+        mat = sparse.csr_matrix(_window_matrix(*_dim_windows(xs[r], n, [params])(params), n))
+        others = res.shape[:r] + res.shape[r + 1 :]
+        vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)
+        res = np.moveaxis(vals.reshape((xs[r].size,) + others), 0, r)
+    return res

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from functools import lru_cache, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from torusqi.qi import (
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
-    evaluate_on_grid_blocks,
     from_samples,
     stencil_halfwidth,
 )
@@ -362,11 +365,11 @@ def test_grid_path_matches_dense():
 
 
 def _banded_battery():
-    """(label, interpolant, axes) cases of the banded grid contraction.
+    """(label, interpolant, axes) cases of the axis-by-axis grid contraction.
 
-    Sorted-row blocks, wrapped slabs at 0 and 2 pi, reversed and permuted
-    axes, every GEMM layout (first, middle and last axis), and windows
-    that span their axis; the 3D cases mix banded and spanning axes.
+    Windows that wrap past 0 and 2 pi, reversed and permuted axes, a
+    truncated window on the first, middle and last axis, and windows that
+    span their axis; the 3D cases mix truncated and spanning axes.
     """
     from torusqi.analysis import make_gp, offset_eval_axis
 
@@ -506,72 +509,6 @@ def test_evaluators_match_the_fourier_series_on_sparse_grids(d, level, gamma):
         assert _within_round_off(evaluate_dense(q, x), expected), m
 
 
-def _tiled(q, axes):
-    """The grid as evaluate_on_grid_blocks' tiles fill it, and each point's hit count."""
-    idx = [np.arange(len(ax)) for ax in axes]
-    shape = tuple(len(ax) for ax in axes)
-    got = np.full(shape, np.nan)
-    hits = np.zeros(shape, dtype=int)
-    for rows, cols, vals in evaluate_on_grid_blocks(q, axes):
-        if cols is None:
-            assert q.grid.dims == 1
-            where = np.ix_(idx[0][rows])
-        else:
-            where = np.ix_(idx[0][rows], *idx[1:-1], idx[-1][cols])
-        assert vals.shape == got[where].shape
-        np.add.at(hits, where, 1)
-        got[where] = vals
-    return got, hits
-
-
-def test_grid_row_blocks_cover_each_row_once():
-    # evaluate_on_grid is filled from these tiles, so each tile must hold
-    # exactly the points it names, and every point must come exactly once
-    for label, q, axes in _banded_battery():
-        got, hits = _tiled(q, axes)
-        assert np.all(hits == 1), label
-        assert np.array_equal(got, evaluate_on_grid(q, axes)), label
-
-
-@pytest.mark.parametrize("cap", [1, 50])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_tiles_cover_each_point_once_in_column_groups(monkeypatch, d, cap):
-    # a budget of `cap` columns per group cuts the last axis's 129 sorted
-    # points into ceil(129 / cap) equal groups, across banded blocks and
-    # the one block of a spanning window; the last axis wraps past 2 pi
-    # and is shuffled
-    from torusqi.analysis import make_gp, offset_eval_axis
-
-    rng = np.random.default_rng(20)
-    last = rng.permutation(offset_eval_axis(32))  # 129 points
-    short = np.array([0.02, 3.3, 6.27])
-    cases = {
-        1: [build_full(make_gp(6, 1), 32, 1, 2, 1.5)],
-        # a banded, then a spanning last axis
-        2: [build_aniso(make_gp(6, 2), (16, 128), (2, 1), (1.5, 1.0)),
-            build_aniso(make_gp(6, 2), (16, 8), (1, 2), (1.0, 1.5))],
-        3: [build_aniso(make_gp(6, 3), (8, 16, 128), (0, 2, 1), (1.0, 1.5, 1.0))],
-    }[d]
-    for q in cases:
-        axes = [short, offset_eval_axis(4)][: d - 1] + [last]
-        counts = q.grid.counts
-        per_col = counts[0] * math.prod(max(n, len(ax)) for n, ax in zip(counts[1:-1], axes[1:-1]))
-        monkeypatch.setattr(qi, "_CHUNK_ELEMS", per_col * cap)
-        values = evaluate_on_grid(q, axes)
-        got, hits = _tiled(q, axes)
-        assert np.all(hits == 1), counts
-        assert np.array_equal(got, values), counts
-        if d > 1:
-            groups = {tuple(np.arange(len(last))[cols])
-                      for _, cols, _ in evaluate_on_grid_blocks(q, axes)}
-            widths = sorted(map(len, groups))
-            assert len(groups) == -(-len(last) // cap) > 1, counts
-            assert widths[-1] <= cap and len(set(widths[1:])) == 1, counts
-        dense = evaluate_dense(q, _product_points(axes)).reshape(values.shape)
-        tol = 1e-13 * (1.0 + float(np.max(np.abs(dense))))
-        assert np.max(np.abs(values - dense)) <= tol, counts
-
-
 def _random_grid(counts, seed):
     """Interpolant of random samples: N = 64 axes are banded, N = 8 ones span."""
     rng = np.random.default_rng(seed)
@@ -580,7 +517,7 @@ def _random_grid(counts, seed):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_tiles_take_empty_and_one_point_axes(d):
+def test_grid_takes_empty_and_one_point_axes(d):
     # each axis position in turn empty or one point, the others wrapped
     # past 2 pi, under banded and under spanning windows
     from torusqi.analysis import offset_eval_axis
@@ -593,49 +530,70 @@ def test_grid_tiles_take_empty_and_one_point_axes(d):
                 axes = [offset_eval_axis(2)] * d
                 axes[r] = ax
                 values = evaluate_on_grid(q, axes)
-                assert values.shape == tuple(len(a) for a in axes), (n, r, ax)
-                got, hits = _tiled(q, axes)
-                assert np.all(hits == 1) and np.array_equal(got, values), (n, r, ax)
+                shape = tuple(len(a) for a in axes)
+                assert values.shape == shape, (n, r, ax)
+                dense = evaluate_dense(q, _product_points(axes)).reshape(shape)
+                tol = 1e-13 * (1.0 + np.max(np.abs(dense), initial=0.0))
+                assert np.all(np.abs(values - dense) <= tol), (n, r, ax)
 
 
-@pytest.mark.parametrize("cap", [None, 7])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_values_follow_permuted_axes_bitwise(monkeypatch, d, cap):
-    # every axis is contracted at its sorted coordinates, so the values,
-    # read in each axis's stable sorted order, have the same bits whatever
-    # order the points come in: axes that wrap past 2 pi, hold duplicates
-    # and lie outside [0, 2 pi), on banded and spanning windows, in one
-    # group or in groups of `cap` columns.  They are read sorted because
-    # BLAS may round equal points at different row or column positions
-    # differently, and a tie's position follows the given order
+def test_grid_values_follow_permuted_axes_bitwise(d):
+    # every value is one sum over its point's window, in window order, so
+    # permuting an axis permutes the values, bitwise: axes that wrap past
+    # 2 pi, hold duplicates and lie outside [0, 2 pi), on banded and
+    # spanning windows
     from torusqi.analysis import offset_eval_axis
-
-    def sorted_values(q, axes):
-        reduced = [np.remainder(a, TWO_PI) for a in axes]
-        where = np.ix_(*[np.argsort(x, kind="stable") for x in reduced])
-        tiles, hits = _tiled(q, axes)
-        assert np.all(hits == 1)
-        return evaluate_on_grid(q, axes)[where], tiles[where]
 
     rng = np.random.default_rng(22)
     ax = np.concatenate([offset_eval_axis(4), [0.3, 0.3, 6.2, -1.0, TWO_PI + 0.3]])
     for counts in [(64, 8, 64)[:d], (8, 64, 8)[:d]]:
         q = _random_grid(counts, d)
-        if cap is not None:
-            per_col = counts[0] * math.prod(max(n, ax.size) for n in counts[1:-1])
-            monkeypatch.setattr(qi, "_CHUNK_ELEMS", per_col * cap)
         axes = [ax + 0.1 * r for r in range(d)]
-        permuted = [rng.permutation(a) for a in axes]
-        for got, expected in zip(sorted_values(q, permuted), sorted_values(q, axes)):
-            assert np.array_equal(got, expected), counts
+        perms = [rng.permutation(a.size) for a in axes]
+        expected = evaluate_on_grid(q, axes)[np.ix_(*perms)]
+        got = evaluate_on_grid(q, [a[p] for a, p in zip(axes, perms)])
+        assert np.array_equal(got, expected), counts
 
 
-def test_grid_row_blocks_validate_before_the_first_block():
-    q = build_full(const_one, 16, 2, 0, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        evaluate_on_grid_blocks(q, [np.array([0.1]), np.array([np.nan])])
-    with pytest.raises(ValueError, match="need 2 axes"):
-        evaluate_on_grid_blocks(q, [np.array([0.1])])
+@pytest.mark.parametrize("n, gamma", [(64, 1.0), (256, 1.5)])
+def test_grid_1d_equals_evaluate_bitwise(n, gamma):
+    # a truncated window makes both a CSR product of the same rows
+    from torusqi.analysis import offset_eval_axis
+
+    rng = np.random.default_rng(n)
+    q = from_samples(rng.uniform(-1.0, 1.0, n), (2,), (gamma,))
+    assert 2 * q.stencil_halfwidths[0] + 1 < n
+    x = offset_eval_axis(n)
+    assert np.array_equal(evaluate_on_grid(q, [x]), evaluate(q, x[:, None]))
+
+
+_GRID_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
+from torusqi.qi import evaluate_on_grid, from_samples
+
+a = gp_eval(make_gp(6, 1), 2 * np.pi * np.arange(256) / 256)
+ax = offset_eval_axis(256)
+q = from_samples(np.outer(a, a), (2, 2), (1.5, 1.5))
+print(hashlib.sha256(evaluate_on_grid(q, [ax, ax]).tobytes()).hexdigest())
+"""
+
+
+def test_grid_bytes_do_not_depend_on_blas_threads():
+    # every grid value is a CSR row sum on the calling thread; a BLAS GEMM
+    # on these axes rounds differently at 1 and 2 threads (OpenBLAS 0.3.31)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _GRID_BYTES_SCRIPT], env=env,
+                              check=True, capture_output=True, text=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_grid_path_validates_and_reduces_axes():
@@ -649,6 +607,8 @@ def test_grid_path_validates_and_reduces_axes():
             evaluate_on_grid(q, [ax, np.append(ay, bad)])
     with pytest.raises(ValueError, match="1-D"):
         evaluate_on_grid(q, [ax[:, None], ay])
+    with pytest.raises(ValueError, match="need 2 axes"):
+        evaluate_on_grid(q, [ax])
     # far-off copies of the axes give the values of the reduced axes
     shifted = [ax + TWO_PI * 1e15, ay - 3 * TWO_PI * 1e15]
     with warnings.catch_warnings():

@@ -134,39 +134,33 @@ MUTANTS = (
         ("tests/test_cli.py::test_conv2d_errors_match_the_2d_interpolant",),
     ),
     Mutant(
-        # the grid's last columns never come out
-        "last-column-group-dropped",
+        # each contracted axis lands first, not back at its position r
+        "grid-axis-moved-to-front",
         "qi.py",
-        "        groups = [slice(start, start + width) for start in range(0, size, width)]\n",
-        "        groups = [slice(start, start + width) for start in range(0, size - width, width)]\n",
+        "        res = np.moveaxis(vals.reshape((xs[r].size,) + others), 0, r)\n",
+        "        res = np.moveaxis(vals.reshape((xs[r].size,) + others), 0, 0)\n",
         (
-            "tests/test_qi.py::test_grid_row_blocks_cover_each_row_once",
-            "tests/test_qi.py::test_grid_tiles_cover_each_point_once_in_column_groups",
-            "tests/test_qi.py::test_grid_tiles_take_empty_and_one_point_axes",
+            "tests/test_qi.py::test_grid_path_banded_battery",
+            "tests/test_qi.py::test_grid_takes_empty_and_one_point_axes",
         ),
     ),
     Mutant(
-        # a tile's middle axes stay in sorted order
-        "middle-axis-take-dropped",
+        # axis 0 first: the values hold, but the result is not C-ordered
+        "grid-axes-in-forward-order",
         "qi.py",
-        "            for r, inverse in enumerate(given, 1):\n"
-        "                vals = np.take(vals, inverse, axis=r)\n",
-        "",
-        (
-            "tests/test_qi.py::test_grid_values_follow_permuted_axes_bitwise",
-            "tests/test_qi.py::test_grid_path_banded_battery",
-        ),
+        "    for r in reversed(range(q.grid.dims)):\n",
+        "    for r in range(q.grid.dims):\n",
+        ("tests/test_qi.py::test_grid_path_banded_battery",),
     ),
     Mutant(
-        # tiles name sorted positions, not the points' given indices
-        "tiles-name-sorted-positions",
+        # a dense kernel matrix sends every axis to a BLAS GEMM
+        "grid-dense-blas-product",
         "qi.py",
-        "        tile_cols = None if d == 1 else orders[-1][cols]\n",
-        "        orders = [np.arange(x.size) for x in xs]\n"
-        "        tile_cols = None if d == 1 else orders[-1][cols]\n",
+        "        vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)\n",
+        "        vals = mat.toarray() @ np.moveaxis(res, r, 0).reshape(n, -1)\n",
         (
-            "tests/test_qi.py::test_grid_values_follow_permuted_axes_bitwise",
-            "tests/test_qi.py::test_grid_path_banded_battery",
+            "tests/test_qi.py::test_grid_1d_equals_evaluate_bitwise",
+            "tests/test_qi.py::test_grid_bytes_do_not_depend_on_blas_threads",
         ),
     ),
     Mutant(
