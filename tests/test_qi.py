@@ -568,6 +568,71 @@ def test_grid_1d_equals_evaluate_bitwise(n, gamma):
     assert np.array_equal(evaluate_on_grid(q, [x]), evaluate(q, x[:, None]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_values_of_a_sub_grid_are_bitwise_slices(d):
+    # a value depends only on its point's coordinates, so dropping,
+    # repeating or reordering the other points of any axis leaves it
+    # bitwise unchanged, on banded and spanning windows
+    from torusqi.analysis import offset_eval_axis
+
+    rng = np.random.default_rng(30 + d)
+    ax = offset_eval_axis(8)  # wraps past 2 pi at its end
+    for counts in [(64, 8, 64)[:d], (8, 64, 8)[:d]]:
+        q = _random_grid(counts, d)
+        axes = [ax + 0.1 * r for r in range(d)]
+        full = evaluate_on_grid(q, axes)
+        picks = [np.append(rng.choice(a.size, 5, replace=False), [0, 0]) for a in axes]
+        got = evaluate_on_grid(q, [a[p] for a, p in zip(axes, picks)])
+        assert np.array_equal(got, full[np.ix_(*picks)]), counts
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_grid_validates_every_axis_before_contracting(monkeypatch, bad):
+    # the last axis is contracted first, so a bad first axis must be
+    # caught before any window is built
+    q = build_full(const_one, 16, 3, 0, 1.0)
+
+    def no_windows(*args):
+        raise AssertionError("a window was built before the axes were checked")
+
+    monkeypatch.setattr(qi, "_dim_windows", no_windows)
+    axes = [np.array([0.1, 2.0])] * 3
+    for value, match in ((np.array([0.3, np.nan]), "finite"),
+                         (np.array([[0.3, 1.0]]), "1-D")):
+        with pytest.raises(ValueError, match=match):
+            evaluate_on_grid(q, axes[:bad] + [value] + axes[bad + 1 :])
+
+
+@pytest.mark.parametrize("counts", [(256,), (64, 128), (16, 32, 8)])
+def test_grid_holds_one_axis_contraction_at_a_time(counts):
+    # contracting axis r holds its input, its M_r x (the other axes'
+    # current lengths) output and the axis's window; the peak stays
+    # within twice the largest such step (measured about 1.35 times)
+    import tracemalloc
+
+    from torusqi.analysis import offset_eval_axis
+
+    rng = np.random.default_rng(len(counts))
+    q = from_samples(rng.uniform(-1.0, 1.0, counts), (2,) * len(counts),
+                     (1.5,) * len(counts))
+    axes = [offset_eval_axis(n) for n in counts]
+    sizes, steps = list(counts), []
+    for r in reversed(range(len(counts))):
+        width = min(2 * q.stencil_halfwidths[r] + 1, counts[r])
+        before = math.prod(sizes)
+        sizes[r] = axes[r].size
+        steps.append(before + math.prod(sizes) + 3 * axes[r].size * width)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values = evaluate_on_grid(q, axes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert values.shape == tuple(sizes)
+    assert peak < 2 * max(steps) * 8
+
+
 _GRID_BYTES_SCRIPT = """
 import hashlib
 import numpy as np
