@@ -336,7 +336,7 @@ def run_kernel_dump(args: argparse.Namespace) -> None:
         raise ValueError(f"--nmin must be >= 1, got {args.nmin}")
     if not 0 <= args.nmax <= FOURIER_MAX_FREQ:
         raise ValueError(f"--nmax must be in [0, {FOURIER_MAX_FREQ}], got {args.nmax}")
-    p = KernelParams(args.m, args.gamma * TWO_PI / args.nmin)
+    p = KernelParams(args.m, args.gamma * (TWO_PI / args.nmin))
     alphas = TWO_PI * np.arange(4097) / 4096  # endpoint repeated for trapezoid
     values = psi_restricted(p, alphas)
     hats = [psi_fourier_analytic(p, ell) for ell in range(0, args.nmax + 1)]

@@ -357,7 +357,7 @@ def strang_fix_certify(
     if gamma <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
 
-    c_list = [gamma * 2.0 * math.pi / N for N in N_arr]
+    c_list = [gamma * (2.0 * math.pi / N) for N in N_arr]
     residuals = {
         ell: [abs(psi_fourier_analytic(KernelParams(m, c), ell) - 1.0) for c in c_list]
         for ell in ells

@@ -11,12 +11,12 @@ samples and one ``KernelParams`` per axis, and the grid fixes the rest;
 and ``build_aniso`` first sample a callable on the grid.  Evaluation
 contracts the samples separably against one kernel matrix per dimension.
 Each dimension's node window is truncated where the kernel envelope falls
-below 1e-15 of its peak, and that truncation window sets the matrix's
-sparsity (dense when the window spans the axis).  The
-kernel depends on an offset alpha only through the chord term
-t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
-once per dimension and node count and takes the window of every kernel
-order and shape on that axis from it.  Scattered points go through one
+below 1e-15 of its peak, at the interpolant's ``stencil_halfwidths``, and
+sets the matrix's sparsity (dense when it spans the axis).  The kernel
+depends on an offset alpha only through the chord t = 2 sin^2(alpha/2)
+(``psi_from_chord``), so ``evaluate_many`` computes t once per dimension
+and node count, over the widest truncated window, for every truncated
+kernel on that axis.  Scattered points go through one
 sparse (CSR) matrix product for the largest dimension, then elementwise
 per-point contractions for the others; each kernel matrix is built at
 its first use and dropped after its last.  The points are cut into a
@@ -51,7 +51,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,8 +113,8 @@ class QuasiInterpolant:
     The samples' only gate: they are converted to float64 (not copied if
     they already are), a NaN or infinity raises ``ValueError``, and the
     array is made read-only.  ``grid`` is ``FullGridSpec(samples.shape)``;
-    axis r is weighted by its spacing 2 pi / N_r and truncated at
-    ``stencil_halfwidth(params[r], N_r)`` nodes.
+    axis r is weighted by its spacing 2 pi / N_r, and every evaluator
+    truncates it at ``stencil_halfwidths[r]`` (``stencil_halfwidth``) nodes.
     """
 
     samples: np.ndarray
@@ -149,36 +149,38 @@ class SparseQuasiInterpolant:
 # Stencil sizing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def stencil_halfwidth(params: KernelParams, n_points: int) -> int:
-    """Node halfwidth beyond which kernel contributions are negligible.
+@cache
+def _envelope_cutoff(m: int) -> float:
+    """Bisected u past which P_m(u) e^{-u} < ``TRUNCATION_EPS`` P_m(0).
 
-    Bisects the absolute-coefficient envelope P_m(u) e^{-u},
-    u = 2 sin^2(alpha/2) / c^2, for the largest u where it still exceeds
-    ``TRUNCATION_EPS`` of the peak; past ``u > m`` the envelope is strictly
-    decreasing, so the bisection bracket starts there.  Returns at most
-    ``n_points // 2`` (the window then spans the whole grid); the nodes
-    are 2 pi / n_points apart.  Memoized: combination terms repeat the
-    same few (params, n_points).
+    P_m has the absolute values of the order-m Laguerre coefficients; past
+    u > m the envelope is strictly decreasing, so the bracket starts there.
     """
-    abs_coeffs = [abs(x) for x in laguerre_coeffs(params.m, 0.5)]
-
-    def envelope(u: float) -> float:
-        acc = 0.0
-        for a in reversed(abs_coeffs):
-            acc = acc * u + a
-        return acc * math.exp(-u)
-
+    abs_coeffs = [abs(x) for x in laguerre_coeffs(m, 0.5)]
     target = TRUNCATION_EPS * abs_coeffs[0]
-    full = max(1, n_points // 2)
-    u_lo, u_hi = params.m + 1.0, 800.0
+    u_lo, u_hi = m + 1.0, 800.0
     for _ in range(80):
         mid = 0.5 * (u_lo + u_hi)
-        if envelope(mid) > target:
+        acc = 0.0
+        for a in reversed(abs_coeffs):
+            acc = acc * mid + a
+        if acc * math.exp(-mid) > target:
             u_lo = mid
         else:
             u_hi = mid
-    half_chord = params.c * math.sqrt(u_hi / 2.0)
+    return u_hi
+
+
+def stencil_halfwidth(params: KernelParams, n_points: int) -> int:
+    """Node halfwidth beyond which kernel contributions are negligible.
+
+    Covers the offsets alpha whose u = 2 sin^2(alpha/2) / c^2 lies inside
+    the order's envelope cutoff (:func:`_envelope_cutoff`, bisected once
+    per order).  Returns at most ``n_points // 2`` (the window then spans
+    the whole grid); the nodes are 2 pi / n_points apart.
+    """
+    full = max(1, n_points // 2)
+    half_chord = params.c * math.sqrt(_envelope_cutoff(params.m) / 2.0)
     if half_chord >= 1.0:
         return full
     alpha_star = 2.0 * math.asin(half_chord)
@@ -385,65 +387,50 @@ def build_sparse(
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _dim_windows(x: np.ndarray, n: int, kernels: Sequence[KernelParams]) -> Callable:
-    """Windows of kernels at coordinates x on an n-node axis, on demand.
+def _dim_windows(x: np.ndarray, n: int, widths: dict[KernelParams, int]) -> Callable:
+    """Kernel matrices at coordinates x on an n-node axis, built on demand.
 
-    ``kernels`` holds the ``KernelParams`` of kernels on that axis, each
-    truncated at hw = ``stencil_halfwidth(params, n)``.  Returns a function
-    that maps one of them to its node indices and kernel values weighted
-    by the spacing h = 2 pi / n.  The indices of each row are consecutive
-    and not reduced mod n (they run from round(x / h) - hw to
-    round(x / h) + hw), so they rise with x; reduce
-    them mod n to index the samples.  When a kernel's window spans the
-    axis, no indices are built (None is returned in their place): its
-    values are in node order 0..n-1.  The offsets and their chords
-    2 sin^2(offset / 2) are computed once, here: over the widest truncated
-    window, whose middle columns the narrower ones take, and over the
-    whole axis for the spanning kernels; each kernel then only evaluates
-    ``psi_from_chord``, so its values equal a window computed for it
-    alone.  The chords live as long as the returned function.
+    ``widths`` maps the ``KernelParams`` of kernels on that axis to their
+    stencil halfwidths hw.  Returns a function from one of them to its
+    len(x) x n matrix, weighted by the spacing h = 2 pi / n: dense, in node
+    order, when the window spans the axis (2 hw + 1 >= n); otherwise CSR
+    with 2 hw + 1 distinct nodes per row, round(x / h) - hw .. round(x / h)
+    + hw reduced mod n.  The truncated windows take the middle columns of
+    one chord 2 sin^2(offset / 2), computed here over the widest of them
+    and kept as long as the function; a spanning kernel computes its own
+    over the axis.  Each kernel only evaluates ``psi_from_chord``, so its
+    values equal a window computed for it alone.
     """
     spacing = TWO_PI / n
-    widths = {params: stencil_halfwidth(params, n) for params in kernels}
     narrow = [hw for hw in widths.values() if 2 * hw + 1 < n]
-    full_chord = base = chord = wide = None
-    if len(narrow) < len(widths):
-        full_chord = x[:, None] - spacing * np.arange(n)[None, :]
-        full_chord = 2.0 * np.sin(full_chord / 2.0) ** 2
     if narrow:
         wide = max(narrow)
         base = np.round(x / spacing).astype(np.int64)[:, None]
         # psi is exactly periodic, so unreduced nodes give the same values;
-        # the offsets are freed before any kernel is evaluated
+        # the offsets are freed before any kernel is evaluated (as are a
+        # spanning kernel's own, below)
         chord = x[:, None] - spacing * (base + np.arange(-wide, wide + 1))
         chord = 2.0 * np.sin(chord / 2.0) ** 2
 
-    def window(params: KernelParams) -> tuple[np.ndarray | None, np.ndarray]:
+    def matrix(params: KernelParams):
         hw = widths[params]
         if 2 * hw + 1 >= n:
-            raw, kern = None, psi_from_chord(params, full_chord)
+            raw = None
+            window = x[:, None] - spacing * np.arange(n)[None, :]
+            window = 2.0 * np.sin(window / 2.0) ** 2
         else:
             raw = base + np.arange(-hw, hw + 1)
-            kern = psi_from_chord(params, chord[:, wide - hw : wide + hw + 1])
+            window = chord[:, wide - hw : wide + hw + 1]
+        kern = psi_from_chord(params, window)
         kern *= spacing
-        return raw, kern
+        if raw is None:
+            return kern
+        indptr = np.arange(0, kern.size + 1, kern.shape[1])
+        return sparse.csr_matrix(
+            (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
+        )
 
-    return window
-
-
-def _window_matrix(raw: np.ndarray | None, kern: np.ndarray, n: int):
-    """len(x) x n kernel matrix of one window of _dim_windows.
-
-    Dense when the window spans the axis (its columns are then in node
-    order); otherwise CSR with exactly 2 hw + 1 entries per row, which are
-    distinct nodes because the window is shorter than the axis.
-    """
-    if kern.shape[1] == n:
-        return kern
-    indptr = np.arange(0, kern.size + 1, kern.shape[1])
-    return sparse.csr_matrix(
-        (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
-    )
+    return matrix
 
 
 def _dense_product(mat: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -547,19 +534,16 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
     ``block``.  The block builds its own windows, kernel matrices and
     component values, so blocks are independent of each other.
     """
-    windows: dict = {}  # (r, n) -> the group's window function
-    unbuilt: dict = {}  # (r, n) -> the group's matrices not built yet
+    windows: dict = {}  # (r, n) -> the group's matrix builder
     mats: dict = {}
 
     def matrix(r: int, n: int, params: KernelParams):
         if (r, n, params) not in mats:
-            if (r, n) not in unbuilt:
-                windows[r, n] = _dim_windows(block[:, r], n, list(groups[r, n]))
-                unbuilt[r, n] = len(groups[r, n])
-            mats[r, n, params] = _window_matrix(*windows[r, n](params), n)
-            unbuilt[r, n] -= 1
-            if not unbuilt[r, n]:
-                del windows[r, n]  # frees the group's chords
+            if (r, n) not in windows:
+                windows[r, n] = _dim_windows(block[:, r], n, groups[r, n])
+            mats[r, n, params] = windows[r, n](params)
+            if params == next(reversed(groups[r, n])):
+                del windows[r, n]  # the group's last matrix: frees its chords
         return mats[r, n, params]
 
     values: dict = {}
@@ -587,9 +571,9 @@ def evaluate_many(qs, points) -> np.ndarray:
     Returns an array of shape (len(qs), len(points)) whose row i is
     ``qs[i]`` at the points; full and sparse interpolants may be mixed,
     but all must have the same dims.  Each grid is contracted separably
-    against per-dimension kernel matrices built from the truncated node
-    windows (periodic wrap-around); a sparse row is the coefficient-weighted
-    sum of its component evaluations, in the order of its terms.
+    against per-dimension kernel matrices, truncated at the grid's
+    ``stencil_halfwidths`` (periodic wrap-around); a sparse row is the
+    coefficient-weighted sum of its component evaluations, in term order.
 
     The points are cut into a fixed partition of consecutive blocks that
     depends only on the point count and the component grids: about a quarter
@@ -599,13 +583,13 @@ def evaluate_many(qs, points) -> np.ndarray:
     evaluated on its own and writes its own columns of the result.  Per
     block, the kernels are grouped by (dimension, node count): the group's
     first use computes the node offsets and their chords once, over its
-    widest window, and builds every kernel matrix of the group from them as
-    each is first needed; a matrix is shared by every grid with that kernel
-    on that dimension, and is dropped after the last component that uses it.
-    The group's chords are kept only until its last matrix exists.  Each
-    component object (by identity, as :func:`build_sparse_levels` shares
-    them across levels) is evaluated once for all rows; its values are
-    dropped after the last row that uses it.
+    widest truncated window, and :func:`_dim_windows` builds each kernel
+    matrix of the group from them at its first use; a matrix is shared by
+    every grid with that kernel on that dimension, and is dropped after the
+    last component that uses it.  The chords are dropped with the group's
+    last matrix built.  Each component object (by identity, as
+    :func:`build_sparse_levels` shares them across levels) is evaluated
+    once for all rows; its values are dropped after the last row using it.
 
     The blocks run on a thread pool of min(blocks, usable CPUs) workers
     that lives only for this call (inline, with no pool, when that is
@@ -626,14 +610,14 @@ def evaluate_many(qs, points) -> np.ndarray:
     pts = _as_points(points, dims[0])
     last_row = {id(c): i for i, parts in enumerate(rows) for _, c in parts}
     rest = max(c.grid.size // max(c.grid.counts) for parts in rows for _, c in parts)
-    # the distinct kernels of each (axis, node count) group, and the last
-    # component to use each kernel's matrix, in the order of evaluation
-    # (each component at its first row)
+    # each (axis, node count) group's kernels and halfwidths in first-use
+    # order, and the last component to use each kernel's matrix, in the
+    # order of evaluation (each component at its first row)
     groups: dict = {}
     last_user: dict = {}
     for c in {id(c): c for parts in rows for _, c in parts}.values():
         for r, (n, params) in enumerate(zip(c.grid.counts, c.params)):
-            groups.setdefault((r, n), {})[params] = None
+            groups.setdefault((r, n), {})[params] = c.stencil_halfwidths[r]
             last_user[r, n, params] = id(c)
     out = np.zeros((len(qs), pts.shape[0]))
     blocks = _point_blocks(pts.shape[0], rest)
@@ -713,21 +697,21 @@ def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndar
     whose entry (i_0, ..., i_{d-1}) is ``q`` at (axes[0][i_0], ...,
     axes[d-1][i_{d-1}]).  Each axis must be 1-D and finite; it is reduced
     mod 2 pi.  The axes are contracted one at a time, last first, each as
-    one sparse (CSR) product of its kernel matrix, built from the same
-    truncated windows :func:`evaluate` uses (every node where the window
-    spans the axis), against the samples with that axis moved first.  So
-    contracting axis r holds one intermediate of M_r x (the other axes'
-    current lengths) values, and every value is a sequential sum over its
-    window, in window order: it depends only on the point's coordinates,
-    not on its position in an axis, on equal coordinates elsewhere, or on
-    the BLAS thread count.  Agrees with :func:`evaluate_dense` on the
-    product points to truncation accuracy.
+    one sparse (CSR) product of its kernel matrix, built as
+    :func:`evaluate` builds it from ``q.stencil_halfwidths`` (every node
+    where the window spans the axis), against the samples with that axis
+    moved first.  So contracting axis r holds one intermediate of M_r x
+    (the other axes' current lengths) values, and every value is a
+    sequential sum over its window, in window order: it depends only on the
+    point's coordinates, not on its position in an axis, on equal
+    coordinates elsewhere, or on the BLAS thread count.  Agrees with
+    :func:`evaluate_dense` on the product points to truncation accuracy.
     """
     xs = _grid_axes(q, axes)
     res = q.samples
     for r in reversed(range(q.grid.dims)):
         n, params = q.grid.counts[r], q.params[r]
-        mat = sparse.csr_matrix(_window_matrix(*_dim_windows(xs[r], n, [params])(params), n))
+        mat = sparse.csr_matrix(_dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})(params))
         others = res.shape[:r] + res.shape[r + 1 :]
         vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)
         res = np.moveaxis(vals.reshape((xs[r].size,) + others), 0, r)

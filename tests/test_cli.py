@@ -402,6 +402,36 @@ def test_kernel_dump_profile_integrates_to_coefficient(tmp_path):
     assert hat.shape[0] == 17
 
 
+def test_shape_constant_is_rounded_as_the_interpolant_rounds_it(tmp_path, monkeypatch):
+    # c = gamma (2 pi / N) everywhere: at N = 48 the other association,
+    # (gamma 2 pi) / N, differs from it in the last bit
+    from torusqi import cli as cli_mod
+    from torusqi import kernel
+    from torusqi.qi import from_samples
+
+    def c_of(n):
+        return from_samples(np.zeros(n), [1], [1.0186]).params[0].c
+
+    seen = []
+
+    def recording(original):
+        def record(p, *args):
+            seen.append(p)
+            return original(p, *args)
+
+        return record
+
+    monkeypatch.setattr(kernel, "psi_fourier_analytic",
+                        recording(kernel.psi_fourier_analytic))
+    kernel.strang_fix_certify(1, 1.0186, [48, 96], [1])
+    assert {p.c for p in seen} == {c_of(48), c_of(96)}
+    seen.clear()
+    monkeypatch.setattr(cli_mod, "psi_restricted", recording(cli_mod.psi_restricted))
+    assert run(["kernel", "--m", "1", "--gamma", "1.0186", "--nmin", "48",
+                "--nmax", "4", "--out", str(tmp_path / "k.dat")]) == 0
+    assert [p.c for p in seen] == [c_of(48)]
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--nmin", "0"], ["--nmax", "5000"], ["--nmax", "-1"]],

@@ -313,6 +313,21 @@ def test_psi_hat_alias_decay():
             assert vals[-1] < 1e-12, (m, c, vals[-1])
 
 
+@pytest.mark.parametrize("m, c, ell", [(3, 0.19474532048880874, 15),
+                                       (5, 0.17979521791793585, 22),
+                                       (8, 0.16599279666910255, 28)])
+def test_series_route_stops_at_its_asymptotic_floor(m, c, ell):
+    # the series passes its entry checks, then its terms grow again before
+    # they reach round-off, so the jet route takes over
+    rho = c * c
+    assert 1.0 / rho >= kernel._SERIES_MIN_INV_RHO
+    assert ell * ell * rho <= max(2.0, m * math.log(1.0 / rho))  # 2 q <= ...
+    assert kernel._psi_hat_via_series(m, ell, rho) is None
+    a = psi_fourier_analytic(KernelParams(m, c), ell)
+    q = psi_fourier_quadrature(KernelParams(m, c), ell, 1 << 16)
+    assert abs(a - q) <= 1e-11 * max(1.0, abs(q)), (a, q)  # measured <= 5.2e-12
+
+
 def test_psi_hat_independent_of_call_history():
     # the jet route reads its Bessel values from a memoized table; each
     # probe takes the jet route (c = 0.1 keeps z = 100 in the series

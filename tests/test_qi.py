@@ -1197,6 +1197,32 @@ def test_kernel_sweep_holds_one_matrix_at_a_time():
         assert np.array_equal(row, evaluate(q, pts)), q.params
 
 
+def test_evaluation_reads_the_interpolants_halfwidths(monkeypatch):
+    # the window widths come from each interpolant's stencil_halfwidths,
+    # fixed at construction: no evaluation path sizes a stencil again
+    table1 = _kernel_sweep((32,), [((m,), (gamma,)) for m in (0, 1, 2)
+                                   for gamma in (0.6, 0.8, 1.0, 1.5)])
+    aniso = build_aniso(_asymmetric, (64, 8, 32), (2, 5, 0), (1.0, 4.0, 0.6))
+    levels = build_sparse_levels(_asymmetric, [SparseGridSpec(lv, 2) for lv in (5, 6, 7)],
+                                 2, 1.0)
+    pts1, pts2, pts3 = (_sweep_points(700, d) for d in (1, 2, 3))
+    axes = [np.linspace(0.1, 6.2, k) for k in (17, 5, 11)]
+    grids = [evaluate_on_grid(q, axes[: q.grid.dims]) for q in table1 + [aniso]]
+    rows = [evaluate_many(table1, pts1), evaluate(aniso, pts3), evaluate_many(levels, pts2)]
+
+    def no_sizing(*args):
+        raise AssertionError("a stencil was sized during evaluation")
+
+    monkeypatch.setattr(qi, "stencil_halfwidth", no_sizing)
+    assert np.array_equal(evaluate_many(table1, pts1), rows[0])
+    assert np.array_equal(evaluate(aniso, pts3), rows[1])
+    assert np.array_equal(evaluate_many(levels, pts2), rows[2])
+    for q, row in zip(levels, rows[2]):
+        assert np.array_equal(evaluate(q, pts2), row)
+    for q, grid in zip(table1 + [aniso], grids):
+        assert np.array_equal(evaluate_on_grid(q, axes[: q.grid.dims]), grid)
+
+
 # ---------------------------------------------------------------------------
 # Point blocks and worker threads
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every axis truncated at axis 0's halfwidth
+        "halfwidth-of-axis-0",
+        "qi.py",
+        "            groups.setdefault((r, n), {})[params] = c.stencil_halfwidths[r]\n",
+        "            groups.setdefault((r, n), {})[params] = c.stencil_halfwidths[0]\n",
+        ("tests/test_qi.py::test_truncated_vs_dense_battery",),
+    ),
+    Mutant(
         "halfwidth-short",
         "qi.py",
         "    hw = int(math.ceil(alpha_star / (TWO_PI / n_points))) + 1\n",
