@@ -244,8 +244,23 @@ def _errors_2d(u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     points.  With e = u - g, Q - G_p = e x u + g x e, so the sum of
     squares over the grid is (e.e)(u.u + g.g) + 2 (e.g)(e.u); every term
     is nonnegative up to round-off, since u is close to g, so nothing
-    cancels.  The maximum is taken over row blocks of about 2^20 values,
-    so no (4N+1)^2 array is ever built.
+    cancels.
+
+    The maximum is bitwise that of every |fl(fl(e_i u_j) + fl(g_i e_j))|,
+    but only the entries whose bound can reach it are formed.  The rows at
+    the largest |e_i| and the largest |g_i| give a lower bound L on it.
+    Entry (i, j) has magnitude at most (1 + 2^-53)^2 S_ij with
+    S_ij = |e_i| |u_j| + |g_i| |e_j|, and S_ij is at most the row bound
+    |e_i| max|u| + |g_i| max|e| and, over the kept rows R, the column bound
+    max_R|e| |u_j| + max_R|g| |e_j|.  Each bound is computed with four
+    roundings, so a row or column whose bound times (1 + 2^-40) is below L
+    holds only entries whose rounded magnitude is below L, and dropping it
+    leaves the maximum as it is.  For L >= 1e-300 the absolute error of an
+    underflowing product (at most 2^-1075) is far below L 2^-40 as well.
+    When L is 0, below 1e-300 or not finite (NaN or inf in u or g, u = g),
+    every row and column is kept.  The kept entries are formed in row
+    blocks of at most about 2^20 values, so no (4N+1)^2 array is ever
+    built.
     """
     e = u - g
 
@@ -254,15 +269,24 @@ def _errors_2d(u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
         # its threads, which moves the last bits with the thread count
         return float(np.einsum("i,i->", x, y))
 
+    def abs_grid(rows, cols) -> np.ndarray:
+        block = np.multiply.outer(e[rows], u[cols])
+        block += np.multiply.outer(g[rows], e[cols])
+        return np.abs(block, out=block)
+
     sq = dot(e, e) * (dot(u, u) + dot(g, g)) + 2.0 * dot(e, g) * dot(e, u)
-    step = max(1, (1 << 20) // u.size)
+    ae, au, ag = np.abs(e), np.abs(u), np.abs(g)
+    rows = cols = np.arange(u.size)
+    low = abs_grid([np.argmax(ae), np.argmax(ag)], cols).max()
+    if 1e-300 <= low < math.inf:
+        slack = 1.0 + 2.0**-40
+        rows = np.flatnonzero((ae * au.max() + ag * ae.max()) * slack >= low)
+        cols = np.flatnonzero((ae[rows].max() * au + ag[rows].max() * ae) * slack >= low)
+    step = max(1, (1 << 20) // cols.size)
     err_linf = 0.0
-    for start in range(0, u.size, step):
-        rows = slice(start, start + step)
-        block = np.multiply.outer(e[rows], u)
-        block += np.multiply.outer(g[rows], e)
+    for start in range(0, rows.size, step):
         # numpy's maximum carries a NaN through, Python's max would drop it
-        err_linf = np.maximum(err_linf, np.abs(block, out=block).max())
+        err_linf = np.maximum(err_linf, abs_grid(rows[start:start + step], cols).max())
     return float(err_linf), math.sqrt(sq / u.size**2 * TWO_PI**2)
 
 
@@ -323,7 +347,7 @@ def run_strangfix(args: argparse.Namespace) -> None:
     ns = _doubling_range(args.nmin, args.nmax)
     probes = [1, 2, 3]
     rows = []
-    for m in args.m:
+    for m in dict.fromkeys(args.m):
         report = strang_fix_certify(m, args.gamma, ns, probes)
         rows += [(m, args.gamma, ell, report.orders[ell], report.saturation_max,
                   report.aliasing_max) for ell in probes]

@@ -307,6 +307,15 @@ def test_strangfix_orders(tmp_path):
         assert float(row[3]) == pytest.approx(2 * m + 2, abs=0.15)
 
 
+def test_strangfix_repeated_order_writes_its_rows_once(tmp_path):
+    # --m is deduplicated as table1 and conv2d deduplicate it
+    out = tmp_path / "sf.dat"
+    assert run(["strangfix", "--m", "1,1", "--nmin", "64", "--nmax", "128",
+                "--out", str(out)]) == 0
+    rows = [ln.split() for ln in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[2]) for row in rows] == [("1", "1"), ("1", "2"), ("1", "3")]
+
+
 def test_strangfix_alias_band_from_n_over_2_exits_0(tmp_path):
     # --nmax 128 puts ell = 64..192 in the alias band, so this run passes
     # the coefficient at ell = 65 through the finite check
@@ -547,12 +556,16 @@ def _conv2d_factors(m: int, gamma: float, n: int):
     return a, ax, u, gp_eval(g1, ax)
 
 
-def _errors_2d_peak(n: int) -> int:
+def _errors_2d_peak(n: int, m: int = 2) -> int:
+    _, _, u, g = _conv2d_factors(m, 1.5, n)
+    return _traced_errors_2d_peak(u, g)
+
+
+def _traced_errors_2d_peak(u: np.ndarray, g: np.ndarray) -> int:
     import tracemalloc
 
     from torusqi.cli import _errors_2d
 
-    _, _, u, g = _conv2d_factors(2, 1.5, n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -563,10 +576,29 @@ def _errors_2d_peak(n: int) -> int:
 
 
 def test_conv2d_error_grid_holds_no_n_by_4n_intermediate():
-    # the maximum is taken over row blocks of about 2^20 values, so one
-    # N = 1024 error grid peaks below an N x (4N+1) array
+    # the maximum forms only the rows and columns whose bound can reach it,
+    # in row blocks of at most about 2^20 values, so one N = 1024 error
+    # grid peaks below an N x (4N+1) array
     n = 1024
     assert _errors_2d_peak(n) < n * (4 * n + 1) * 8
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_conv2d_linf_forms_only_the_entries_that_can_reach_it(m):
+    # at the benchmark's gamma = 1.5 and N = 1024 at most 182 rows and 18
+    # columns of the 4097^2 grid can hold its maximum (0.33 MB measured);
+    # scanning every row block of the whole grid peaks at 16.75 MB
+    assert _errors_2d_peak(1024, m) < 1_000_000
+
+
+def test_conv2d_linf_of_a_zero_error_scans_in_row_blocks():
+    # u = g gives L = 0, so every row and column is kept; the row blocks
+    # keep the peak near two blocks of 2^20 values (17.05 MB measured),
+    # where one (4N+1)^2 grid at N = 2048 takes 537 MB
+    from torusqi.analysis import gp_eval, make_gp, offset_eval_axis
+
+    g = gp_eval(make_gp(6, 1), offset_eval_axis(2048))
+    assert _traced_errors_2d_peak(g, g.copy()) < 20_000_000
 
 
 def test_conv2d_errors_hold_no_n_by_n_array(tmp_path):
@@ -608,6 +640,68 @@ def test_conv2d_errors_match_the_2d_interpolant(m, gamma):
         got_linf, got_l2 = _errors_2d(u, g)
         assert abs(got_linf - linf) <= 1e-14, (m, n)
         assert abs(got_l2 - l2) <= 1e-14, (m, n)
+
+
+def _full_scan_linf(u: np.ndarray, g: np.ndarray) -> float:
+    """max |e_i u_j + g_i e_j| over the whole grid, in row blocks."""
+    e = u - g
+    step = max(1, (1 << 20) // u.size)
+    err = 0.0
+    for start in range(0, u.size, step):
+        rows = slice(start, start + step)
+        block = np.multiply.outer(e[rows], u)
+        block += np.multiply.outer(g[rows], e)
+        err = np.maximum(err, np.abs(block, out=block).max())
+    return float(err)
+
+
+def _linf_battery():
+    """(name, u, g) pairs that stress the pruning bounds of the maximum."""
+    rng = np.random.default_rng(20241)
+    cases = []
+    for k in range(60):
+        n = int(rng.integers(1, 200))
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3)
+        u = g + rng.standard_normal(n) * 10.0 ** rng.integers(-12, 0)
+        cases.append((f"random{k}", u, g))
+        cases.append((f"equal{k}", g.copy(), g))
+        cases.append((f"negated{k}", -g, g))
+        ulp = g.copy()
+        flip = rng.random(n) < 0.5
+        ulp[flip] = np.nextafter(g[flip], np.inf)
+        cases.append((f"ulp{k}", ulp, g))
+        ties_g = rng.integers(-3, 4, n).astype(float)
+        cases.append((f"ties{k}", ties_g + rng.integers(-1, 2, n), ties_g))
+        const = np.full(n, float(rng.standard_normal()))
+        cases.append((f"constant{k}", const + rng.standard_normal(n) * 1e-6, const))
+        for scale in (1e300, 1e150, 1e-150, 1e-300, 5e-324):
+            cases.append((f"scale{scale:g}-{k}", u * scale, g * scale))
+        cases.append((f"subnormal{k}", rng.integers(-8, 9, n) * 5e-324,
+                      rng.integers(-8, 9, n) * 5e-324))
+    return cases
+
+
+def test_conv2d_linf_is_bitwise_the_full_scan():
+    # only entries whose bound can reach the maximum are formed, each with
+    # the full scan's two roundings, so the maximum keeps every bit
+    from torusqi.cli import _errors_2d
+
+    def same(x, y):
+        return repr(x) == repr(y) or (math.isnan(x) and math.isnan(y))
+
+    cases = [(f"m{m}-N{n}", *_conv2d_factors(m, 1.5, n)[2:])
+             for m in (0, 1, 2) for n in (16 << k for k in range(7))]
+    cases += _linf_battery()
+    base_u, base_g = _conv2d_factors(2, 1.5, 16)[2:]
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in (0, base_u.size // 2, base_u.size - 1):
+            for target in ("u", "g"):
+                u, g = base_u.copy(), base_g.copy()
+                (u if target == "u" else g)[at] = bad
+                cases.append((f"{bad}-in-{target}@{at}", u, g))
+    with np.errstate(all="ignore"):
+        for name, u, g in cases:
+            assert same(_errors_2d(u, g)[0], _full_scan_linf(u, g)), name
 
 
 def test_conv2d_bytes_do_not_depend_on_blas_threads(tmp_path):

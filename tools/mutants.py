@@ -125,13 +125,23 @@ MUTANTS = (
         # a NaN in one row block of the error grid must reach the table
         "nan-in-conv2d-row-block",
         "cli.py",
-        "        block += np.multiply.outer(g[rows], e)\n",
-        "        block += np.multiply.outer(g[rows], e)\n"
+        "        block += np.multiply.outer(g[rows], e[cols])\n",
+        "        block += np.multiply.outer(g[rows], e[cols])\n"
         "        block[0, 0] = np.nan\n",
         (
             "tests/test_cli.py::test_conv2d_smoke",
             "tests/test_cli.py::test_conv2d_errors_match_the_2d_interpolant",
+            "tests/test_cli.py::test_conv2d_linf_is_bitwise_the_full_scan",
         ),
+    ),
+    Mutant(
+        # the row bound of the error grid's maximum loses its |g_i| max|e|
+        # term, so rows that hold the maximum are dropped
+        "conv2d-row-bound-without-g-term",
+        "cli.py",
+        "        rows = np.flatnonzero((ae * au.max() + ag * ae.max()) * slack >= low)\n",
+        "        rows = np.flatnonzero(ae * au.max() * slack >= low)\n",
+        ("tests/test_cli.py::test_conv2d_linf_is_bitwise_the_full_scan",),
     ),
     Mutant(
         # the sum of squares loses its cross term 2 (e.g)(e.u)
