@@ -46,11 +46,11 @@ from .qi import (
     build_full,
     build_sparse,
     build_sparse_levels,
-    build_sparse_product_levels,
     evaluate,
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
+    evaluate_sparse_product_levels,
     from_samples,
 )
 from .specfun import (

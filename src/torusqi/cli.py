@@ -63,10 +63,10 @@ from .kernel import (
 from .qi import (  # noqa: F401
     build_full,
     build_sparse,
-    build_sparse_product_levels,
     evaluate,
     evaluate_many,
     evaluate_on_grid,
+    evaluate_sparse_product_levels,
     from_samples,
 )
 from .specfun import NumericsError
@@ -319,11 +319,11 @@ def run_conv2d(args: argparse.Namespace) -> None:
 def run_sparse(args: argparse.Namespace) -> None:
     """Sparse-grid relative errors versus total sample count.
 
-    The levels are built and evaluated as one sweep: G_p is the tensor
-    product of g_p, so g_p is sampled once per axis node count and each
-    component grid's samples are outer products of those axes; each
-    component grid and per-axis kernel matrix is built and evaluated once
-    for every level holding it.
+    G_p is the tensor product of g_p, so every level's combination-technique
+    interpolant is a signed sum of products of 1D interpolants of g_p
+    (:func:`~torusqi.qi.evaluate_sparse_product_levels`): g_p is sampled
+    once per axis node count of all the levels, and each 1D interpolant is
+    evaluated once per axis at the points, for every level holding it.
     """
     lo, hi = args.levels
     if lo < 1 or hi < lo:
@@ -333,8 +333,7 @@ def run_sparse(args: argparse.Namespace) -> None:
     ref = g(pts)
     scale = float(np.max(np.abs(ref)))
     specs = [SparseGridSpec(level, args.dims) for level in range(lo, hi + 1)]
-    qs = build_sparse_product_levels(lambda a: gp_eval(g, a), specs, args.m, args.gamma)
-    approx = evaluate_many(qs, pts)
+    approx = evaluate_sparse_product_levels(lambda a: gp_eval(g, a), specs, args.m, args.gamma, pts)
     rows = []
     for spec, row in zip(specs, approx):
         _, _, rel_inf, rel_l2 = error_norms(ref, row, pts, scale)

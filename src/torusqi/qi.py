@@ -39,10 +39,13 @@ nodes, which contain every coarser level's, and shares each component grid
 between the levels whose combinations hold it; ``evaluate_many`` then
 evaluates each shared component and builds each per-axis kernel matrix
 once for all levels.  A product target phi(x_1) ... phi(x_d) needs no
-node store: ``build_sparse_product_levels`` samples phi once per axis node
-count and forms each component grid's samples as an outer product of
-those axes, bitwise the values the target gives at the nodes.  Both
-sweeps share one loop (checks, size guard, component sharing).
+node store and no component grid: every combination grid and its kernel
+are tensor products, so a term's interpolant is a product of 1D
+interpolants of phi, one per axis.  ``evaluate_sparse_product_levels``
+samples phi once per axis node count, evaluates each 1D interpolant once
+per axis at the points, and sums each level's signed products in term
+order.  Both sparse paths run one set of checks (specs, gamma, size
+guard) before anything is sampled.
 """
 
 from __future__ import annotations
@@ -82,11 +85,11 @@ __all__ = [
     "build_aniso",
     "build_sparse",
     "build_sparse_levels",
-    "build_sparse_product_levels",
     "from_samples",
     "evaluate",
     "evaluate_many",
     "evaluate_dense",
+    "evaluate_sparse_product_levels",
     "evaluate_on_grid",
     "stencil_halfwidth",
 ]
@@ -278,17 +281,11 @@ def _gather_term_samples(
     return store_vals[where].reshape(term.grid.counts)
 
 
-def _sparse_sweep(
-    specs: Sequence[SparseGridSpec], m: int, gamma: float, sampler: Callable
-) -> tuple[SparseQuasiInterpolant, ...]:
-    """The sparse builders' shared loop; ``sampler`` is where samples come from.
+def _check_sparse_specs(specs: list[SparseGridSpec], gamma: float) -> SparseGridSpec:
+    """The sparse paths' checks, run before anything is sampled; the finest spec.
 
-    Checks the specs, gamma and the finest grid's size before anything is
-    sampled, then calls ``sampler(finest)`` once for a function that maps a
-    combination term to its samples (shape ``term.grid.counts``).  A
-    component grid that several levels combine is assembled once and shared.
+    At least one spec, equal dims, gamma and the finest grid's size.
     """
-    specs = list(specs)
     if not specs:
         raise ValueError("need at least one sparse-grid spec")
     dims = specs[0].dims
@@ -305,20 +302,7 @@ def _sparse_sweep(
         )
     finest = max(specs, key=lambda spec: spec.level)
     check_sparse_grid_size(finest)
-    samples_of = sampler(finest)
-
-    components: dict[tuple[int, ...], QuasiInterpolant] = {}
-    out = []
-    for spec in specs:
-        terms = []
-        for term in combination_terms(spec):
-            if term.index not in components:
-                components[term.index] = _assemble(
-                    samples_of(term), (m,) * dims, (gamma,) * dims
-                )
-            terms.append((term, components[term.index]))
-        out.append(SparseQuasiInterpolant(spec=spec, terms=tuple(terms)))
-    return tuple(out)
+    return finest
 
 
 def build_sparse_levels(
@@ -335,40 +319,22 @@ def build_sparse_levels(
     its samples up in that store by position word, and a grid that
     several levels combine is one shared :class:`QuasiInterpolant`.
     """
-    def sampler(finest: SparseGridSpec) -> Callable:
-        words = sparse_grid_points(finest)
-        values = _sample_function(f, sparse_grid_nodes(finest, words))
-        return lambda term: _gather_term_samples(term, words, values, finest.level)
-
-    return _sparse_sweep(specs, m, gamma, sampler)
-
-
-def build_sparse_product_levels(
-    factor: Callable, specs: Sequence[SparseGridSpec], m: int, gamma: float = 1.0
-) -> tuple[SparseQuasiInterpolant, ...]:
-    """:func:`build_sparse_levels` of F(x) = factor(x_1) * ... * factor(x_d).
-
-    ``factor`` receives a 1-D array of angles and must return as many
-    values.  Every combination grid is a full tensor grid, so its samples
-    are the outer product of one factor axis per dimension: ``factor`` is
-    called once per distinct axis node count n, on the nodes 2 pi j / n,
-    and each grid's samples are the left-to-right product
-    ((1 * phi_1) * phi_2) * ... * phi_d.  That is bitwise the value of a
-    target that multiplies its factors onto ones in that order (as
-    :class:`~torusqi.analysis.TestFunctionGp` does).  The checks, their
-    errors and the sharing of components are those of
-    :func:`build_sparse_levels`; no sparse-grid node is enumerated.
-    """
-    axes: dict[int, np.ndarray] = {}
-
-    def samples_of(term: CombinationTerm) -> np.ndarray:
-        for n in term.grid.counts:
-            if n not in axes:
-                axes[n] = _sample_function(factor, FullGridSpec((n,)).axis(0))
-        return reduce(np.multiply.outer, [axes[n] for n in term.grid.counts],
-                      np.ones(()))
-
-    return _sparse_sweep(specs, m, gamma, lambda finest: samples_of)
+    specs = list(specs)
+    finest = _check_sparse_specs(specs, gamma)
+    dims = finest.dims
+    words = sparse_grid_points(finest)
+    values = _sample_function(f, sparse_grid_nodes(finest, words))
+    components: dict[tuple[int, ...], QuasiInterpolant] = {}
+    out = []
+    for spec in specs:
+        terms = []
+        for term in combination_terms(spec):
+            if term.index not in components:
+                samples = _gather_term_samples(term, words, values, finest.level)
+                components[term.index] = _assemble(samples, (m,) * dims, (gamma,) * dims)
+            terms.append((term, components[term.index]))
+        out.append(SparseQuasiInterpolant(spec=spec, terms=tuple(terms)))
+    return tuple(out)
 
 
 def build_sparse(
@@ -643,6 +609,40 @@ def evaluate(q, points) -> np.ndarray:
     for identical inputs (fixed blocking and reduction order).
     """
     return evaluate_many([q], points)[0]
+
+
+def evaluate_sparse_product_levels(
+    factor: Callable, specs: Sequence[SparseGridSpec], m: int, gamma: float, points
+) -> np.ndarray:
+    """Sparse interpolants of F(x) = factor(x_1) * ... * factor(x_d), evaluated.
+
+    Returns an array of shape (len(specs), len(points)) whose row i is
+    :func:`build_sparse_levels` of F at ``specs[i]``, evaluated at the
+    points (reduced mod 2 pi), up to rounding.  Every combination grid and
+    its kernel are tensor products, so a term's interpolant of F's samples
+    is u_{n_1}(x_1) ... u_{n_d}(x_d), where u_n is the 1D interpolant of
+    ``factor`` on the nodes 2 pi j / n.  ``factor`` receives a 1-D array of
+    angles and must return as many values; it is called once per distinct
+    axis node count of all the specs' terms, and each u_n is evaluated at
+    every axis's coordinates by one :func:`evaluate_many` call per axis.  A
+    row is the sum of c_t times the left-to-right product of its term's
+    factors, in term order.  The checks and their errors are those of
+    :func:`build_sparse_levels`, made before ``factor`` is called; no
+    sparse-grid node, component grid or outer product is formed.
+    """
+    specs = list(specs)
+    pts = _as_points(points, _check_sparse_specs(specs, gamma).dims)
+    terms = [combination_terms(spec) for spec in specs]
+    counts = sorted({n for row in terms for t in row for n in t.grid.counts})
+    qs = [_assemble(_sample_function(factor, FullGridSpec((n,)).axis(0)), (m,), (gamma,))
+          for n in counts]
+    # u[r][n]: the 1D interpolant on n nodes at every point's coordinate r
+    u = [dict(zip(counts, evaluate_many(qs, x[:, None]))) for x in pts.T]
+    out = np.zeros((len(specs), pts.shape[0]))
+    for row, row_terms in zip(out, terms):
+        for t in row_terms:
+            row += t.coeff * reduce(np.multiply, map(dict.get, u, t.grid.counts))
+    return out
 
 
 def evaluate_dense(q, points) -> np.ndarray:

@@ -476,21 +476,29 @@ def test_kernel_non_finite_values_exit_3_before_writing(tmp_path, monkeypatch, c
 # conv2d and sparse smoke runs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("flags", [["table1", "--m", "0", "--nmin", "32", "--nmax", "64"],
-                                   ["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32"],
-                                   ["sparse", "--dims", "2", "--levels", "2..3"]],
-                         ids=lambda flags: flags[0])
-def test_non_finite_approximant_exits_3_before_writing(tmp_path, monkeypatch, capsys, flags):
+@pytest.mark.parametrize(
+    "flags, evaluator",
+    [
+        pytest.param(["table1", "--m", "0", "--nmin", "32", "--nmax", "64"],
+                     "evaluate_many", id="table1"),
+        pytest.param(["conv2d", "--m", "0", "--nmin", "16", "--nmax", "32"],
+                     "evaluate_many", id="conv2d"),
+        pytest.param(["sparse", "--dims", "2", "--levels", "2..3"],
+                     "evaluate_sparse_product_levels", id="sparse"),
+    ],
+)
+def test_non_finite_approximant_exits_3_before_writing(tmp_path, monkeypatch, capsys, flags,
+                                                       evaluator):
     import torusqi.cli as cli_mod
 
-    real = cli_mod.evaluate_many
+    real = getattr(cli_mod, evaluator)
 
-    def nan_in_first_value(qs, pts):
-        values = real(qs, pts)
+    def nan_in_first_value(*args):
+        values = real(*args)
         values[0, 0] = math.nan
         return values
 
-    monkeypatch.setattr(cli_mod, "evaluate_many", nan_in_first_value)
+    monkeypatch.setattr(cli_mod, evaluator, nan_in_first_value)
     out = tmp_path / "out" / "t.dat"
     assert run([*flags, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -739,8 +747,8 @@ def test_sparse_smoke(tmp_path):
 
 
 def test_sparse_2d_sweep_reproduces_capture(tmp_path):
-    # captured before levels were built and evaluated as one sweep; the
-    # sweep must reproduce every level's bytes
+    # captured when the sweep first summed its terms' 1D factors; every
+    # level's bytes must stay
     out = tmp_path / "s.dat"
     code = run(["sparse", "--dims", "2", "--m", "2", "--gamma", "1.0",
                 "--levels", "8..11", "--out", str(out)])

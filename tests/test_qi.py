@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from torusqi import qi
-from torusqi.analysis import lcg_uniform_points
+from torusqi.analysis import gp_eval, lcg_uniform_points, make_gp
 from torusqi.grid import (
     FullGridSpec,
     SparseGridSpec,
@@ -19,17 +19,17 @@ from torusqi.grid import (
     full_grid_nodes,
     sparse_grid_count_formula,
 )
-from torusqi.kernel import KernelParams, psi_fourier_quadrature
+from torusqi.kernel import KernelParams, psi_fourier_quadrature, psi_restricted
 from torusqi.qi import (
     build_aniso,
     build_full,
     build_sparse,
     build_sparse_levels,
-    build_sparse_product_levels,
     evaluate,
     evaluate_dense,
     evaluate_many,
     evaluate_on_grid,
+    evaluate_sparse_product_levels,
     from_samples,
     stencil_halfwidth,
 )
@@ -1051,12 +1051,16 @@ def test_sweeps_of_different_targets_stay_apart():
 # Product targets
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
-@pytest.mark.parametrize("m", [0, 2])
-@pytest.mark.parametrize("d, levels", [(1, (6, 4)), (2, (5, 8)), (3, (3, 5)), (4, (2, 4))])
-def test_product_levels_match_generic_build(d, levels, m, gamma):
-    from torusqi.analysis import gp_eval, make_gp
+_UNIT_ROUNDOFF = 2.0**-53
 
+
+def _gamma_n(k):
+    """gamma_k = k u / (1 - k u): a product of k factors (1 + delta_i)^(+-1)
+    with |delta_i| <= u lies within 1 +- gamma_k (Higham, Lemma 3.1)."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _product_factor(d):
     g = make_gp(6, d)
     calls = []
 
@@ -1064,19 +1068,146 @@ def test_product_levels_match_generic_build(d, levels, m, gamma):
         calls.append(alpha.size)
         return gp_eval(g, alpha)
 
+    return g, factor, calls
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize(
+    "d, levels",
+    [(1, (6, 4, 8)), (2, (5, 8)), (3, (3, 5)), (4, (2, 4)), (5, (2, 4))],
+)
+def test_product_evaluation_matches_the_generic_sweep(d, levels, m, gamma):
+    # The referee is evaluate_many of build_sparse_levels of G_p, whose
+    # component grids hold G_p's samples.  Both sides compute the same
+    # windowed sum W = sum_t c_t prod_r sum_{j in window} k_rj g(x_rj), with
+    # bitwise the same kernel values k_rj (one KernelParams per axis count);
+    # they differ only in rounding.  Generic: each grid sample is
+    # ((1 g) g ...) g (d - 1 roundings), the largest axis is one dot product
+    # of <= n_big terms per point and each other axis one of n_r terms, so
+    # each elementary product k...k g...g of a term carries at most
+    # sum_r n_r + d - 1 factors (1 + delta).  Factored: each 1D value is a
+    # dot product of <= n_r terms and the d values are multiplied, the same
+    # count.  Both then add c_t v_t in term order (one rounding for c_t v_t,
+    # at most T - 1 for the sum).  With K = max_t sum_r n_r + d + T, each
+    # side is within gamma_K sum_t |c_t| prod_r a_{n_r}(x_r) of W, where
+    # a_n(x) = sum_j (2 pi / n) |psi(x - x_j)| |g(x_j)| over every node, an
+    # upper bound on the window's magnitude; so the two sides differ by at
+    # most twice that.  a_n is computed here from psi_restricted, within a
+    # few ulps of the evaluator's kernel values, which the factor
+    # 1 + 2^-30 on the bound covers.
+    g, factor, calls = _product_factor(d)
     specs = [SparseGridSpec(level, d) for level in levels]
-    product = build_sparse_product_levels(factor, specs, m, gamma)
-    generic = build_sparse_levels(g, specs, m, gamma)
-    counts = {n for q in generic for term, _ in q.terms for n in term.grid.counts}
-    assert sorted(calls) == sorted(counts)
-    for qp, qg in zip(product, generic):
-        assert qp.spec == qg.spec
-        assert [t for t, _ in qp.terms] == [t for t, _ in qg.terms]
-        for (term, cp), (_, cg) in zip(qp.terms, qg.terms):
-            assert np.array_equal(cp.samples, cg.samples), term.index
-            assert (cp.params, cp.stencil_halfwidths) == (cg.params, cg.stencil_halfwidths)
     pts = _sweep_points(500, d)
-    assert np.array_equal(evaluate_many(product, pts), evaluate_many(generic, pts))
+    got = evaluate_sparse_product_levels(factor, specs, m, gamma, pts)
+    want = evaluate_many(build_sparse_levels(g, specs, m, gamma), pts)
+    terms = [combination_terms(spec) for spec in specs]
+    counts = {n for row in terms for t in row for n in t.grid.counts}
+    assert sorted(calls) == sorted(counts)  # one sampling per node count
+    mags = {}
+    for n in counts:
+        nodes = FullGridSpec((n,)).axis(0)
+        kern = psi_restricted(KernelParams(m, gamma * (TWO_PI / n)), pts[:, :, None] - nodes)
+        mags[n] = (TWO_PI / n) * np.abs(kern) @ np.abs(gp_eval(g, nodes))
+    assert got.shape == want.shape == (len(specs), len(pts))
+    for row_terms, got_row, want_row in zip(terms, got, want):
+        k = max(sum(t.grid.counts) for t in row_terms) + d + len(row_terms)
+        bound = sum(abs(t.coeff) * np.prod([mags[n][:, r] for r, n in
+                                            enumerate(t.grid.counts)], axis=0)
+                    for t in row_terms)
+        bound *= 2.0 * _gamma_n(k) * (1.0 + 2.0**-30)
+        assert np.all(np.abs(got_row - want_row) <= bound), (d, levels)
+
+
+def _exact_factor(g, n, m, gamma, x):
+    """(exact value, error bound) of the computed 1D interpolant at x.
+
+    The exact value is E = sum_j w k(x - x_j) g_j over all n nodes, at the
+    float point x, float nodes x_j and float samples g_j, with the exact
+    kernel k(alpha) = L(s) e^-s / (sqrt(2 pi) c), s = 2 sin^2(alpha/2) / c^2,
+    L the Laguerre polynomial L_m^(1/2), c the float shape and
+    w = 2 pi / n.  The computed value differs from it by at most
+
+      e = sum_j eta_j |g_j| + gamma_n sum_j (|k_j| + eta_j) |g_j| + tau,
+
+    where
+    * eta_j bounds the computed kernel value's error: with P (P') the
+      polynomial (derivative) of L's absolute coefficients, so that
+      s P'(s) <= m P(s), the chord and s take at most 9 roundings (a
+      relative error of alpha changes the chord by at most twice it), the
+      Horner steps and the coefficients 2m + 4, exp and the final scalings
+      7 more, so the relative part is under (11m + 9s + 11) u P(s), taken
+      as (12m + 12s + 24) u P(s) for second-order terms; the node offsets
+      are moreover off by at most Delta = 2e-15 absolute (an unreduced
+      node's rounding and the float 2 pi), which moves s by at most
+      |sin alpha| Delta / c^2 and L e^-s by (P + P') e^-s times that;
+    * gamma_n covers the window's dot product of at most n terms;
+    * tau bounds the truncation: every dropped node is at least
+      (hw + 1/2) h from x, with hw = stencil_halfwidth and h = 2 pi / n, so
+      tau is the sum of |k_j g_j| over the nodes at least (hw + 0.49) h
+      away.
+    """
+    import mpmath
+
+    c = gamma * (TWO_PI / n)
+    hw = stencil_halfwidth(KernelParams(m, c), n)
+    nodes = FullGridSpec((n,)).axis(0)
+    coeffs = [(-1) ** k * mpmath.binomial(m + mpmath.mpf(0.5), m - k)
+              / mpmath.factorial(k) for k in range(m + 1)]
+    mc = mpmath.mpf(c)
+    scale = (2 * mpmath.pi / n) / (mpmath.sqrt(2 * mpmath.pi) * mc)
+    exact = mags = eta = tau = mpmath.mpf(0)
+    for x_j, g_j in zip(nodes, gp_eval(g, nodes)):
+        alpha = mpmath.mpf(x) - mpmath.mpf(x_j)
+        s = 2 * mpmath.sin(alpha / 2) ** 2 / mc**2
+        env = scale * mpmath.exp(-s)
+        k_j = env * mpmath.polyval(coeffs[::-1], s)
+        big_p = mpmath.polyval([abs(a) for a in coeffs[::-1]], s)
+        dp = mpmath.polyval([k * abs(a) for k, a in enumerate(coeffs)][:0:-1], s) if m else 0
+        e_j = env * ((12 * m + 12 * s + 24) * _UNIT_ROUNDOFF * big_p
+                     + (big_p + dp) * 2e-15 * abs(mpmath.sin(alpha)) / mc**2)
+        exact += k_j * g_j
+        eta += e_j * abs(g_j)
+        mags += (abs(k_j) + e_j) * abs(g_j)
+        dist = abs(x - x_j)
+        if min(dist, TWO_PI - dist) >= (hw + 0.49) * (TWO_PI / n):
+            tau += abs(k_j * g_j)
+    return exact, eta + _gamma_n(n) * mags + tau
+
+
+@pytest.mark.parametrize("d, level", [(4, 7), (5, 6)])
+def test_product_evaluation_is_within_its_bound_of_the_exact_sum(d, level):
+    # where the factored and generic values differ most (about 5e-14 and
+    # 9e-14 of max |G_p| at d = 4 and 5), the factored value is held to
+    # the factored formula summed densely in 30-digit arithmetic.  With
+    # E_r, e_r the exact 1D value and its error bound (_exact_factor), a
+    # term's computed product is within prod_r (|E_r| + e_r) - prod_r |E_r|
+    # of the exact one, and the product's d - 1 roundings, c_t's and the
+    # sum's T - 1 stay within gamma_(d + T) of prod_r (|E_r| + e_r), so
+    #   |computed - exact| <= sum_t |c_t| ((1 + gamma_(d+T)) prod_r (|E_r| + e_r)
+    #                                      - prod_r |E_r|).
+    import mpmath
+
+    m, gamma = 2, 1.0
+    g, factor, _ = _product_factor(d)
+    spec = SparseGridSpec(level, d)
+    pts = lcg_uniform_points(8, d, 0x5EED)
+    got = evaluate_sparse_product_levels(factor, [spec], m, gamma, pts)[0]
+    terms = combination_terms(spec)
+    counts = sorted({n for t in terms for n in t.grid.counts})
+    with mpmath.workdps(30):
+        for x, value in zip(pts, got):
+            factors = {(r, n): _exact_factor(g, n, m, gamma, x[r])
+                       for r in range(d) for n in counts}
+            exact = bound = mpmath.mpf(0)
+            for t in terms:
+                pairs = [factors[r, n] for r, n in enumerate(t.grid.counts)]
+                exact += t.coeff * mpmath.fprod(e for e, _ in pairs)
+                bound += abs(t.coeff) * (
+                    (1 + _gamma_n(d + len(terms))) * mpmath.fprod(abs(e) + b for e, b in pairs)
+                    - mpmath.fprod(abs(e) for e, _ in pairs)
+                )
+            assert abs(mpmath.mpf(float(value)) - exact) <= bound, (d, level, x)
 
 
 @pytest.mark.parametrize(
@@ -1091,19 +1222,22 @@ def test_product_levels_match_generic_build(d, levels, m, gamma):
         ([SparseGridSpec(32, 2)], 1.0, "exceed 62 bits"),
     ],
 )
-def test_product_levels_raise_the_generic_errors_before_sampling(specs, gamma, match):
+def test_product_evaluation_raises_the_generic_errors_before_sampling(specs, gamma, match):
     import tracemalloc
 
     def never_called(x):
         raise AssertionError("sampled before the checks")
 
+    pts = np.zeros((4, specs[0].dims if specs else 1))
     errors = []
     tracemalloc.start()
     try:
-        for build in (build_sparse_levels, build_sparse_product_levels):
-            with pytest.raises(ValueError, match=match) as info:
-                build(never_called, specs, 1, gamma)
-            errors.append(str(info.value))
+        with pytest.raises(ValueError, match=match) as info:
+            build_sparse_levels(never_called, specs, 1, gamma)
+        errors.append(str(info.value))
+        with pytest.raises(ValueError, match=match) as info:
+            evaluate_sparse_product_levels(never_called, specs, 1, gamma, pts)
+        errors.append(str(info.value))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1111,12 +1245,15 @@ def test_product_levels_raise_the_generic_errors_before_sampling(specs, gamma, m
     assert peak < 1 << 20  # no grid was allocated
 
 
-def test_product_levels_check_the_factor():
+def test_product_evaluation_checks_the_factor():
     specs = [SparseGridSpec(3, 2)]
+    pts = np.zeros((4, 2))
     with pytest.raises(ValueError, match="non-finite"):
-        build_sparse_product_levels(lambda a: np.where(a > 3.0, np.inf, 1.0), specs, 1)
+        evaluate_sparse_product_levels(
+            lambda a: np.where(a > 3.0, np.inf, 1.0), specs, 1, 1.0, pts
+        )
     with pytest.raises(ValueError, match="sample function must map"):
-        build_sparse_product_levels(lambda a: np.ones(a.size + 1), specs, 1)
+        evaluate_sparse_product_levels(lambda a: np.ones(a.size + 1), specs, 1, 1.0, pts)
 
 
 # ---------------------------------------------------------------------------

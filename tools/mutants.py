@@ -92,20 +92,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "outer-product-right-fold",
+        # every axis's 1D factors read at axis 0's coordinates
+        "product-factors-at-axis-0",
         "qi.py",
-        "        return reduce(np.multiply.outer, [axes[n] for n in term.grid.counts],\n"
-        "                      np.ones(()))\n",
-        "        return reduce(lambda acc, a: np.multiply.outer(a, acc),\n"
-        "                      [axes[n] for n in reversed(term.grid.counts)], np.ones(()))\n",
-        ("tests/test_qi.py::test_product_levels_match_generic_build",),
+        "    u = [dict(zip(counts, evaluate_many(qs, x[:, None]))) for x in pts.T]\n",
+        "    u = [dict(zip(counts, evaluate_many(qs, pts[:, :1]))) for x in pts.T]\n",
+        (
+            "tests/test_qi.py::test_product_evaluation_matches_the_generic_sweep",
+            "tests/test_qi.py::test_product_evaluation_is_within_its_bound_of_the_exact_sum",
+        ),
+    ),
+    Mutant(
+        # the factor sampled only at the finest spec's node counts, which
+        # miss a coarser level's in d = 1
+        "product-counts-of-the-finest-spec",
+        "qi.py",
+        "    counts = sorted({n for row in terms for t in row for n in t.grid.counts})\n",
+        "    counts = sorted({n for t in terms[specs.index(max(specs, key=lambda s: s.level))]\n"
+        "                     for n in t.grid.counts})\n",
+        ("tests/test_qi.py::test_product_evaluation_matches_the_generic_sweep",),
     ),
     Mutant(
         "d1-gamma-check-dropped",
         "qi.py",
         "    if dims == 1:\n        _check_gamma(gamma)\n",
         "    if dims == 1:\n        pass\n",
-        ("tests/test_qi.py::test_product_levels_raise_the_generic_errors_before_sampling",),
+        ("tests/test_qi.py::test_product_evaluation_raises_the_generic_errors_before_sampling",),
     ),
     Mutant(
         "fsum-to-sum",
@@ -218,7 +230,7 @@ MUTANTS = (
             "tests/test_qi.py::test_constructor_takes_samples_and_one_kernel_per_axis",
             "tests/test_qi.py::test_from_samples_validation",
             "tests/test_qi.py::test_build_rejects_non_finite_samples",
-            "tests/test_qi.py::test_product_levels_check_the_factor",
+            "tests/test_qi.py::test_product_evaluation_checks_the_factor",
         ),
     ),
     Mutant(
