@@ -11,22 +11,28 @@ samples and one ``KernelParams`` per axis, and the grid fixes the rest;
 and ``build_aniso`` first sample a callable on the grid.  Evaluation
 contracts the samples separably against one kernel matrix per dimension.
 Each dimension's node window is truncated where the kernel envelope falls
-below 1e-15 of its peak, at the interpolant's ``stencil_halfwidths``, and
-sets the matrix's sparsity (dense when it spans the axis).  The kernel
-depends on an offset alpha only through the chord t = 2 sin^2(alpha/2)
-(``psi_from_chord``), so ``evaluate_many`` computes t once per dimension
-and node count, over the widest truncated window, for every truncated
-kernel on that axis.  Scattered points go through one
-sparse (CSR) matrix product for the largest dimension, then elementwise
-per-point contractions for the others; each kernel matrix is built at
-its first use and dropped after its last.  The points are cut into a
+below 1e-15 of its peak, at the interpolant's ``stencil_halfwidths``.  A
+truncated kernel is a window: its W x P values, window-major, and each
+point's first node; a kernel whose window spans the axis is a dense
+matrix.  The kernel depends on an offset alpha only through the chord
+t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
+once per dimension and node count, over the widest truncated window, for
+every truncated kernel on that axis.  A 1D grid is one sum per point over
+its window, sequential in window order (the bits of a CSR matrix-vector
+product), or one dense product.  A grid of d >= 2 dimensions goes through
+one sparse (CSR) matrix product for its largest dimension, then
+elementwise per-point contractions for the others; each window becomes a
+CSR matrix once per kernel.  Each kernel matrix is built at its first use
+and dropped after its last.  The points are cut into a
 fixed partition of blocks (up to four, from the point count and the grids
 alone), which a per-call thread pool evaluates on the usable CPUs, each
 block into its own columns of the result.  The blocks are whole BLAS row
 tiles, so the values are those of one unblocked evaluation, bitwise equal
 at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
 contract one axis at a time, last first, each as one sparse product of
-that axis's window matrix, built as ``evaluate_many`` builds it.
+that axis's window matrix, built as ``evaluate_many`` builds it.  Only
+CSR matrices need scipy: this module imports ``scipy.sparse`` inside the
+d >= 2 and grid paths, so ``evaluate_many`` of 1D grids never loads it.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -58,7 +64,6 @@ from functools import cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .grid import (
     CombinationTerm,
@@ -353,50 +358,104 @@ def build_sparse(
 # Evaluation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """A truncated kernel matrix, window-major.
+
+    ``values[k, p]`` weights node ``center[p] + k - hw`` (reduced mod n) at
+    point p, for k = 0 .. 2 hw; 2 hw + 1 < n, so each point's nodes are
+    distinct.
+    """
+
+    values: np.ndarray  # (2 hw + 1) x P
+    center: np.ndarray  # P nodes round(x / h), in 0 .. n
+    n: int
+
+    def extended(self, a: np.ndarray) -> np.ndarray:
+        """Per-node values ``a`` at the nodes -hw .. n + hw, wrapped.
+
+        Entry ``center[p] + k`` is ``a`` at point p's k-th window node.
+        """
+        hw = self.values.shape[0] // 2
+        return np.take(a, np.arange(-hw, self.n + hw + 1), mode="wrap")
+
+
 def _dim_windows(x: np.ndarray, n: int, widths: dict[KernelParams, int]) -> Callable:
     """Kernel matrices at coordinates x on an n-node axis, built on demand.
 
     ``widths`` maps the ``KernelParams`` of kernels on that axis to their
     stencil halfwidths hw.  Returns a function from one of them to its
-    len(x) x n matrix, weighted by the spacing h = 2 pi / n: dense, in node
-    order, when the window spans the axis (2 hw + 1 >= n); otherwise CSR
-    with 2 hw + 1 distinct nodes per row, round(x / h) - hw .. round(x / h)
-    + hw reduced mod n.  The truncated windows take the middle columns of
-    one chord 2 sin^2(offset / 2), computed here over the widest of them
-    and kept as long as the function; a spanning kernel computes its own
-    over the axis.  Each kernel only evaluates ``psi_from_chord``, so its
-    values equal a window computed for it alone.
+    len(x) x n matrix, weighted by the spacing h = 2 pi / n: a dense array,
+    in node order, when the window spans the axis (2 hw + 1 >= n);
+    otherwise a :class:`_Window` of the 2 hw + 1 nodes round(x / h) - hw ..
+    round(x / h) + hw.  The truncated windows take the middle rows of one
+    window-major chord 2 sin^2(offset / 2), computed here over the widest
+    of them and kept as long as the function; its offsets x - h * node come
+    from a table of h * node for node = -wide .. n + wide.  A spanning
+    kernel computes its own chord over the axis.  Each kernel only
+    evaluates ``psi_from_chord``, so its values equal a window computed for
+    it alone.
     """
     spacing = TWO_PI / n
     narrow = [hw for hw in widths.values() if 2 * hw + 1 < n]
     if narrow:
         wide = max(narrow)
-        base = np.round(x / spacing).astype(np.int64)[:, None]
-        # psi is exactly periodic, so unreduced nodes give the same values;
-        # the offsets are freed before any kernel is evaluated (as are a
-        # spanning kernel's own, below)
-        chord = x[:, None] - spacing * (base + np.arange(-wide, wide + 1))
-        chord = 2.0 * np.sin(chord / 2.0) ** 2
+        base = np.round(x / spacing).astype(np.int64)
+        # psi is exactly periodic, so unreduced nodes give the same values
+        table = spacing * np.arange(-wide, n + wide + 1)
+        chord = np.empty((2 * wide + 1, x.size))
+        for k, row in enumerate(chord):
+            table[k:].take(base, out=row, mode="clip")
+        np.subtract(x, chord, out=chord)
+        chord /= 2.0
+        np.sin(chord, out=chord)
+        np.square(chord, out=chord)
+        chord *= 2.0
 
     def matrix(params: KernelParams):
         hw = widths[params]
-        if 2 * hw + 1 >= n:
-            raw = None
+        spans = 2 * hw + 1 >= n
+        if spans:
+            # the offsets are freed before the kernel is evaluated
             window = x[:, None] - spacing * np.arange(n)[None, :]
             window = 2.0 * np.sin(window / 2.0) ** 2
         else:
-            raw = base + np.arange(-hw, hw + 1)
-            window = chord[:, wide - hw : wide + hw + 1]
+            window = chord[wide - hw : wide + hw + 1]
         kern = psi_from_chord(params, window)
         kern *= spacing
-        if raw is None:
-            return kern
-        indptr = np.arange(0, kern.size + 1, kern.shape[1])
-        return sparse.csr_matrix(
-            (kern.ravel(), np.mod(raw, n).ravel(), indptr), shape=(kern.shape[0], n)
-        )
+        return kern if spans else _Window(kern, base, n)
 
     return matrix
+
+
+def _window_sum(win: _Window, samples: np.ndarray) -> np.ndarray:
+    """Each point's kernel-weighted sum of 1D samples over its window.
+
+    One sequential sum per point from +0.0, in window order: the bits of
+    the CSR matrix-vector product over the same window.  (A one-point
+    ``np.add.reduce`` over the window would sum pairwise instead.)
+    """
+    ext = win.extended(samples)
+    out = np.zeros(win.center.size)
+    term = np.empty(win.center.size)
+    for k, row in enumerate(win.values):
+        ext[k:].take(win.center, out=term, mode="clip")
+        term *= row
+        out += term
+    return out
+
+
+def _window_csr(win: _Window):
+    """The window as a len(x) x n CSR matrix, each row in window order."""
+    from scipy import sparse
+
+    width, points = win.values.shape
+    nodes = win.extended(np.arange(win.n, dtype=np.int32))
+    nodes = nodes[win.center[:, None] + np.arange(width)]
+    return sparse.csr_matrix(
+        (win.values.T.ravel(), nodes.ravel(), np.arange(0, nodes.size + 1, width)),
+        shape=(points, win.n),
+    )
 
 
 def _dense_product(mat: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -423,21 +482,24 @@ def _dense_product(mat: np.ndarray, samples: np.ndarray) -> np.ndarray:
 def _evaluate_separable(q: QuasiInterpolant, mats: Sequence) -> np.ndarray:
     """Contract the samples axis by axis against per-axis kernel matrices.
 
-    The largest axis goes through one (sparse) matrix product against the
-    samples; the remaining, shorter axes are contracted elementwise per
-    point, innermost first.
+    A 1D grid is one window sum (:func:`_window_sum`) or dense product.
+    Otherwise the largest axis goes through one (CSR or dense) matrix
+    product against the samples; the remaining, shorter axes are
+    contracted elementwise per point, innermost first.
     """
     d = q.grid.dims
     big = int(np.argmax(q.grid.counts))
     rest = [r for r in range(d) if r != big]
     samples = np.moveaxis(q.samples, big, 0).reshape(q.grid.counts[big], -1)
-    if sparse.issparse(mats[big]):
-        acc = mats[big] @ samples
-    else:
+    if isinstance(mats[big], _Window):
+        acc = _window_sum(mats[big], q.samples)
+    elif isinstance(mats[big], np.ndarray):
         acc = _dense_product(mats[big], samples)
+    else:
+        acc = mats[big] @ samples
     acc = acc.reshape((acc.shape[0],) + tuple(q.grid.counts[r] for r in rest))
     for r in reversed(rest):
-        kern = mats[r].toarray() if sparse.issparse(mats[r]) else mats[r]
+        kern = mats[r] if isinstance(mats[r], np.ndarray) else mats[r].toarray()
         acc = np.einsum("p...j,pj->p...", acc, kern)
     return acc
 
@@ -507,7 +569,11 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
         if (r, n, params) not in mats:
             if (r, n) not in windows:
                 windows[r, n] = _dim_windows(block[:, r], n, groups[r, n])
-            mats[r, n, params] = windows[r, n](params)
+            mat = windows[r, n](params)
+            # d >= 2 takes each truncated kernel as CSR, made once here
+            if block.shape[1] > 1 and isinstance(mat, _Window):
+                mat = _window_csr(mat)
+            mats[r, n, params] = mat
             if params == next(reversed(groups[r, n])):
                 del windows[r, n]  # the group's last matrix: frees its chords
         return mats[r, n, params]
@@ -550,7 +616,8 @@ def evaluate_many(qs, points) -> np.ndarray:
     block, the kernels are grouped by (dimension, node count): the group's
     first use computes the node offsets and their chords once, over its
     widest truncated window, and :func:`_dim_windows` builds each kernel
-    matrix of the group from them at its first use; a matrix is shared by
+    matrix of the group from them at its first use (for d >= 2 a truncated
+    window becomes a CSR matrix there, once); a matrix is shared by
     every grid with that kernel on that dimension, and is dropped after the
     last component that uses it.  The chords are dropped with the group's
     last matrix built.  Each component object (by identity, as
@@ -707,11 +774,14 @@ def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndar
     coordinates elsewhere, or on the BLAS thread count.  Agrees with
     :func:`evaluate_dense` on the product points to truncation accuracy.
     """
+    from scipy import sparse
+
     xs = _grid_axes(q, axes)
     res = q.samples
     for r in reversed(range(q.grid.dims)):
         n, params = q.grid.counts[r], q.params[r]
-        mat = sparse.csr_matrix(_dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})(params))
+        mat = _dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})(params)
+        mat = sparse.csr_matrix(mat) if isinstance(mat, np.ndarray) else _window_csr(mat)
         others = res.shape[:r] + res.shape[r + 1 :]
         vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)
         res = np.moveaxis(vals.reshape((xs[r].size,) + others), 0, r)

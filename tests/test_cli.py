@@ -820,10 +820,36 @@ def test_envelope_edges_exit_0_with_finite_numbers_or_2_or_3(tmp_path, argv):
 # imports
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_out_scipy_special():
-    # only the Hankel-quadrature test oracle uses scipy.special
+_NO_SCIPY_SCRIPT = """
+import sys
+import torusqi.cli as cli
+
+out = sys.argv[1]
+commands = [
+    ["table1", "--m", "0,2", "--gamma", "0.6,1.5", "--nmin", "32", "--nmax", "128"],
+    ["conv2d", "--m", "0,2", "--nmin", "16", "--nmax", "32"],
+    ["sparse", "--dims", "3", "--levels", "4..5"],
+    ["sparse", "--dims", "2", "--levels", "6..7"],
+    ["strangfix", "--m", "0,1", "--nmin", "64", "--nmax", "256"],
+    ["kernel", "--m", "2"],
+]
+seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for i, argv in enumerate(commands):
+    assert cli.main(argv + ["--out", f"{out}/{i}.txt"]) == 0, argv
+    seen[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(seen)
+assert not any(seen.values()), seen
+"""
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    # every command evaluates 1D interpolants only, which sum their windows
+    # in numpy; scipy.sparse is imported by d >= 2 evaluation alone, and
+    # scipy.special by the Hankel-quadrature test oracle
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, torusqi.cli; assert 'scipy.special' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(list(tmp_path.iterdir())) >= 6

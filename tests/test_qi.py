@@ -558,7 +558,8 @@ def test_grid_values_follow_permuted_axes_bitwise(d):
 
 @pytest.mark.parametrize("n, gamma", [(64, 1.0), (256, 1.5)])
 def test_grid_1d_equals_evaluate_bitwise(n, gamma):
-    # a truncated window makes both a CSR product of the same rows
+    # on a truncated window the grid's CSR product and evaluate's window
+    # sum are the same sequential sums
     from torusqi.analysis import offset_eval_axis
 
     rng = np.random.default_rng(n)
@@ -1358,6 +1359,119 @@ def test_evaluation_reads_the_interpolants_halfwidths(monkeypatch):
         assert np.array_equal(evaluate(q, pts2), row)
     for q, grid in zip(table1 + [aniso], grids):
         assert np.array_equal(evaluate_on_grid(q, axes[: q.grid.dims]), grid)
+
+
+# ---------------------------------------------------------------------------
+# Window sums
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _csr_reference(x, n, params, hw):
+    """A truncated kernel matrix from psi_restricted, as CSR in window order."""
+    from scipy import sparse
+
+    h = TWO_PI / n
+    nodes = np.round(x / h).astype(np.int64)[:, None] + np.arange(-hw, hw + 1)
+    kern = h * psi_restricted(params, x[:, None] - h * nodes)
+    indptr = np.arange(0, kern.size + 1, 2 * hw + 1)
+    return sparse.csr_matrix((kern.ravel(), np.mod(nodes, n).ravel(), indptr),
+                             shape=(x.size, n))
+
+
+def _wrapping_points(n, count, seed):
+    # points at and next to 0 and 2 pi put windows past both ends of the axis
+    h = TWO_PI / n
+    edges = [0.0, 5e-324, 1e-12, 0.49 * h, 0.51 * h, TWO_PI - 0.51 * h,
+             TWO_PI - 0.49 * h, TWO_PI - 1e-12, np.nextafter(TWO_PI, 0.0)]
+    rng = np.random.default_rng(seed)
+    return np.concatenate([edges, rng.uniform(0.0, TWO_PI, count)])
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_window_sum_is_bitwise_the_csr_product(n):
+    # one group of kernels shares the widest window's chord, so the
+    # narrower ones take its middle rows (hw < wide); every sum must have
+    # the bits of scipy's CSR matrix-vector product, whose sequential sum
+    # starts at +0.0, at one, two and many points
+    rng = np.random.default_rng(n)
+    widths = {}
+    for m in (0, 1, 2, 8):
+        for gamma in (0.3, 0.6, 1.0, 1.5):
+            if gamma * TWO_PI / n <= math.pi:
+                params = KernelParams(m, gamma * TWO_PI / n)
+                widths[params] = stencil_halfwidth(params, n)
+    narrow = {p: hw for p, hw in widths.items() if 2 * hw + 1 < n}
+    assert len(set(narrow.values())) > 1
+    random = rng.uniform(-1.0, 1.0, n)
+    random[::5] = 0.0
+    random[1::7] = -0.0
+    negative = -rng.uniform(0.5, 1.0, n)
+    negative[::3] = -0.0
+    batteries = {"random": random, "negative": negative, "negative zeros": np.full(n, -0.0)}
+    x = _wrapping_points(n, 400, n)
+    for pts in (x, x[:1], x[-1:], x[7:9]):
+        matrix = qi._dim_windows(pts, n, widths)
+        for params, hw in narrow.items():
+            win = matrix(params)
+            ref = _csr_reference(pts, n, params, hw)
+            for name, samples in batteries.items():
+                got = qi._window_sum(win, samples)
+                assert np.array_equal(_bits(got), _bits(ref @ samples)), (params, name, pts.size)
+                if name == "negative zeros":
+                    # -0.0 summed from +0.0 is +0.0, whatever the kernel's signs
+                    assert not np.signbit(got).any()
+
+
+def test_1d_rows_are_bitwise_the_csr_product():
+    # table1's sweep at N = 128 over points that wrap: every truncated row
+    # of evaluate_many is the CSR product of a window built from
+    # psi_restricted, in several blocks on the thread pool
+    n = 128
+    qs = _kernel_sweep((n,), [((m,), (gamma,)) for m in (0, 1, 2)
+                              for gamma in (0.6, 0.8, 1.0, 1.5)])
+    x = _wrapping_points(n, 5000, 1)
+    assert len(qi._point_blocks(x.size, 1)) > 1
+    for q, row in zip(qs, evaluate_many(qs, x[:, None])):
+        hw = q.stencil_halfwidths[0]
+        assert 2 * hw + 1 < n
+        ref = _csr_reference(x, n, q.params[0], hw) @ q.samples
+        assert np.array_equal(_bits(row), _bits(ref)), q.params
+
+
+_D3_CASE = """
+import hashlib
+import numpy as np
+from torusqi import SparseGridSpec, build_aniso, build_sparse_levels, evaluate_many
+from torusqi import evaluate_on_grid
+
+f = lambda p: np.sin(p[:, 0] + 2 * p[:, 1] + 3 * p[:, 2])
+qs = list(build_sparse_levels(f, [SparseGridSpec(lv, 3) for lv in (4, 5)], 2, 1.0))
+qs.append(build_aniso(f, (32, 8, 16), (2, 1, 0), (1.0, 1.5, 0.6)))
+pts = np.random.default_rng(3).uniform(0.0, 2 * np.pi, (4096, 3))
+rows = evaluate_many(qs, pts)
+grid = evaluate_on_grid(qs[-1], [np.linspace(0.0, 6.0, k) for k in (5, 7, 9)])
+digest = hashlib.sha256(rows.tobytes() + grid.tobytes()).hexdigest()
+"""
+
+
+def test_fresh_interpreter_imports_scipy_at_the_first_d3_evaluation():
+    # d >= 2 evaluation builds CSR matrices, importing scipy.sparse on its
+    # first use, here from the pool's worker threads; the values are those
+    # of this process, which imported it long before
+    script = ("import sys\nassert 'scipy' not in sys.modules\n" + _D3_CASE
+              + "assert 'scipy.sparse' in sys.modules\nprint(digest)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    here: dict = {}
+    exec(_D3_CASE, here)
+    assert proc.stdout.strip() == here["digest"]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the window's rows summed last to first
+        "window-sum-reversed",
+        "qi.py",
+        "    for k, row in enumerate(win.values):\n",
+        "    for k, row in reversed(list(enumerate(win.values))):\n",
+        (
+            "tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",
+            "tests/test_qi.py::test_1d_rows_are_bitwise_the_csr_product",
+            "tests/test_qi.py::test_grid_1d_equals_evaluate_bitwise",
+        ),
+    ),
+    Mutant(
+        # a window of -0.0 terms sums to -0.0, where CSR's sum gives +0.0
+        "window-sum-from-negative-zero",
+        "qi.py",
+        "    out = np.zeros(win.center.size)\n",
+        "    out = np.full(win.center.size, -0.0)\n",
+        ("tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",),
+    ),
+    Mutant(
+        # one reduction over the window, which numpy sums pairwise when
+        # the block holds one point
+        "window-sum-by-reduce",
+        "qi.py",
+        "    out = np.zeros(win.center.size)\n",
+        "    terms = ext[win.center + np.arange(len(win.values))[:, None]] * win.values\n"
+        "    return np.add.reduce(terms, axis=0, initial=0.0)\n"
+        "    out = np.zeros(win.center.size)\n",
+        ("tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",),
+    ),
+    Mutant(
         # every axis truncated at axis 0's halfwidth
         "halfwidth-of-axis-0",
         "qi.py",
