@@ -362,7 +362,7 @@ def run_kernel_dump(args: argparse.Namespace) -> None:
     p = KernelParams(args.m, args.gamma * (TWO_PI / args.nmin))
     alphas = TWO_PI * np.arange(4097) / 4096  # endpoint repeated for trapezoid
     values = psi_restricted(p, alphas)
-    hats = [psi_fourier_analytic(p, ell) for ell in range(0, args.nmax + 1)]
+    hats = psi_fourier_analytic(p, np.arange(args.nmax + 1)).tolist()
     _write_tables([(_with_suffix(args.out, "psi"), "alpha psi", zip(alphas, values), " "),
                    (_with_suffix(args.out, "psihat"), "ell psi_hat", enumerate(hats), " ")])
 

@@ -19,7 +19,10 @@ Its Fourier coefficients :math:`\widehat\psi(\ell; c) = \int_{\mathbb{T}}
 with residual :math:`O(\ell^{2m+2} c^{2m+2})`; :func:`strang_fix_certify`
 measures that exponent.  Two independent evaluation routes are kept for
 every coefficient path: the analytic route through scaled Bessel jets, and
-plain quadrature.
+plain quadrature.  The analytic coefficients take an int or a 1-D integer
+array of :math:`\ell`; each frequency takes its own route (the telescoped
+series or the Taylor jet) with the bits of a call for it alone, so the
+certifier makes one call per shape.
 
 Fourier conventions used throughout the package: coefficients carry the
 plain integral (no :math:`2\pi` factor) so that :math:`\widehat\psi \to 1`,
@@ -211,15 +214,15 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
 # Fourier coefficients of the restricted kernel
 # ---------------------------------------------------------------------------
 
-def _psi_hat_via_jet(m: int, ell: int, rho: float) -> float:
-    """Order-raised coefficient from the Taylor coefficients a_j at rho.
+def _psi_hat_via_jet(m: int, ell: np.ndarray, rho: float) -> np.ndarray:
+    """Order-raised coefficients from the Taylor coefficients a_j at rho.
 
     The sum of (-rho)^j a_j over j <= m telescopes exactly down to
     1 + O(rho^{m+1}); the cancellation amplifies round-off by about
     (1/rho)^m, so this route is reserved for moderate 1/rho.
     """
     jet = jet_psi2_hat(ell, rho, m)
-    acc = 0.0
+    acc = np.zeros(ell.size)
     power = 1.0
     for j in range(m + 1):
         acc += power * jet[j]
@@ -231,7 +234,7 @@ _SERIES_MIN_INV_RHO = 25.0
 _SERIES_MAX_TERMS = 400
 
 
-def _psi_hat_via_series(m: int, ell: int, rho: float) -> float | None:
+def _psi_hat_via_series(m: int, ell: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     r"""Small-rho evaluation through the large-argument expansion.
 
     The base coefficient has the asymptotic series
@@ -245,19 +248,28 @@ def _psi_hat_via_series(m: int, ell: int, rho: float) -> float | None:
             \sum_{k>m} \binom{k-1}{m} e_k \rho^k .
 
     The residual is accumulated directly (no cancellation against 1).
-    Returns ``None`` when the series cannot reach round-off before its
-    divergent tail takes over, in which case the jet route applies.
+    Each frequency is a lane of the same array operations, and a lane
+    leaves the sum at its own convergence or asymptotic floor.  Returns
+    the values and a mask of the lanes that converged; the others (nan)
+    are those whose series cannot reach round-off before its divergent
+    tail takes over, where the jet route applies.
     """
     mu = 4.0 * ell * ell
     q = mu * rho / 8.0  # growth exponent of the early terms
     z = 1.0 / rho
-    if z < _SERIES_MIN_INV_RHO or 2.0 * q > max(2.0, m * math.log(z)):
-        return None
-    term = 1.0  # e_k rho^k, starting at k = 0
+    out = np.full(ell.shape, math.nan)
+    done = np.zeros(ell.shape, dtype=bool)
+    if z < _SERIES_MIN_INV_RHO:
+        return out, done
+    lanes = np.flatnonzero(2.0 * q <= max(2.0, m * math.log(z)))
+    mu, q = mu[lanes], q[lanes]
+    term = np.ones(lanes.size)  # e_k rho^k, starting at k = 0
     weight = 1.0  # binom(k-1, m) once k > m
-    tail = 0.0
-    prev_mag = math.inf
+    tail = np.zeros(lanes.size)
+    prev_mag = np.full(lanes.size, math.inf)
     for k in range(1, _SERIES_MAX_TERMS):
+        if not lanes.size:
+            break
         term *= -(mu - (2 * k - 1) ** 2) * rho / (8.0 * k)
         if k <= m:
             continue
@@ -265,16 +277,20 @@ def _psi_hat_via_series(m: int, ell: int, rho: float) -> float | None:
             weight *= (k - 1) / (k - 1 - m)
         contrib = weight * term
         tail += contrib
-        mag = abs(contrib)
-        if mag <= 1e-18 * (1.0 + abs(tail)):
-            return 1.0 + (-1.0) ** m * tail
-        if mag > prev_mag and k > 2.0 * q + 10.0:
-            return None  # asymptotic floor reached before convergence
+        mag = np.abs(contrib)
+        converged = mag <= 1e-18 * (1.0 + np.abs(tail))
+        # a lane also leaves at the asymptotic floor, reached before it converged
+        stop = converged | ((mag > prev_mag) & (k > 2.0 * q + 10.0))
+        if stop.any():
+            out[lanes[converged]] = 1.0 + (-1.0) ** m * tail[converged]
+            done[lanes[converged]] = True
+            keep = ~stop
+            lanes, mu, q, term, tail, mag = (v[keep] for v in (lanes, mu, q, term, tail, mag))
         prev_mag = mag
-    return None
+    return out, done
 
 
-def psi_fourier_analytic(p: KernelParams, ell: int) -> float:
+def psi_fourier_analytic(p: KernelParams, ell):
     r"""Analytic Fourier coefficient :math:`\widehat\psi_{2m+2}(\ell; c)`.
 
     Evaluates :math:`\sum_{j=0}^m (-\rho)^j a_j` with :math:`\rho = c^2`
@@ -282,15 +298,22 @@ def psi_fourier_analytic(p: KernelParams, ell: int) -> float:
     :math:`\sqrt{2\pi}\rho^{-1/2} e^{-1/\rho} I_{|\ell|}(1/\rho)` at
     :math:`\rho`.  Even in ``ell``; tends to 1 as ``c -> 0``.  For small
     ``rho`` the telescoped series form is used so the saturation residual
-    is computed without cancellation.
+    is computed without cancellation.  ``ell`` is an int (returns a float)
+    or a 1-D integer array (returns an array): each frequency takes its own
+    route, with the same bits as a call for it alone.
     """
-    if abs(ell) > FOURIER_MAX_FREQ:
+    ells = np.asarray(ell)
+    if ells.ndim > 1 or ells.dtype.kind not in "iu":
+        raise ValueError(f"frequency must be an int or a 1-D integer array, got {ell!r}")
+    lanes = np.abs(np.atleast_1d(ells).astype(np.int64))
+    if np.any(lanes > FOURIER_MAX_FREQ):
         raise ValueError(f"frequency must satisfy |ell| <= {FOURIER_MAX_FREQ}")
     rho = p.c * p.c
-    via_series = _psi_hat_via_series(p.m, abs(ell), rho)
-    if via_series is not None:
-        return via_series
-    return _psi_hat_via_jet(p.m, abs(ell), rho)
+    out, done = _psi_hat_via_series(p.m, lanes, rho)
+    jet = np.flatnonzero(~done)
+    if jet.size:
+        out[jet] = _psi_hat_via_jet(p.m, lanes[jet], rho)
+    return out if ells.ndim else float(out[0])
 
 
 def psi_fourier_quadrature(p: KernelParams, ell: int, nodes: int) -> float:
@@ -335,7 +358,9 @@ def strang_fix_certify(
     per-frequency log-log slope should approach ``2m + 2``.  The report
     also records the worst saturation residual at the finest shape and the
     largest alias-band coefficient ``max |psi_hat(ell')|`` over
-    ``ell' in [N/2, 3N/2]`` at the largest ``N``.  Raises
+    ``ell' in [N/2, 3N/2]`` at the largest ``N``.  It makes one
+    :func:`psi_fourier_analytic` call per shape over the probes, and one
+    over the alias band.  Raises
     :class:`NumericsError` on a non-finite alias coefficient or a zero or
     non-finite residual, as happens once high orders saturate to round-off.
     """
@@ -358,10 +383,10 @@ def strang_fix_certify(
         raise ValueError(f"gamma must be > 0, got {gamma}")
 
     c_list = [gamma * (2.0 * math.pi / N) for N in N_arr]
-    residuals = {
-        ell: [abs(psi_fourier_analytic(KernelParams(m, c), ell) - 1.0) for c in c_list]
-        for ell in ells
-    }
+    probes = np.array(ells, dtype=np.int64)
+    per_shape = [np.abs(psi_fourier_analytic(KernelParams(m, c), probes) - 1.0).tolist()
+                 for c in c_list]
+    residuals = {ell: [res[i] for res in per_shape] for i, ell in enumerate(ells)}
     for ell, res in residuals.items():
         if not all(math.isfinite(r) and r > 0.0 for r in res):
             raise NumericsError(
@@ -374,15 +399,16 @@ def strang_fix_certify(
     p_fine = KernelParams(m, c_fine)
     saturation_max = max(res[-1] for res in residuals.values())
     n_fine = N_arr[-1]
-    band = range(n_fine // 2, 3 * n_fine // 2 + 1)
-    alias = [abs(psi_fourier_analytic(p_fine, ell)) for ell in band]
-    for ell, a in zip(band, alias):
-        if not math.isfinite(a):
-            raise NumericsError(f"alias-band coefficient of m={m} at ell={ell} is {a}")
+    band = np.arange(n_fine // 2, 3 * n_fine // 2 + 1)
+    alias = np.abs(psi_fourier_analytic(p_fine, band))
+    finite = np.isfinite(alias)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericsError(f"alias-band coefficient of m={m} at ell={band[k]} is {alias[k]}")
     return StrangFixReport(
         orders=orders,
         saturation_max=saturation_max,
-        aliasing_max=max(alias),
+        aliasing_max=float(alias.max()),
     )
 
 

@@ -23,12 +23,12 @@ product), or one dense product.  A grid of d >= 2 dimensions goes through
 one sparse (CSR) matrix product for its largest dimension, then
 elementwise per-point contractions for the others; each window becomes a
 CSR matrix once per kernel.  Each kernel matrix is built at its first use
-and dropped after its last.  The points are cut into a
-fixed partition of blocks (up to four, from the point count and the grids
-alone), which a per-call thread pool evaluates on the usable CPUs, each
-block into its own columns of the result.  The blocks are whole BLAS row
-tiles, so the values are those of one unblocked evaluation, bitwise equal
-at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
+and dropped after its last.  The points are cut into a fixed partition of
+blocks (up to four, from the point count and the grids alone), each
+evaluated into its own columns of the result: on the calling thread for
+1D grids, on a per-call thread pool over the usable CPUs for d >= 2.  The
+blocks are whole BLAS row tiles, so the values are those of one unblocked
+evaluation, bitwise equal at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
 contract one axis at a time, last first, each as one sparse product of
 that axis's window matrix, built as ``evaluate_many`` builds it.  Only
 CSR matrices need scipy: this module imports ``scipy.sparse`` inside the
@@ -624,9 +624,10 @@ def evaluate_many(qs, points) -> np.ndarray:
     :func:`build_sparse_levels` shares them across levels) is evaluated
     once for all rows; its values are dropped after the last row using it.
 
-    The blocks run on a thread pool of min(blocks, usable CPUs) workers
-    that lives only for this call (inline, with no pool, when that is
-    one or none); dense products go to BLAS in row slices small enough for it to
+    For d >= 2 the blocks run on a thread pool of min(blocks, usable CPUs)
+    workers that lives only for this call (inline, with no pool, when that
+    is one or none); 1D blocks always run inline, on the calling thread.
+    Dense products go to BLAS in row slices small enough for it to
     compute them on the calling worker (see :func:`_dense_product`).
     Blocks and slices depend on the counts only, so the result is bitwise
     equal at any CPU count; they are whole row tiles, so each point keeps
@@ -658,7 +659,9 @@ def evaluate_many(qs, points) -> np.ndarray:
     def run(block: slice) -> None:
         _evaluate_block(rows, groups, last_user, last_row, pts[block], out[:, block])
 
-    workers = min(len(blocks), _usable_cpus())
+    # 1D blocks are short row loops: a pool gained them no wall time, and
+    # cost CPU time and a higher memory peak
+    workers = min(len(blocks), _usable_cpus()) if dims[0] > 1 else 1
     if workers <= 1:
         for block in blocks:
             run(block)

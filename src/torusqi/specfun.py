@@ -8,8 +8,12 @@ Provides the pieces everything else is assembled from:
 * overflow-safe scaled modified Bessel functions
   :math:`\tilde I_\nu(z) = e^{-z} I_\nu(z)` (Miller backward recurrence;
   the jet route shares one memoized recurrence per argument and order bucket),
-* the Taylor coefficients (order ``<= 8``, as plain tuples) of
-  :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
+* the Taylor coefficients (order ``<= 8``) of
+  :math:`\sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`, as a
+  tuple for one ``ell`` or as rows over a 1-D array of ``ell``.  Every
+  frequency of an array is one lane of the same operations and reads the
+  Bessel table of its own order bucket, so its coefficients are bitwise
+  those of a call for it alone.
 
 All arithmetic is double precision; the documented support ceilings
 (``m <= 12`` for raw Laguerre evaluation, jet order ``<= 8``) are where
@@ -21,6 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -167,19 +173,21 @@ _MILLER_TABLE_MIN = 64
 
 
 @lru_cache(maxsize=16)
-def _miller_table(z: float, size: int) -> tuple[float, ...]:
-    """Scaled Bessel values of orders ``0..size`` at ``z``, memoized.
+def _miller_table(z: float, size: int) -> np.ndarray:
+    """Scaled Bessel values of orders ``0..size`` at ``z``, memoized, read-only.
 
     Callers round the highest order they need up to a power of two (at
     least ``_MILLER_TABLE_MIN``), so all coefficients of one kernel shape
     share a few recurrences, and a value depends only on its own request,
     never on which calls came before it.
     """
-    return tuple(_miller_scaled(size, z))
+    table = np.array(_miller_scaled(size, z))
+    table.flags.writeable = False
+    return table
 
 
-def _scaled_bessel_derivative_taylor(ell: int, z0: float, order: int) -> list[float]:
-    r"""Taylor coefficients of :math:`u \mapsto e^{-u} I_\ell(u)` at ``z0``.
+def _scaled_bessel_derivative_taylor(ell: np.ndarray, z0: float, order: int) -> list[np.ndarray]:
+    r"""Taylor coefficients of :math:`u \mapsto e^{-u} I_\ell(u)` at ``z0``, over an array of ``ell``.
 
     The scaled function :math:`g_\nu(u) = e^{-u} I_\nu(u)` obeys
     :math:`g_\nu' = (g_{\nu-1} + g_{\nu+1})/2 - g_\nu`, so
@@ -188,19 +196,27 @@ def _scaled_bessel_derivative_taylor(ell: int, z0: float, order: int) -> list[fl
         g_\ell^{(j)} = 2^{-j} \sum_{s=-j}^{j} (-1)^{j+s} \binom{2j}{j+s}
             g_{|\ell+s|}
 
-    (negative orders folded by :math:`I_{-n} = I_n`).  The weights are
-    exact dyadic floats and :func:`math.fsum` rounds each sum once.  The
-    order values come from the shared table of :func:`_miller_table`
-    (uncapped: high-frequency Fourier coefficients reach past the public
-    ceiling).
+    (negative orders folded by :math:`I_{-n} = I_n`).  Returns one array
+    over ``ell`` per ``j = 0..order``.  The weights are exact dyadic floats
+    and :func:`math.fsum` rounds each frequency's sum once.  Each frequency
+    reads the values of its own bucket of :func:`_miller_table` (uncapped:
+    high-frequency Fourier coefficients reach past the public ceiling), so
+    its coefficients do not depend on the other frequencies of the call.
     """
-    size = max(_MILLER_TABLE_MIN, 1 << (ell + order - 1).bit_length())
-    g = _miller_table(z0, size)
-    return [
-        math.fsum((-1) ** (j + s) * math.comb(2 * j, j + s) / 2**j * g[abs(ell + s)]
-                  for s in range(-j, j + 1)) / math.factorial(j)
-        for j in range(order + 1)
-    ]
+    idx = np.abs(ell[:, None] + np.arange(-order, order + 1))
+    # max(64, 1 << (ell + order - 1).bit_length()): frexp's exponent is the
+    # bit length of an integer below 2**53
+    buckets = np.maximum(_MILLER_TABLE_MIN, 1 << np.frexp(ell + (order - 1))[1])
+    g = np.empty(idx.shape)
+    for size in np.unique(buckets).tolist():
+        lanes = buckets == size
+        g[lanes] = np.asarray(_miller_table(z0, size))[idx[lanes]]
+    coeffs = []
+    for j in range(order + 1):
+        weights = [(-1) ** (j + s) * math.comb(2 * j, j + s) / 2**j for s in range(-j, j + 1)]
+        terms = np.multiply(weights, g[:, order - j:order + j + 1])
+        coeffs.append(np.array([math.fsum(row) for row in terms.tolist()]) / math.factorial(j))
+    return coeffs
 
 
 def _power_taylor(x0: float, p: float, order: int) -> list[float]:
@@ -219,42 +235,58 @@ def _power_series(rho0: float, order: int) -> tuple[tuple[float, ...], tuple[flo
             tuple(SQRT_2PI * c for c in _power_taylor(rho0, -0.5, order)))
 
 
-def _truncated_product(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    """Cauchy product of two coefficient lists of equal length, truncated there."""
+def _truncated_product(a: Sequence, b: Sequence) -> np.ndarray:
+    """Cauchy product of two coefficient lists of equal length, truncated there.
+
+    Each list is floats, or rows of one value per frequency.  Entry ``k``
+    adds ``a[i] b[k - i]`` in ascending ``i``; a zero entry of ``a`` adds
+    nothing, lane by lane.
+    """
     n = len(a)
-    out = [0.0] * n
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b[j]
+    a = np.asarray(a).reshape(n, -1)
+    b = np.asarray(b).reshape(n, -1)
+    out = np.zeros((n, max(a.shape[1], b.shape[1])))
+    for i in range(n):
+        out[i:] += np.where(a[i] == 0.0, 0.0, a[i] * b[:n - i])
     return out
 
 
-def jet_psi2_hat(ell: int, rho0: float, order: int) -> tuple[float, ...]:
+def jet_psi2_hat(ell, rho0: float, order: int):
     r"""Taylor coefficients of :math:`\rho \mapsto \sqrt{2\pi}\,\rho^{-1/2} e^{-1/\rho} I_\ell(1/\rho)`.
 
-    Returns the coefficients :math:`h^{(j)}(\rho_0)/j!` for ``j = 0..order``.
-    The scaled Bessel coefficients at :math:`1/\rho_0` are composed with
-    the reciprocal map by Horner's rule, then multiplied by those of
-    :math:`\sqrt{2\pi}\rho^{-1/2}`, all truncated at ``order``.  Raises
-    :class:`NumericsError` when a coefficient is not finite.
+    Returns the coefficients :math:`h^{(j)}(\rho_0)/j!` for ``j = 0..order``:
+    a tuple of floats for an int ``ell``, or an array of shape
+    ``(order + 1, len(ell))`` for a 1-D integer array.  The scaled Bessel
+    coefficients at :math:`1/\rho_0` are composed with the reciprocal map
+    by Horner's rule, then multiplied by those of
+    :math:`\sqrt{2\pi}\rho^{-1/2}`, all truncated at ``order``; every
+    frequency is one lane of the same array operations.  Raises
+    :class:`NumericsError` naming the first frequency whose coefficients
+    are not finite.
     """
-    if ell < 0:
-        raise ValueError(f"frequency must be >= 0, got {ell}")
+    ells = np.asarray(ell)
+    if ells.ndim > 1 or ells.dtype.kind not in "iu":
+        raise ValueError(f"frequency must be an int or a 1-D integer array, got {ell!r}")
+    lanes = np.atleast_1d(ells).astype(np.int64)
+    if np.any(lanes < 0):
+        raise ValueError(f"frequency must be >= 0, got {lanes[lanes < 0][0]}")
     if rho0 <= 0.0:
         raise ValueError(f"expansion point must be > 0, got {rho0}")
     if not 0 <= order <= JET_MAX_ORDER:
         raise ValueError(f"jet order must satisfy 0 <= order <= {JET_MAX_ORDER}")
-    outer = _scaled_bessel_derivative_taylor(ell, 1.0 / rho0, order)
+    outer = _scaled_bessel_derivative_taylor(lanes, 1.0 / rho0, order)
     delta, prefactor = _power_series(rho0, order)
-    acc = [outer[-1]] + [0.0] * order
+    acc = np.zeros((order + 1, lanes.size))
+    acc[0] = outer[-1]
     for c in reversed(outer[:-1]):
         acc = _truncated_product(acc, delta)
         acc[0] += c
-    coeffs = tuple(_truncated_product(prefactor, acc))
-    if not all(math.isfinite(c) for c in coeffs):
+    coeffs = _truncated_product(prefactor, acc)
+    finite = np.isfinite(coeffs).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
         raise NumericsError(
-            f"Taylor coefficients at ell={ell}, rho0={rho0} are not finite: {coeffs}"
+            f"Taylor coefficients at ell={lanes[k]}, rho0={rho0} are not finite: "
+            f"{tuple(coeffs[:, k].tolist())}"
         )
-    return coeffs
+    return coeffs if ells.ndim else tuple(coeffs[:, 0].tolist())

@@ -117,7 +117,7 @@ class _ThreadRecordingTracer(tracer.Tracer):
 def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path, argv):
     # the tracer keeps one span stack per process, so nothing it wraps may
     # run on evaluate_many's worker threads; these commands evaluate
-    # several blocks of points on a pool of two
+    # several blocks of 1D points, which run inline even with two CPUs
     monkeypatch.setattr(torusqi.qi, "_usable_cpus", lambda: 2)
     with tracer.installed(_ThreadRecordingTracer()) as t:
         assert main(argv + ["--out", str(tmp_path / "t.out")]) == 0

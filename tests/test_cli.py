@@ -349,7 +349,7 @@ def test_strangfix_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, c
 
     real = kernel.psi_fourier_analytic
     monkeypatch.setattr(kernel, "psi_fourier_analytic",
-                        lambda p, ell: math.nan if abs(ell) > 40 else real(p, ell))
+                        lambda p, ell: np.where(np.abs(ell) > 40, math.nan, real(p, ell)))
     out = tmp_path / "out" / "sf.dat"
     assert run(["strangfix", "--m", "0", "--nmin", "64", "--nmax", "128",
                 "--out", str(out)]) == 3
@@ -358,13 +358,13 @@ def test_strangfix_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, c
 
 
 def test_strangfix_one_non_finite_alias_coefficient_exits_3(tmp_path, monkeypatch, capsys):
-    # the alias band is ell = 64..192; Python's max drops a NaN that is not
-    # the first of its arguments, so a NaN inside the band must be caught
+    # the alias band is ell = 64..192, computed in one call; a NaN inside
+    # the band must be caught and named by its frequency
     from torusqi import kernel
 
     real = kernel.psi_fourier_analytic
     monkeypatch.setattr(kernel, "psi_fourier_analytic",
-                        lambda p, ell: math.nan if ell == 65 else real(p, ell))
+                        lambda p, ell: np.where(ell == 65, math.nan, real(p, ell)))
     out = tmp_path / "out" / "sf.dat"
     assert run(["strangfix", "--m", "0", "--nmin", "64", "--nmax", "128",
                 "--out", str(out)]) == 3

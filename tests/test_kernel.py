@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from psi_hat_oracles import miller_bucket, psi_hat_scalar
 from torusqi.kernel import (
+    FOURIER_MAX_FREQ,
     KernelParams,
     comb_identity_residual,
     f2_phi_closed,
@@ -247,6 +249,11 @@ def test_flat_kernel_unit_mass():
 # Fourier coefficients of the restricted kernel
 # ---------------------------------------------------------------------------
 
+def _takes_jet_route(m, ell, c):
+    # the series route leaves the lanes it cannot converge to the jet route
+    return not kernel._psi_hat_via_series(m, np.array([ell]), c * c)[1][0]
+
+
 def test_psi_hat_base_value():
     got = psi_fourier_analytic(KernelParams(0, 0.5), 0)
     oracle = psi_fourier_quadrature(KernelParams(0, 0.5), 0, 4096)
@@ -322,7 +329,7 @@ def test_series_route_stops_at_its_asymptotic_floor(m, c, ell):
     rho = c * c
     assert 1.0 / rho >= kernel._SERIES_MIN_INV_RHO
     assert ell * ell * rho <= max(2.0, m * math.log(1.0 / rho))  # 2 q <= ...
-    assert kernel._psi_hat_via_series(m, ell, rho) is None
+    assert _takes_jet_route(m, ell, c)
     a = psi_fourier_analytic(KernelParams(m, c), ell)
     q = psi_fourier_quadrature(KernelParams(m, c), ell, 1 << 16)
     assert abs(a - q) <= 1e-11 * max(1.0, abs(q)), (a, q)  # measured <= 5.2e-12
@@ -334,7 +341,7 @@ def test_psi_hat_independent_of_call_history():
     # regime only for ell <~ 30) and sits on or next to a bucket edge
     c = 0.1
     probes = [(0, 40), (0, 64), (0, 65), (2, 62), (2, 63), (2, 700), (2, 3072)]
-    assert all(kernel._psi_hat_via_series(m, ell, c * c) is None for m, ell in probes)
+    assert all(_takes_jet_route(m, ell, c) for m, ell in probes)
 
     def values():
         return [psi_fourier_analytic(KernelParams(m, c), ell) for m, ell in probes]
@@ -383,7 +390,7 @@ def test_psi_hat_jet_route_reproduces_capture():
     changed = []
     for m, c, ell, expected in rows:
         m, c, ell = int(m), float(c), int(ell)
-        assert kernel._psi_hat_via_series(m, ell, c * c) is None, (m, c, ell)
+        assert _takes_jet_route(m, ell, c), (m, c, ell)
         if psi_fourier_analytic(KernelParams(m, c), ell).hex() != expected:
             changed.append((m, c, ell))
     assert changed == []
@@ -393,6 +400,42 @@ def test_non_finite_jet_raises_numerics_error(monkeypatch):
     monkeypatch.setattr(specfun, "_miller_table", lambda z, size: (math.nan,) * (size + 1))
     with pytest.raises(NumericsError, match="not finite"):
         psi_fourier_analytic(KernelParams(2, 0.1), 700)
+
+
+def test_non_finite_jet_names_the_first_such_frequency(monkeypatch):
+    # only the 1024 bucket is broken: ell = 40 reads the 64 table, ell = 700
+    # and 701 the 1024 one, ell = 1100 the 2048 one
+    real = specfun._miller_table
+    monkeypatch.setattr(specfun, "_miller_table",
+                        lambda z, size: (math.nan,) * (size + 1) if size == 1024 else real(z, size))
+    p = KernelParams(2, 0.1)
+    assert all(_takes_jet_route(2, ell, p.c) for ell in (40, 700, 1100))
+    with pytest.raises(NumericsError, match="ell=700,"):
+        psi_fourier_analytic(p, np.array([1100, 40, 700, 701]))
+    assert math.isfinite(psi_fourier_analytic(p, 1100))
+
+
+_SWEEP_SHAPES = (0.003, 0.01, 0.031, 0.05, 0.1, 0.3, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_array_route_is_bitwise_the_scalar_routes(m):
+    # one call per shape over ell = 0..4096 in steps of 7, both sides of
+    # every Miller bucket edge and both sides of every series/jet switch,
+    # against a frozen copy of the scalar routes, one ell per call
+    for c in _SWEEP_SHAPES:
+        ells = set(range(0, FOURIER_MAX_FREQ + 1, 7))
+        for k in range(6, 13):
+            ells |= {(1 << k) - m, (1 << k) - m + 1}  # buckets 2^k and 2^(k+1)
+        series = kernel._psi_hat_via_series(m, np.arange(FOURIER_MAX_FREQ + 1), c * c)[1]
+        for ell in np.flatnonzero(np.diff(series)).tolist():
+            ells |= {ell, ell + 1}
+        ells = np.array(sorted(e for e in ells if e <= FOURIER_MAX_FREQ))
+        buckets = {miller_bucket(e, m) for e in ells.tolist()}
+        assert len(buckets) == (8 if m else 7), c
+        got = psi_fourier_analytic(KernelParams(m, c), ells)
+        want = [psi_hat_scalar(m, c, ell) for ell in ells.tolist()]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], c
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +464,26 @@ def test_strang_fix_rejects_zero_or_nonfinite_residual(monkeypatch):
     # logarithm would turn the fitted order into nan
     with pytest.raises(specfun.NumericsError, match="ell=1"):
         strang_fix_certify(6, 1.0, [64, 128, 256, 512], [1, 2, 3])
-    monkeypatch.setattr(kernel, "psi_fourier_analytic", lambda p, ell: math.nan)
+    monkeypatch.setattr(kernel, "psi_fourier_analytic",
+                        lambda p, ell: np.full(np.shape(ell), math.nan))
     with pytest.raises(specfun.NumericsError):
         strang_fix_certify(0, 1.0, [32, 64], [1])
+
+
+def test_strang_fix_makes_one_coefficient_call_per_shape(monkeypatch):
+    calls = []
+    real = kernel.psi_fourier_analytic
+
+    def counted(p, ell):
+        calls.append(np.size(ell))
+        return real(p, ell)
+
+    monkeypatch.setattr(kernel, "psi_fourier_analytic", counted)
+    ns = [64, 128, 256, 512, 1024, 2048]
+    report = strang_fix_certify(2, 1.0186, ns, [1, 2, 3])
+    assert calls == [3] * len(ns) + [2049]
+    monkeypatch.setattr(kernel, "psi_fourier_analytic", real)
+    assert report == strang_fix_certify(2, 1.0186, ns, [1, 2, 3])
 
 
 def test_strang_fix_residual_ratio_m0():

@@ -1598,6 +1598,25 @@ def test_blocks_run_inline_or_on_min_blocks_cpus_workers(monkeypatch, cpus):
         assert 1 <= len(set(ran)) <= min(cpus, len(blocks))
 
 
+def test_1d_blocks_run_on_the_calling_thread(monkeypatch):
+    # 1D blocks gain nothing from a pool, so they run inline at any CPU count
+    qs, pts = _table1_sweep()
+    ran = []
+    run_block = qi._evaluate_block
+
+    def recording(*args):
+        ran.append(threading.get_ident())
+        run_block(*args)
+
+    monkeypatch.setattr(qi, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(qi, "_evaluate_block", recording)
+    threads = threading.active_count()
+    evaluate_many(qs, pts)
+    assert len(ran) == len(qi._point_blocks(len(pts), _rest(qs))) > 1
+    assert set(ran) == {threading.get_ident()}
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_empty_point_batch(d):
     qs = [build_full(_asymmetric, 16, d, 2, 1.0),

@@ -115,8 +115,8 @@ MUTANTS = (
     Mutant(
         "psi-hat-inf-m8",
         "kernel.py",
-        "    rho = p.c * p.c\n    via_series",
-        "    if p.m == 8:\n        return math.inf\n    rho = p.c * p.c\n    via_series",
+        "    return out if ells.ndim else float(out[0])\n",
+        "    if p.m == 8:\n        out[:] = math.inf\n    return out if ells.ndim else float(out[0])\n",
         (
             "tests/test_cli.py::test_kernel_dump_reproduces_capture",
             "tests/test_kernel.py::test_psi_hat_jet_route_reproduces_capture",
@@ -153,16 +153,41 @@ MUTANTS = (
     Mutant(
         "fsum-to-sum",
         "specfun.py",
-        "        math.fsum((-1) ** (j + s)",
-        "        sum((-1) ** (j + s)",
-        ("tests/test_kernel.py::test_psi_hat_jet_route_reproduces_capture",),
+        "np.array([math.fsum(row) for row in terms.tolist()])",
+        "np.array([sum(row) for row in terms.tolist()])",
+        (
+            "tests/test_kernel.py::test_psi_hat_jet_route_reproduces_capture",
+            "tests/test_kernel.py::test_array_route_is_bitwise_the_scalar_routes",
+        ),
     ),
     Mutant(
         "horner-factors-swapped",
         "specfun.py",
         "        acc = _truncated_product(acc, delta)\n",
         "        acc = _truncated_product(delta, acc)\n",
-        ("tests/test_kernel.py::test_psi_hat_jet_route_reproduces_capture",),
+        (
+            "tests/test_kernel.py::test_psi_hat_jet_route_reproduces_capture",
+            "tests/test_kernel.py::test_array_route_is_bitwise_the_scalar_routes",
+        ),
+    ),
+    Mutant(
+        # a lane that converged keeps summing until its floor, and is
+        # recorded only if it converges there; past the term cap it falls to
+        # the jet route (summing on alone moves no bit: the terms after
+        # convergence are below 1e-18 of the sum)
+        "series-lane-not-frozen",
+        "kernel.py",
+        "        stop = converged | ((mag > prev_mag) & (k > 2.0 * q + 10.0))\n",
+        "        stop = (mag > prev_mag) & (k > 2.0 * q + 10.0)\n",
+        ("tests/test_kernel.py::test_array_route_is_bitwise_the_scalar_routes",),
+    ),
+    Mutant(
+        # every frequency of a call reads the largest bucket's table
+        "one-miller-bucket-per-call",
+        "specfun.py",
+        "        lanes = buckets == size\n",
+        "        lanes, size = buckets > 0, int(buckets.max())\n",
+        ("tests/test_kernel.py::test_array_route_is_bitwise_the_scalar_routes",),
     ),
     Mutant(
         # a NaN in one row block of the error grid must reach the table
@@ -236,18 +261,19 @@ MUTANTS = (
         # ell = 65 is inside the alias band of a tier-1 run that expects success
         "nan-alias-coefficient",
         "kernel.py",
-        "    alias = [abs(psi_fourier_analytic(p_fine, ell)) for ell in band]\n",
-        "    alias = [math.nan if ell == 65 else abs(psi_fourier_analytic(p_fine, ell))\n"
-        "             for ell in band]\n",
+        "    alias = np.abs(psi_fourier_analytic(p_fine, band))\n",
+        "    alias = np.abs(psi_fourier_analytic(p_fine, band))\n"
+        "    alias[band == 65] = math.nan\n",
         ("tests/test_cli.py::test_strangfix_alias_band_from_n_over_2_exits_0",),
     ),
     Mutant(
-        # a NaN alias coefficient must not vanish into Python's max
+        # a NaN alias coefficient must be named by its frequency, not only
+        # refused by the table writer
         "alias-finite-check-dropped",
         "kernel.py",
-        "    for ell, a in zip(band, alias):\n"
-        "        if not math.isfinite(a):\n"
-        "            raise NumericsError(f\"alias-band coefficient of m={m} at ell={ell} is {a}\")\n",
+        "    if not finite.all():\n"
+        "        k = int(np.argmin(finite))\n"
+        "        raise NumericsError(f\"alias-band coefficient of m={m} at ell={band[k]} is {alias[k]}\")\n",
         "",
         ("tests/test_cli.py::test_strangfix_one_non_finite_alias_coefficient_exits_3",),
     ),
