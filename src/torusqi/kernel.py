@@ -32,6 +32,7 @@ while function reconstruction divides by :math:`(2\pi)^d`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +84,9 @@ class KernelParams:
             )
         if not (0.0 < self.c <= math.pi):
             raise ValueError(f"shape parameter must satisfy 0 < c <= pi, got {self.c}")
+        # t / c^2 needs a normal c^2: one that underflows to 0 gives 0 / 0 at a node
+        if self.c**2 < sys.float_info.min:
+            raise ValueError(f"shape parameter c = {self.c} has c^2 below the smallest normal float")
 
 
 @dataclass(frozen=True)
@@ -119,18 +123,43 @@ def psi_from_chord(p: KernelParams, t):
     offsets.  Accepts scalars or arrays; returns the same shape.
     """
     t = np.asarray(t, dtype=float)
-    # in place, with laguerre_general's Horner steps and the operations of
-    # L(u) * exp(-u) / (sqrt(2 pi) c) in their order: two arrays the size
-    # of t, and the same bits
-    u = np.divide(t, p.c**2, out=np.empty_like(t))
-    out = np.zeros_like(u)
-    for coeff in reversed(laguerre_coeffs(p.m, 0.5)):
-        out *= u
-        out += coeff
-    np.negative(u, out=u)
-    out *= np.exp(u, out=u)
+    # L(u) * exp(-u) / (sqrt(2 pi) c) at u = t / c^2, in place, in two
+    # arrays the size of t.  Horner runs at v = -u from the leading
+    # coefficient, with the coefficients' signs alternated: each step is
+    # laguerre_general's step at u up to the sign, which IEEE arithmetic
+    # mirrors exactly, so L has the same bits
+    v = np.divide(t, -(p.c**2), out=np.empty_like(t))
+    if _horner_may_overflow(p):
+        # exp(-u) is 0 past u = 746, and L(u) keeps its sign there (every
+        # root is below 746), so L(u) exp(-u) keeps its bits, sign included
+        np.maximum(v, -_HORNER_CLAMP, out=v)
+    signed = [(-1) ** k * a for k, a in enumerate(laguerre_coeffs(p.m, 0.5))]
+    if p.m == 0:
+        out = np.full_like(v, signed[0])
+    else:
+        out = np.multiply(v, signed[-1])
+        out += signed[-2]
+        for coeff in reversed(signed[:-2]):
+            out *= v
+            out += coeff
+    out *= np.exp(v, out=v)
     out /= SQRT_2PI * p.c
     return out if out.ndim else float(out)
+
+
+_HORNER_CLAMP = 746.0
+
+
+def _horner_may_overflow(p: KernelParams) -> bool:
+    """Whether the Horner loop of L at some u <= 2 / c^2 may leave double range.
+
+    Bounds every Horner value by sum |a_k| max(1, u)^k.
+    """
+    u = max(1.0, 2.0 / p.c**2)
+    bound = 0.0
+    for a in reversed(laguerre_coeffs(p.m, 0.5)):
+        bound = bound * u + abs(a)
+    return not bound < 1e300
 
 
 def psi_restricted(p: KernelParams, alpha):

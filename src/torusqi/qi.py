@@ -16,10 +16,14 @@ truncated kernel is a window: its W x P values, window-major, and each
 point's first node; a kernel whose window spans the axis is a dense
 matrix.  The kernel depends on an offset alpha only through the chord
 t = 2 sin^2(alpha/2) (``psi_from_chord``), so ``evaluate_many`` computes t
-once per dimension and node count, over the widest truncated window, for
-every truncated kernel on that axis.  A 1D grid is one sum per point over
-its window, sequential in window order (the bits of a CSR matrix-vector
-product), or one dense product.  A grid of d >= 2 dimensions goes through
+once per dimension and node count: over the widest truncated window for
+every truncated kernel on that axis, and over the axis for every spanning
+one.  A count half that of the group built before it on the axis takes
+most of its chords from that group's, bitwise: fl(2 pi / n) / 2 is
+fl(2 pi / 2n), so its offset at node j is the finer offset at node 2j,
+and only the chords outside the finer window call ``sin``.  A 1D grid is
+one sum per point over its window, sequential in window order (the bits
+of a CSR matrix-vector product), or one dense product.  A grid of d >= 2 dimensions goes through
 one sparse (CSR) matrix product for its largest dimension, then
 elementwise per-point contractions for the others; each window becomes a
 CSR matrix once per kernel.  Each kernel matrix is built at its first use
@@ -49,7 +53,8 @@ node store and no component grid: every combination grid and its kernel
 are tensor products, so a term's interpolant is a product of 1D
 interpolants of phi, one per axis.  ``evaluate_sparse_product_levels``
 samples phi once per axis node count, evaluates each 1D interpolant once
-per axis at the points, and sums each level's signed products in term
+per axis at the points (finest count first, so that each count reuses the
+chords of twice that count), and sums each level's signed products in term
 order.  Both sparse paths run one set of checks (specs, gamma, size
 guard) before anything is sampled.
 """
@@ -380,52 +385,99 @@ class _Window:
         return np.take(a, np.arange(-hw, self.n + hw + 1), mode="wrap")
 
 
-def _dim_windows(x: np.ndarray, n: int, widths: dict[KernelParams, int]) -> Callable:
+@dataclass(frozen=True, eq=False)
+class _Chords:
+    """One (axis, node count) group's chords 2 sin^2(offset / 2).
+
+    ``window[k, p]`` is the chord of point p at node ``base[p] + k - wide``
+    (unreduced), wide = len(window) // 2; ``dense[p, j]`` is its chord at
+    node j = 0 .. n - 1.  Either is None when the group has no truncated,
+    or no spanning, kernel.
+    """
+
+    n: int
+    base: np.ndarray | None  # P nodes round(x / h)
+    window: np.ndarray | None  # (2 wide + 1) x P
+    dense: np.ndarray | None  # P x n
+
+
+def _finish_chords(half_offsets: np.ndarray) -> None:
+    """Half offsets (x - h node) / 2 into chords 2 sin^2, in place."""
+    np.sin(half_offsets, out=half_offsets)
+    np.square(half_offsets, out=half_offsets)
+    half_offsets *= 2.0
+
+
+def _dim_windows(
+    x: np.ndarray, n: int, widths: dict[KernelParams, int], finer: _Chords | None = None
+) -> tuple[Callable, _Chords]:
     """Kernel matrices at coordinates x on an n-node axis, built on demand.
 
     ``widths`` maps the ``KernelParams`` of kernels on that axis to their
     stencil halfwidths hw.  Returns a function from one of them to its
-    len(x) x n matrix, weighted by the spacing h = 2 pi / n: a dense array,
-    in node order, when the window spans the axis (2 hw + 1 >= n);
-    otherwise a :class:`_Window` of the 2 hw + 1 nodes round(x / h) - hw ..
-    round(x / h) + hw.  The truncated windows take the middle rows of one
-    window-major chord 2 sin^2(offset / 2), computed here over the widest
-    of them and kept as long as the function; its offsets x - h * node come
-    from a table of h * node for node = -wide .. n + wide.  A spanning
-    kernel computes its own chord over the axis.  Each kernel only
-    evaluates ``psi_from_chord``, so its values equal a window computed for
-    it alone.
+    len(x) x n matrix, weighted by the spacing h = 2 pi / n, and the
+    group's chords.  The matrix is a dense array, in node order, when the
+    window spans the axis (2 hw + 1 >= n); otherwise a :class:`_Window` of
+    the 2 hw + 1 nodes round(x / h) - hw .. round(x / h) + hw.  The
+    truncated windows take the middle rows of one window-major chord
+    2 sin^2(offset / 2), computed here over the widest of them; the
+    spanning kernels share one chord over the axis.  Both are kept as long
+    as the function or the returned chords.
+
+    ``finer`` is the chords of a group at the same points; when its count
+    is 2n, chords are taken from it instead of computed.  fl(2 pi / 2n) is
+    fl(2 pi / n) / 2, so the offset x - h * j is bitwise the finer group's
+    offset at node 2j: the spanning chord is the finer one's even columns,
+    and each truncated row that lies inside the finer window is one gather
+    from it; only the other rows call ``sin``.  Each kernel only evaluates
+    ``psi_from_chord``, so its values equal a window computed for it alone.
     """
     spacing = TWO_PI / n
+    if finer is not None and finer.n != 2 * n:
+        finer = None
+    # x / 2 - (h * node) / 2 is exactly (x - h * node) / 2
+    half_x = x / 2.0
     narrow = [hw for hw in widths.values() if 2 * hw + 1 < n]
+    base = chord = dense = None
     if narrow:
         wide = max(narrow)
         base = np.round(x / spacing).astype(np.int64)
-        # psi is exactly periodic, so unreduced nodes give the same values
-        table = spacing * np.arange(-wide, n + wide + 1)
         chord = np.empty((2 * wide + 1, x.size))
-        for k, row in enumerate(chord):
-            table[k:].take(base, out=row, mode="clip")
-        np.subtract(x, chord, out=chord)
-        chord /= 2.0
-        np.sin(chord, out=chord)
-        np.square(chord, out=chord)
-        chord *= 2.0
+        inner = []
+        if finer is not None and finer.window is not None:
+            # row k is the finer window's row 2 (k - wide) + fine + delta,
+            # delta = 2 base - finer.base in {-1, 0, 1} per point
+            fine = len(finer.window) // 2
+            inner = [k for k in range(len(chord)) if 0 < 2 * (k - wide) + fine < 2 * fine]
+            flat = finer.window.ravel()
+            pick = np.arange(x.size) + x.size * (2 * base - finer.base + 1)
+            for k in inner:
+                start = (2 * (k - wide) + fine - 1) * x.size
+                flat[start:].take(pick, out=chord[k], mode="clip")
+        # psi is exactly periodic, so unreduced nodes give the same values
+        table = spacing / 2.0 * np.arange(-wide, n + wide + 1)
+        lo, hi = (inner[0], inner[-1] + 1) if inner else (0, 0)
+        for rows in (range(lo), range(hi, len(chord))):
+            outer = chord[rows.start : rows.stop]
+            for k, row in zip(rows, outer):
+                table[k:].take(base, out=row, mode="clip")
+            np.subtract(half_x, outer, out=outer)
+            _finish_chords(outer)
+    if len(narrow) < len(widths):
+        if finer is not None and finer.dense is not None:
+            dense = np.ascontiguousarray(finer.dense[:, ::2])
+        else:
+            dense = np.subtract.outer(half_x, spacing / 2.0 * np.arange(n))
+            _finish_chords(dense)
 
     def matrix(params: KernelParams):
         hw = widths[params]
         spans = 2 * hw + 1 >= n
-        if spans:
-            # the offsets are freed before the kernel is evaluated
-            window = x[:, None] - spacing * np.arange(n)[None, :]
-            window = 2.0 * np.sin(window / 2.0) ** 2
-        else:
-            window = chord[wide - hw : wide + hw + 1]
-        kern = psi_from_chord(params, window)
+        kern = psi_from_chord(params, dense if spans else chord[wide - hw : wide + hw + 1])
         kern *= spacing
         return kern if spans else _Window(kern, base, n)
 
-    return matrix
+    return matrix, _Chords(n, base, chord, dense)
 
 
 def _window_sum(win: _Window, samples: np.ndarray) -> np.ndarray:
@@ -464,11 +516,14 @@ def _dense_product(mat: np.ndarray, samples: np.ndarray) -> np.ndarray:
     Each slice holds a multiple of ``_ROW_TILE`` rows and, where that
     allows, at most ``_GEMM_ELEMS`` multiply-adds.  A one-row tail joins
     the slice before it: numpy would send a one-row product to a BLAS
-    vector routine, which rounds differently.  A row's sum depends on its
-    place in the product only through the kernels' row tiles, so each row
-    has the bits it has in one product over all rows.
+    vector routine, which rounds differently; for the same reason a lone
+    row is the first row of a product of two copies of it.  A row's sum
+    depends on its place in the product only through the kernels' row
+    tiles, so each row has the bits it has in one product over all rows.
     """
     rows = mat.shape[0]
+    if rows == 1:
+        return _dense_product(np.concatenate((mat, mat)), samples)[:1]
     step = _ROW_TILE * max(1, _GEMM_ELEMS // (_ROW_TILE * samples.size))
     cuts = list(range(step, rows, step))
     if cuts and rows - cuts[-1] == 1:
@@ -560,22 +615,28 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
 
     ``out`` has one row per interpolant and one column per point of
     ``block``.  The block builds its own windows, kernel matrices and
-    component values, so blocks are independent of each other.
+    component values, so blocks are independent of each other.  Each group
+    is built with the chords of the group built before it on its axis,
+    which :func:`_dim_windows` reuses when that group has twice its count;
+    they are dropped then.
     """
     windows: dict = {}  # (r, n) -> the group's matrix builder
+    chords: dict = {}  # r -> the chords of the group built last on axis r
     mats: dict = {}
 
     def matrix(r: int, n: int, params: KernelParams):
         if (r, n, params) not in mats:
             if (r, n) not in windows:
-                windows[r, n] = _dim_windows(block[:, r], n, groups[r, n])
+                windows[r, n], chords[r] = _dim_windows(
+                    block[:, r], n, groups[r, n], chords.get(r)
+                )
             mat = windows[r, n](params)
             # d >= 2 takes each truncated kernel as CSR, made once here
             if block.shape[1] > 1 and isinstance(mat, _Window):
                 mat = _window_csr(mat)
             mats[r, n, params] = mat
             if params == next(reversed(groups[r, n])):
-                del windows[r, n]  # the group's last matrix: frees its chords
+                del windows[r, n]  # the group's last matrix
         return mats[r, n, params]
 
     values: dict = {}
@@ -615,12 +676,14 @@ def evaluate_many(qs, points) -> np.ndarray:
     evaluated on its own and writes its own columns of the result.  Per
     block, the kernels are grouped by (dimension, node count): the group's
     first use computes the node offsets and their chords once, over its
-    widest truncated window, and :func:`_dim_windows` builds each kernel
+    widest truncated window and over the axis, or takes most of them from
+    the group built just before it on that dimension when that group has
+    twice the count, and :func:`_dim_windows` builds each kernel
     matrix of the group from them at its first use (for d >= 2 a truncated
     window becomes a CSR matrix there, once); a matrix is shared by
     every grid with that kernel on that dimension, and is dropped after the
-    last component that uses it.  The chords are dropped with the group's
-    last matrix built.  Each component object (by identity, as
+    last component that uses it.  The chords are dropped when the next
+    group on that dimension is built.  Each component object (by identity, as
     :func:`build_sparse_levels` shares them across levels) is evaluated
     once for all rows; its values are dropped after the last row using it.
 
@@ -693,8 +756,11 @@ def evaluate_sparse_product_levels(
     is u_{n_1}(x_1) ... u_{n_d}(x_d), where u_n is the 1D interpolant of
     ``factor`` on the nodes 2 pi j / n.  ``factor`` receives a 1-D array of
     angles and must return as many values; it is called once per distinct
-    axis node count of all the specs' terms, and each u_n is evaluated at
-    every axis's coordinates by one :func:`evaluate_many` call per axis.  A
+    axis node count of all the specs' terms, finest count first, and each
+    u_n is evaluated at every axis's coordinates by one
+    :func:`evaluate_many` call per axis, whose interpolants come finest
+    count first, so each count takes most of its chords from those of twice
+    that count (see :func:`_dim_windows`).  A
     row is the sum of c_t times the left-to-right product of its term's
     factors, in term order.  The checks and their errors are those of
     :func:`build_sparse_levels`, made before ``factor`` is called; no
@@ -703,7 +769,8 @@ def evaluate_sparse_product_levels(
     specs = list(specs)
     pts = _as_points(points, _check_sparse_specs(specs, gamma).dims)
     terms = [combination_terms(spec) for spec in specs]
-    counts = sorted({n for row in terms for t in row for n in t.grid.counts})
+    # finest first, so each count's windows reuse the chords of twice that count
+    counts = sorted({n for row in terms for t in row for n in t.grid.counts}, reverse=True)
     qs = [_assemble(_sample_function(factor, FullGridSpec((n,)).axis(0)), (m,), (gamma,))
           for n in counts]
     # u[r][n]: the 1D interpolant on n nodes at every point's coordinate r
@@ -783,7 +850,7 @@ def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndar
     res = q.samples
     for r in reversed(range(q.grid.dims)):
         n, params = q.grid.counts[r], q.params[r]
-        mat = _dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})(params)
+        mat = _dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})[0](params)
         mat = sparse.csr_matrix(mat) if isinstance(mat, np.ndarray) else _window_csr(mat)
         others = res.shape[:r] + res.shape[r + 1 :]
         vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)

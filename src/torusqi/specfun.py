@@ -172,14 +172,16 @@ def scaled_bessel_i(nu: int, z: float) -> float:
 _MILLER_TABLE_MIN = 64
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _miller_table(z: float, size: int) -> np.ndarray:
     """Scaled Bessel values of orders ``0..size`` at ``z``, memoized, read-only.
 
     Callers round the highest order they need up to a power of two (at
     least ``_MILLER_TABLE_MIN``), so all coefficients of one kernel shape
     share a few recurrences, and a value depends only on its own request,
-    never on which calls came before it.
+    never on which calls came before it.  The cache holds 64 tables of at
+    most 8193 values (about 4 MiB), so a sweep over a few shapes runs each
+    recurrence once.
     """
     table = np.array(_miller_scaled(size, z))
     table.flags.writeable = False

@@ -50,6 +50,17 @@ def test_table1_deterministic_bytes(tmp_path):
     assert (tmp_path / "a_m1.csv").read_bytes() == (tmp_path / "b_m1.csv").read_bytes()
 
 
+def test_table1_at_a_tiny_shape_exits_0(tmp_path):
+    # at m = 8, gamma = 1e-20 the kernel's Laguerre factor at the far nodes
+    # overflows double range before exp(-u) = 0 multiplies it; the operator's
+    # values are finite, so the table is written
+    out = tmp_path / "t.csv"
+    assert run(["table1", "--p", "6", "--m", "8", "--gamma", "1e-20",
+                "--nmin", "32", "--nmax", "64", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "t_m8.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and all(math.isfinite(float(row[3])) for row in rows)
+
+
 def test_table1_reproduces_capture(tmp_path):
     # README command, captured before the (m, gamma) sweep was evaluated in
     # one call per N

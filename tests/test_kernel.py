@@ -167,6 +167,10 @@ def test_kernel_params_validation():
         KernelParams(0, 0.0)
     with pytest.raises(ValueError):
         KernelParams(0, 3.2)
+    # c^2 below the normal range
+    with pytest.raises(ValueError, match="smallest normal"):
+        KernelParams(0, 1e-160)
+    assert KernelParams(0, 1.5e-154).c == 1.5e-154
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +384,21 @@ def test_psi_hat_table_matches_fresh_recurrence(monkeypatch):
             assert abs(tabled - fresh) <= 1e-14 * abs(fresh), (m, ell)
 
 
-def test_psi_hat_jet_route_reproduces_capture():
+def test_psi_hat_jet_route_reproduces_capture(monkeypatch):
     # float.hex of every jet-route case of m 0..8, c in {0.05, 0.1, 0.3, 1},
     # ell in 0..63 and 64k - 1, 64k for k = 1..64 (both sides of each Miller
     # table bucket edge); the route must keep these bits when it is reworked
     capture = Path(__file__).parent / "data" / "psi_hat_jet_route.txt"
     rows = [line.split() for line in capture.read_text().splitlines()[1:]]
     assert len(rows) == 5971
+    recurrences = []
+
+    def counted(nu_max, z):
+        recurrences.append((nu_max, z))
+        return _miller_scaled(nu_max, z)
+
+    specfun._miller_table.cache_clear()
+    monkeypatch.setattr(specfun, "_miller_scaled", counted)
     changed = []
     for m, c, ell, expected in rows:
         m, c, ell = int(m), float(c), int(ell)
@@ -394,6 +406,9 @@ def test_psi_hat_jet_route_reproduces_capture():
         if psi_fourier_analytic(KernelParams(m, c), ell).hex() != expected:
             changed.append((m, c, ell))
     assert changed == []
+    # the sweep cycles through its (shape, bucket) tables, and the cache
+    # holds them all: each recurrence runs once
+    assert len(recurrences) == len(set(recurrences)) == 32
 
 
 def test_non_finite_jet_raises_numerics_error(monkeypatch):

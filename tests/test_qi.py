@@ -1413,7 +1413,7 @@ def test_window_sum_is_bitwise_the_csr_product(n):
     batteries = {"random": random, "negative": negative, "negative zeros": np.full(n, -0.0)}
     x = _wrapping_points(n, 400, n)
     for pts in (x, x[:1], x[-1:], x[7:9]):
-        matrix = qi._dim_windows(pts, n, widths)
+        matrix, _ = qi._dim_windows(pts, n, widths)
         for params, hw in narrow.items():
             win = matrix(params)
             ref = _csr_reference(pts, n, params, hw)
@@ -1439,6 +1439,81 @@ def test_1d_rows_are_bitwise_the_csr_product():
         assert 2 * hw + 1 < n
         ref = _csr_reference(x, n, q.params[0], hw) @ q.samples
         assert np.array_equal(_bits(row), _bits(ref)), q.params
+
+
+# ---------------------------------------------------------------------------
+# Chords taken from the group of twice the count
+# ---------------------------------------------------------------------------
+
+_CHAIN_KERNELS = ((0, 0.5), (2, 1.0), (5, 3.0), (8, 1.5))
+
+
+def _halving_chain():
+    """1D interpolants on 4096 .. 2 nodes, finest first, then on 24, 12, 6.
+
+    Several kernels per count: each group holds truncated windows of
+    different halfwidths and, at the small counts, spanning ones too.
+    """
+    qs = []
+    for n in [1 << k for k in range(12, 0, -1)]:
+        samples = _asymmetric(FullGridSpec((n,)).axis(0)[:, None])
+        qs += [qi._assemble(samples, (m,), (gamma,))
+               for m, gamma in _CHAIN_KERNELS if gamma * TWO_PI / n <= math.pi]
+    for n in (24, 12, 6):
+        qs += _kernel_sweep((n,), [((m,), (gamma,)) for m, gamma in _CHAIN_KERNELS
+                                   if gamma * TWO_PI / n <= math.pi])
+    return qs
+
+
+def _chain_points():
+    from torusqi.analysis import offset_eval_axis
+
+    # exact half-node ties x = (k + 1/2) h_n round to even, so their
+    # delta = 2 round(x / h_n) - round(x / h_2n) is -1 or +1
+    ties = [(k + 0.5) * (TWO_PI / n) for n in (8, 64, 1024) for k in (0, 1, 2, 5, n // 2, n - 1)]
+    edges = [0.0, 5e-324, np.nextafter(TWO_PI, 0.0)]
+    rng = np.random.default_rng(29)
+    return np.concatenate([edges, ties, offset_eval_axis(256), rng.uniform(0.0, TWO_PI, 3000)])
+
+
+def test_rows_built_from_finer_chords_are_bitwise_lone_evaluations():
+    qs = _halving_chain()
+    x = _chain_points()
+    for n in (8, 64, 1024):
+        h = TWO_PI / n
+        delta = 2 * np.round(x / h) - np.round(x / (h / 2))
+        assert set(delta.tolist()) == {-1.0, 0.0, 1.0}
+    by_count = {}
+    for q in qs:
+        by_count.setdefault(q.grid.counts[0], []).append(q)
+    assert any(len({q.stencil_halfwidths[0] for q in group if not _spans(q, 0)}) > 1
+               for group in by_count.values())
+    assert any(len({_spans(q, 0) for q in group}) == 2 for group in by_count.values())
+    assert len(qi._point_blocks(x.size, 1)) > 1
+    for q, row in zip(qs, evaluate_many(qs, x[:, None])):
+        assert np.array_equal(_bits(row), _bits(evaluate(q, x[:, None]))), q.params
+
+
+def test_product_levels_take_most_chords_from_the_finer_count(monkeypatch):
+    # without reuse every group computes the sines of its whole window
+    # (or of the whole axis, where it spans) on each of the two axes
+    spec, m, gamma = SparseGridSpec(10, 2), 2, 1.0
+    pts = lcg_uniform_points(1024, 2, 3)
+    counts = {n for t in combination_terms(spec) for n in t.grid.counts}
+    fresh = 0
+    for n in counts:
+        hw = stencil_halfwidth(KernelParams(m, gamma * TWO_PI / n), n)
+        fresh += 2 * len(pts) * min(2 * hw + 1, n)
+    sines = []
+    real = np.sin
+
+    def counting_sin(a, *args, **kwargs):
+        sines.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counting_sin)
+    evaluate_sparse_product_levels(lambda a: np.cos(a) + 0.5, [spec], m, gamma, pts)
+    assert 0 < sum(sines) <= 0.6 * fresh
 
 
 _D3_CASE = """
@@ -1531,6 +1606,38 @@ def test_dense_product_joins_a_one_row_tail_to_the_slice_before(monkeypatch, col
         mat = rng.standard_normal((tiles * qi._ROW_TILE + 1, 48))
         samples = rng.standard_normal((48, cols))
         assert np.array_equal(qi._dense_product(mat, samples), mat @ samples)
+
+
+@pytest.mark.parametrize("case", ["sparse2d_l6", "sparse3d_l7", "full2d_n12"])
+def test_one_point_slices_are_bitwise_the_batch(case):
+    # a lone point's dense product is the first row of a two-row product,
+    # not a BLAS vector product, which rounds differently
+    q = {
+        "sparse2d_l6": lambda: build_sparse(_asymmetric, SparseGridSpec(6, 2), 2, 1.0),
+        "sparse3d_l7": lambda: build_sparse(_asymmetric, SparseGridSpec(7, 3), 2, 1.0),
+        "full2d_n12": lambda: build_full(_asymmetric, 12, 2, 2, 1.0),
+    }[case]()
+    pts = _sweep_points(150, qi._components(q)[0])
+    whole = evaluate(q, pts)
+    alone = np.concatenate([evaluate(q, pts[a : a + 1]) for a in range(len(pts))])
+    assert np.array_equal(_bits(alone), _bits(whole))
+
+
+@pytest.mark.parametrize("gamma", [1e-20, 1e-40, 1e-100, 1e-200])
+@pytest.mark.parametrize("m", [0, 2, 5, 8])
+def test_tiny_shapes_give_finite_values_or_a_value_error(m, gamma):
+    # u = t / c^2 up to 2 / c^2 used to overflow the Laguerre factor (NaN
+    # once exp(-u) = 0 multiplied it), and a c^2 below the normal range gave
+    # 0 / 0 at the node; the kernel refuses the latter
+    n = 16
+    samples = _asymmetric(FullGridSpec((n,)).axis(0)[:, None])
+    x = np.concatenate([FullGridSpec((n,)).axis(0), _sweep_points(200, 1)[:, 0]])
+    if (gamma * TWO_PI / n) ** 2 < sys.float_info.min:
+        with pytest.raises(ValueError, match="smallest normal"):
+            from_samples(samples, (m,), (gamma,))
+        return
+    q = from_samples(samples, (m,), (gamma,))
+    assert np.all(np.isfinite(evaluate(q, x)))
 
 
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))

@@ -113,6 +113,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # one Laguerre coefficient enters the Horner loop with its sign flipped
+        "horner-coefficient-sign-flipped",
+        "kernel.py",
+        "        out += signed[-2]\n",
+        "        out -= signed[-2]\n",
+        (
+            "tests/test_kernel.py::test_psi_values",
+            "tests/test_kernel.py::test_psi_from_chord_is_psi_restricted_bitwise",
+            "tests/test_kernel.py::test_psi_from_chord_in_place_keeps_the_bits_and_the_input",
+        ),
+    ),
+    Mutant(
         "psi-hat-inf-m8",
         "kernel.py",
         "    return out if ells.ndim else float(out[0])\n",
@@ -138,10 +150,22 @@ MUTANTS = (
         # miss a coarser level's in d = 1
         "product-counts-of-the-finest-spec",
         "qi.py",
-        "    counts = sorted({n for row in terms for t in row for n in t.grid.counts})\n",
+        "    counts = sorted({n for row in terms for t in row for n in t.grid.counts}, reverse=True)\n",
         "    counts = sorted({n for t in terms[specs.index(max(specs, key=lambda s: s.level))]\n"
-        "                     for n in t.grid.counts})\n",
+        "                     for n in t.grid.counts}, reverse=True)\n",
         ("tests/test_qi.py::test_product_evaluation_matches_the_generic_sweep",),
+    ),
+    Mutant(
+        # a coarser group reads the finer window's rows as if every point had
+        # delta = 2 round(x / h_n) - round(x / h_2n) = 0
+        "finer-chord-without-delta",
+        "qi.py",
+        "            pick = np.arange(x.size) + x.size * (2 * base - finer.base + 1)\n",
+        "            pick = np.arange(x.size) + x.size\n",
+        (
+            "tests/test_qi.py::test_rows_built_from_finer_chords_are_bitwise_lone_evaluations",
+            "tests/test_qi.py::test_product_evaluation_matches_the_generic_sweep",
+        ),
     ),
     Mutant(
         "d1-gamma-check-dropped",
