@@ -129,10 +129,10 @@ def psi_from_chord(p: KernelParams, t):
     # laguerre_general's step at u up to the sign, which IEEE arithmetic
     # mirrors exactly, so L has the same bits
     v = np.divide(t, -(p.c**2), out=np.empty_like(t))
-    if _horner_may_overflow(p):
-        # exp(-u) is 0 past u = 746, and L(u) keeps its sign there (every
-        # root is below 746), so L(u) exp(-u) keeps its bits, sign included
-        np.maximum(v, -_HORNER_CLAMP, out=v)
+    # u is clamped at 746 so that Horner cannot overflow for a tiny c:
+    # exp(-u) is 0 past u = 746, and L(u) keeps its sign there (every root
+    # is below 746), so L(u) exp(-u) keeps its bits, sign included
+    np.maximum(v, -_HORNER_CLAMP, out=v)
     signed = [(-1) ** k * a for k, a in enumerate(laguerre_coeffs(p.m, 0.5))]
     if p.m == 0:
         out = np.full_like(v, signed[0])
@@ -148,18 +148,6 @@ def psi_from_chord(p: KernelParams, t):
 
 
 _HORNER_CLAMP = 746.0
-
-
-def _horner_may_overflow(p: KernelParams) -> bool:
-    """Whether the Horner loop of L at some u <= 2 / c^2 may leave double range.
-
-    Bounds every Horner value by sum |a_k| max(1, u)^k.
-    """
-    u = max(1.0, 2.0 / p.c**2)
-    bound = 0.0
-    for a in reversed(laguerre_coeffs(p.m, 0.5)):
-        bound = bound * u + abs(a)
-    return not bound < 1e300
 
 
 def psi_restricted(p: KernelParams, alpha):

@@ -387,7 +387,7 @@ class _Window:
 
 @dataclass(frozen=True, eq=False)
 class _Chords:
-    """One (axis, node count) group's chords 2 sin^2(offset / 2).
+    """One (axis, node count n) group's chords 2 sin^2(offset / 2).
 
     ``window[k, p]`` is the chord of point p at node ``base[p] + k - wide``
     (unreduced), wide = len(window) // 2; ``dense[p, j]`` is its chord at
@@ -395,7 +395,6 @@ class _Chords:
     or no spanning, kernel.
     """
 
-    n: int
     base: np.ndarray | None  # P nodes round(x / h)
     window: np.ndarray | None  # (2 wide + 1) x P
     dense: np.ndarray | None  # P x n
@@ -424,8 +423,8 @@ def _dim_windows(
     spanning kernels share one chord over the axis.  Both are kept as long
     as the function or the returned chords.
 
-    ``finer`` is the chords of a group at the same points; when its count
-    is 2n, chords are taken from it instead of computed.  fl(2 pi / 2n) is
+    ``finer``, if given, is the chords of the group of count 2n at the same
+    points; chords are taken from it instead of computed.  fl(2 pi / 2n) is
     fl(2 pi / n) / 2, so the offset x - h * j is bitwise the finer group's
     offset at node 2j: the spanning chord is the finer one's even columns,
     and each truncated row that lies inside the finer window is one gather
@@ -433,8 +432,6 @@ def _dim_windows(
     ``psi_from_chord``, so its values equal a window computed for it alone.
     """
     spacing = TWO_PI / n
-    if finer is not None and finer.n != 2 * n:
-        finer = None
     # x / 2 - (h * node) / 2 is exactly (x - h * node) / 2
     half_x = x / 2.0
     narrow = [hw for hw in widths.values() if 2 * hw + 1 < n]
@@ -477,7 +474,7 @@ def _dim_windows(
         kern *= spacing
         return kern if spans else _Window(kern, base, n)
 
-    return matrix, _Chords(n, base, chord, dense)
+    return matrix, _Chords(base, chord, dense)
 
 
 def _window_sum(win: _Window, samples: np.ndarray) -> np.ndarray:
@@ -616,20 +613,27 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
     ``out`` has one row per interpolant and one column per point of
     ``block``.  The block builds its own windows, kernel matrices and
     component values, so blocks are independent of each other.  Each group
-    is built with the chords of the group built before it on its axis,
-    which :func:`_dim_windows` reuses when that group has twice its count;
-    they are dropped then.
+    whose next group on its axis has half its count keeps its chords for
+    that group, which :func:`_dim_windows` builds from them and drops.
     """
     windows: dict = {}  # (r, n) -> the group's matrix builder
-    chords: dict = {}  # r -> the chords of the group built last on axis r
+    chords: dict = {}  # (r, n) -> the chords of group (r, 2 n), built last on axis r
     mats: dict = {}
+    # groups are built in their insertion order
+    halved, last = set(), {}
+    for r, n in groups:
+        if last.get(r) == 2 * n:
+            halved.add((r, 2 * n))
+        last[r] = n
 
     def matrix(r: int, n: int, params: KernelParams):
         if (r, n, params) not in mats:
             if (r, n) not in windows:
-                windows[r, n], chords[r] = _dim_windows(
-                    block[:, r], n, groups[r, n], chords.get(r)
+                windows[r, n], made = _dim_windows(
+                    block[:, r], n, groups[r, n], chords.pop((r, n), None)
                 )
+                if (r, n) in halved:
+                    chords[r, n // 2] = made
             mat = windows[r, n](params)
             # d >= 2 takes each truncated kernel as CSR, made once here
             if block.shape[1] > 1 and isinstance(mat, _Window):
@@ -682,8 +686,10 @@ def evaluate_many(qs, points) -> np.ndarray:
     matrix of the group from them at its first use (for d >= 2 a truncated
     window becomes a CSR matrix there, once); a matrix is shared by
     every grid with that kernel on that dimension, and is dropped after the
-    last component that uses it.  The chords are dropped when the next
-    group on that dimension is built.  Each component object (by identity, as
+    last component that uses it.  A group's chords outlive its matrices
+    only when the next group built on that dimension has half its count,
+    and only until that group is built.  Each
+    component object (by identity, as
     :func:`build_sparse_levels` shares them across levels) is evaluated
     once for all rows; its values are dropped after the last row using it.
 

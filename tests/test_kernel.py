@@ -111,16 +111,40 @@ def test_psi_from_chord_in_place_keeps_the_bits_and_the_input():
     # their order, on strided windows and non-finite chords as well
     rng = np.random.default_rng(3)
     t = 2.0 * np.sin(rng.uniform(-7.0, 7.0, (60, 31)) / 2.0) ** 2
-    t[0, :4] = [np.nan, np.inf, -0.0, 1e-300]
+    t[0, 5:9] = [np.nan, np.inf, -0.0, 1e-300]
     window = t[:, 5:26]
     for m in range(9):
         p = KernelParams(m, 0.3)
         before = window.copy()
-        u = window / p.c**2
+        # with u clamped at 746, as the kernel does (see the next test)
+        u = np.minimum(window / p.c**2, 746.0)
         inline = laguerre_general(m, 0.5, u) * np.exp(-u) / (SQRT_2PI * p.c)
         got = psi_from_chord(p, window)
         assert np.array_equal(got, inline, equal_nan=True), m
         assert np.array_equal(window, before, equal_nan=True)
+
+
+def test_psi_from_chord_past_the_clamp_keeps_the_formula_bits():
+    # past u = 746 exp(-u) is 0: where the formula is finite it is a zero
+    # of L's sign, which the clamped u keeps; where L(u) overflows (a tiny
+    # c, or a huge chord) the formula gives NaN and the kernel that zero
+    t = np.array([2.0, 1e3, 1e300, np.inf])
+    for m in range(9):
+        for c in (0.3, 1e-10, 1.5e-154):
+            p = KernelParams(m, c)
+            with np.errstate(all="ignore"):
+                got = psi_from_chord(p, t)
+                u = t / c**2
+                formula = laguerre_general(m, 0.5, u) * np.exp(-u) / (SQRT_2PI * c)
+            finite = np.isfinite(formula)
+            bits = got[finite].view(np.int64), formula[finite].view(np.int64)
+            assert np.array_equal(*bits), (m, c)
+            assert np.all(got[~finite] == 0.0), (m, c)
+            assert np.all(np.signbit(got[~finite]) == (m % 2 == 1)), (m, c)
+    # the planar kernel at large distances, where the formula overflowed
+    with np.errstate(all="ignore"):
+        assert phi_generalized(KernelParams(8, 1e-3), 1e40) == 0.0
+        assert phi_generalized(KernelParams(2, 0.5), 1e160) == 0.0
 
 
 def test_psi_from_chord_holds_two_arrays_of_its_input():

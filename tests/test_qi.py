@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from functools import lru_cache, reduce
 from pathlib import Path
 
@@ -1492,6 +1493,32 @@ def test_rows_built_from_finer_chords_are_bitwise_lone_evaluations():
     assert len(qi._point_blocks(x.size, 1)) > 1
     for q, row in zip(qs, evaluate_many(qs, x[:, None])):
         assert np.array_equal(_bits(row), _bits(evaluate(q, x[:, None]))), q.params
+
+
+def test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count(monkeypatch):
+    # 1D blocks run one after another, so when a group is built the only
+    # chords alive are those it is given: the previous group's, exactly
+    # when that group has twice its count (4096 .. 2, then 24, 12, 6)
+    real = qi._dim_windows
+    refs, built = [], []
+
+    def recording(x, n, widths, finer=None):
+        alive = [c for c in (ref() for ref in refs) if c is not None]
+        assert alive == ([finer] if finer is not None else [])
+        matrix, chords = real(x, n, widths, finer)
+        refs.append(weakref.ref(chords))
+        built.append((n, finer is not None))
+        return matrix, chords
+
+    monkeypatch.setattr(qi, "_dim_windows", recording)
+    x = _chain_points()
+    evaluate_many(_halving_chain(), x[:, None])
+    blocks = len(qi._point_blocks(x.size, 1))
+    assert blocks > 1
+    for (prev, _), (n, reused) in zip(built, built[1:]):
+        assert reused == (prev == 2 * n), (prev, n)
+    # 2048 .. 2 and 12, 6 in every block
+    assert sum(reused for _, reused in built) == 13 * blocks
 
 
 def test_product_levels_take_most_chords_from_the_finer_count(monkeypatch):

@@ -168,6 +168,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every group keeps its chords for the group of half its count, also
+        # when that group is not the next one built on the axis
+        "chords-kept-for-every-group",
+        "qi.py",
+        "                if (r, n) in halved:\n                    chords[r, n // 2] = made\n",
+        "                chords[r, n // 2] = made\n",
+        ("tests/test_qi.py::test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count",),
+    ),
+    Mutant(
         "d1-gamma-check-dropped",
         "qi.py",
         "    if dims == 1:\n        _check_gamma(gamma)\n",
