@@ -182,7 +182,6 @@ def f2_phi_closed(p: KernelParams, r):
     return out if out.ndim else float(out)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _QUAD_MAX_PANEL_DOUBLINGS = 12
 
 
@@ -198,9 +197,12 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
         raise ValueError("frequency radius must be >= 0")
     if p.c < 0.01:
         raise ValueError("quadrature oracle requires c >= 0.01")
-    # the only scipy.special user: importing it here keeps it out of the CLI
+    # the only scipy.special and numpy.polynomial user: importing them here
+    # keeps them out of the CLI
+    from numpy.polynomial.legendre import leggauss
     from scipy.special import j0
 
+    nodes, weights = leggauss(16)
     t_max = 12.0 * p.c * (p.m + 2)
     # resolve the J_0 oscillation: >= 4 panels per period 2 pi / r
     panels = max(8, int(math.ceil(4.0 * r * t_max / (2.0 * math.pi))))
@@ -210,8 +212,8 @@ def f2_phi_quadrature(p: KernelParams, r: float) -> float:
         edges = np.linspace(0.0, t_max, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
         vals = phi_generalized(p, t) * t * j0(r * t)
         return 2.0 * math.pi * float(np.dot(w, vals))
 

@@ -28,7 +28,8 @@ one sparse (CSR) matrix product for its largest dimension, then
 elementwise per-point contractions for the others; each window becomes a
 CSR matrix once per kernel.  Each kernel matrix is built at its first use
 and dropped after its last.  The points are cut into a fixed partition of
-blocks (up to four, from the point count and the grids alone), each
+blocks (up to four, or more where a block's window arrays would exceed a
+fixed element budget; from the point count and the grids alone), each
 evaluated into its own columns of the result: on the calling thread for
 1D grids, on a per-call thread pool over the usable CPUs for d >= 2.  The
 blocks are whole BLAS row tiles, so the values are those of one unblocked
@@ -36,7 +37,8 @@ evaluation, bitwise equal at any CPU count.  Tensor-product evaluation grids (``
 contract one axis at a time, last first, each as one sparse product of
 that axis's window matrix, built as ``evaluate_many`` builds it.  Only
 CSR matrices need scipy: this module imports ``scipy.sparse`` inside the
-d >= 2 and grid paths, so ``evaluate_many`` of 1D grids never loads it.
+d >= 2 and grid paths, so ``evaluate_many`` of 1D grids never loads it,
+nor ``concurrent.futures``, which only the d >= 2 thread pool imports.
 ``evaluate_dense`` is the correctness oracle: it sums the formula above over
 every node, with kernel values from ``psi_restricted`` and no truncation.
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Callable, Sequence
@@ -110,6 +111,10 @@ MAX_GAMMA = 8.0
 _CHUNK_ELEMS = 1 << 21
 _BLOCKS = 4
 _MIN_BLOCK = 1024
+# a block's window arrays (chords, kernel values and the kernel's
+# temporaries) hold at most this many elements each, points times the
+# tallest window height, so none of them grows with the point count
+_WINDOW_ELEMS = 1 << 17
 # BLAS kernels compute a product's rows in tiles of a few rows (a divisor
 # of 64), and a row's rounding may depend on its offset within the tile
 _ROW_TILE = 64
@@ -580,22 +585,25 @@ def _components(q) -> tuple[int, list]:
     return q.grid.dims, [(1, q)]
 
 
-def _point_blocks(count: int, rest: int) -> list[slice]:
+def _point_blocks(count: int, rest: int, height: int) -> list[slice]:
     """Fixed partition of ``count`` points into consecutive blocks (none for 0).
 
     ``_BLOCKS`` blocks, or fewer when a block would be under
     ``_MIN_BLOCK`` points (one below two of them), of ceil(count / blocks)
     points rounded up to a multiple of ``_ROW_TILE``, so that each dense
     product sees every point at the row offset modulo the tile it has in
-    one product over all points.  At most ``_CHUNK_ELEMS // rest`` points
-    (rounded down to the tile where that leaves one), which bounds the
+    one product over all points.  At most ``_WINDOW_ELEMS // height``
+    points, and never under one tile, which bounds the window arrays:
+    ``height`` is the tallest window, min(2 hw + 1, n), of the call's
+    kernels.  At most ``_CHUNK_ELEMS // rest`` points, which bounds the
     per-point intermediates: ``rest`` is the largest product of the axes
-    left after a grid's largest.  Depends on the counts only, never on
+    left after a grid's largest.  A capped size is rounded down to the
+    tile where that leaves one.  Depends on the counts only, never on
     the CPU count.
     """
     parts = min(_BLOCKS, max(1, count // _MIN_BLOCK))
     size = _ROW_TILE * max(1, -(-count // (parts * _ROW_TILE)))
-    cap = _CHUNK_ELEMS // rest
+    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // height))
     if cap < size:
         size = max(1, cap - cap % _ROW_TILE if cap >= _ROW_TILE else cap)
     return [slice(start, start + size) for start in range(0, count, size)]
@@ -673,11 +681,16 @@ def evaluate_many(qs, points) -> np.ndarray:
     coefficient-weighted sum of its component evaluations, in term order.
 
     The points are cut into a fixed partition of consecutive blocks that
-    depends only on the point count and the component grids: about a quarter
-    of the points each (whole tiles of 64 rows), fewer blocks when a quarter
-    would be under 1024 points, and smaller ones where the per-point
-    intermediates need it (see :func:`_point_blocks`).  Each block is
-    evaluated on its own and writes its own columns of the result.  Per
+    depends only on the point count and the component grids: whole tiles
+    of 64 rows, about a quarter of the points each (fewer blocks when a
+    quarter would be under 1024 points), but no more points than keep a
+    block's window arrays (points times the tallest window
+    min(2 hw + 1, n) of the call's kernels) within ``_WINDOW_ELEMS`` =
+    2^17 elements, and never under one tile; smaller still where the
+    per-point intermediates of d >= 2 contractions need it (see
+    :func:`_point_blocks`).  So no window array grows with the point
+    count.  Each block is evaluated on its own and writes its own columns
+    of the result.  Per
     block, the kernels are grouped by (dimension, node count): the group's
     first use computes the node offsets and their chords once, over its
     widest truncated window and over the axis, or takes most of them from
@@ -722,8 +735,10 @@ def evaluate_many(qs, points) -> np.ndarray:
         for r, (n, params) in enumerate(zip(c.grid.counts, c.params)):
             groups.setdefault((r, n), {})[params] = c.stencil_halfwidths[r]
             last_user[r, n, params] = id(c)
+    height = max(min(2 * hw + 1, n) for (_, n), widths in groups.items()
+                 for hw in widths.values())
     out = np.zeros((len(qs), pts.shape[0]))
-    blocks = _point_blocks(pts.shape[0], rest)
+    blocks = _point_blocks(pts.shape[0], rest, height)
 
     def run(block: slice) -> None:
         _evaluate_block(rows, groups, last_user, last_row, pts[block], out[:, block])
@@ -735,6 +750,8 @@ def evaluate_many(qs, points) -> np.ndarray:
         for block in blocks:
             run(block)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers) as pool:
             # list() re-raises the first block's error, if any
             list(pool.map(run, blocks))

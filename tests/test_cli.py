@@ -844,10 +844,17 @@ commands = [
     ["strangfix", "--m", "0,1", "--nmin", "64", "--nmax", "256"],
     ["kernel", "--m", "2"],
 ]
-seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+lazy = ("scipy.", "numpy.polynomial.", "concurrent.futures.")
+
+
+def loaded():
+    return sorted(m for m in sys.modules if (m + ".").startswith(lazy))
+
+
+seen = {"import": loaded()}
 for i, argv in enumerate(commands):
     assert cli.main(argv + ["--out", f"{out}/{i}.txt"]) == 0, argv
-    seen[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    seen[argv[0]] = loaded()
 print(seen)
 assert not any(seen.values()), seen
 """
@@ -855,8 +862,9 @@ assert not any(seen.values()), seen
 
 def test_cli_commands_import_no_scipy(tmp_path):
     # every command evaluates 1D interpolants only, which sum their windows
-    # in numpy; scipy.sparse is imported by d >= 2 evaluation alone, and
-    # scipy.special by the Hankel-quadrature test oracle
+    # in numpy on the calling thread; scipy.sparse and concurrent.futures
+    # are imported by d >= 2 evaluation alone, and scipy.special and
+    # numpy.polynomial by the Hankel-quadrature test oracle
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

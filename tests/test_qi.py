@@ -1434,7 +1434,7 @@ def test_1d_rows_are_bitwise_the_csr_product():
     qs = _kernel_sweep((n,), [((m,), (gamma,)) for m in (0, 1, 2)
                               for gamma in (0.6, 0.8, 1.0, 1.5)])
     x = _wrapping_points(n, 5000, 1)
-    assert len(qi._point_blocks(x.size, 1)) > 1
+    assert len(_blocks(qs, x.size)) > 1
     for q, row in zip(qs, evaluate_many(qs, x[:, None])):
         hw = q.stencil_halfwidths[0]
         assert 2 * hw + 1 < n
@@ -1490,7 +1490,7 @@ def test_rows_built_from_finer_chords_are_bitwise_lone_evaluations():
     assert any(len({q.stencil_halfwidths[0] for q in group if not _spans(q, 0)}) > 1
                for group in by_count.values())
     assert any(len({_spans(q, 0) for q in group}) == 2 for group in by_count.values())
-    assert len(qi._point_blocks(x.size, 1)) > 1
+    assert len(_blocks(qs, x.size)) > 1
     for q, row in zip(qs, evaluate_many(qs, x[:, None])):
         assert np.array_equal(_bits(row), _bits(evaluate(q, x[:, None]))), q.params
 
@@ -1511,9 +1511,9 @@ def test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count(mo
         return matrix, chords
 
     monkeypatch.setattr(qi, "_dim_windows", recording)
-    x = _chain_points()
-    evaluate_many(_halving_chain(), x[:, None])
-    blocks = len(qi._point_blocks(x.size, 1))
+    qs, x = _halving_chain(), _chain_points()
+    evaluate_many(qs, x[:, None])
+    blocks = len(_blocks(qs, x.size))
     assert blocks > 1
     for (prev, _), (n, reused) in zip(built, built[1:]):
         assert reused == (prev == 2 * n), (prev, n)
@@ -1617,9 +1617,13 @@ _BLOCK_CASES = {
 }
 
 
-def _rest(qs):
-    return max(c.grid.size // max(c.grid.counts)
-               for q in qs for _, c in qi._components(q)[1])
+def _blocks(qs, count):
+    """evaluate_many's point blocks of ``qs`` at ``count`` points."""
+    parts = [c for q in qs for _, c in qi._components(q)[1]]
+    rest = max(c.grid.size // max(c.grid.counts) for c in parts)
+    height = max(min(2 * hw + 1, n) for c in parts
+                 for n, hw in zip(c.grid.counts, c.stencil_halfwidths))
+    return qi._point_blocks(count, rest, height)
 
 
 @pytest.mark.parametrize("cols", [4, 8, 33])
@@ -1673,7 +1677,7 @@ def test_blocks_change_no_value(case):
     # the bits of the whole batch
     qs, pts = _BLOCK_CASES[case]()
     n = len(pts)
-    assert len(qi._point_blocks(n, _rest(qs))) > 1
+    assert len(_blocks(qs, n)) > 1
     cuts = [0, 2, 9, n // 3, n // 3 + 2, n - 1000, n]
     whole = evaluate_many(qs, pts)
     parts = [evaluate_many(qs, pts[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -1691,8 +1695,9 @@ def test_blocks_and_slices_keep_the_bits_of_one_product(monkeypatch, case):
                for q in qs for _, c in qi._components(q)[1])
     blocked = evaluate_many(qs, pts)
     monkeypatch.setattr(qi, "_BLOCKS", 1)
+    monkeypatch.setattr(qi, "_WINDOW_ELEMS", 1 << 40)
     monkeypatch.setattr(qi, "_GEMM_ELEMS", 1 << 40)
-    assert len(qi._point_blocks(len(pts), _rest(qs))) == 1
+    assert len(_blocks(qs, len(pts))) == 1
     assert np.array_equal(evaluate_many(qs, pts), blocked)
     monkeypatch.setattr(qi, "_GEMM_ELEMS", 1)  # one row tile per slice
     assert np.array_equal(evaluate_many(qs, pts), blocked)
@@ -1713,7 +1718,7 @@ def test_threads_change_no_value_and_none_outlive_the_call(monkeypatch, case):
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_blocks_run_inline_or_on_min_blocks_cpus_workers(monkeypatch, cpus):
     qs, pts = _level_sweep(2, (6, 7))
-    blocks = qi._point_blocks(len(pts), _rest(qs))
+    blocks = _blocks(qs, len(pts))
     ran = []
     run_block = qi._evaluate_block
 
@@ -1746,7 +1751,7 @@ def test_1d_blocks_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(qi, "_evaluate_block", recording)
     threads = threading.active_count()
     evaluate_many(qs, pts)
-    assert len(ran) == len(qi._point_blocks(len(pts), _rest(qs))) > 1
+    assert len(ran) == len(_blocks(qs, len(pts))) > 1
     assert set(ran) == {threading.get_ident()}
     assert threading.active_count() == threads
 
@@ -1782,21 +1787,64 @@ def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 2047, 2048, 4097, 8192, 8193, 100_000])
 @pytest.mark.parametrize("rest", [1, 64, 4096, 1 << 20])
-def test_point_blocks_partition(count, rest):
-    blocks = qi._point_blocks(count, rest)
+@pytest.mark.parametrize("height", [1, 31, 4096])
+def test_point_blocks_partition(count, rest, height):
+    blocks = qi._point_blocks(count, rest, height)
     if count == 0:
         assert blocks == []
         return
     assert blocks[0].start == 0 and blocks[-1].start < count <= blocks[-1].stop
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     size = blocks[0].stop - blocks[0].start
-    cap = qi._CHUNK_ELEMS // rest
+    # the window budget never cuts a block below one row tile
+    cap = min(qi._CHUNK_ELEMS // rest, max(qi._ROW_TILE, qi._WINDOW_ELEMS // height))
     assert size <= max(1, cap)
+    assert size * height <= max(qi._WINDOW_ELEMS, qi._ROW_TILE * height)
     if len(blocks) > 1 and cap >= qi._ROW_TILE:
         assert size % qi._ROW_TILE == 0
     if cap >= count:
         # quarters, or fewer blocks of at least _MIN_BLOCK points
         assert len(blocks) == min(4, max(1, count // qi._MIN_BLOCK))
+
+
+def test_1d_window_arrays_stay_within_the_budget():
+    # table1's three kernels at N = 8192 (32,769 offset points): a block
+    # holds its chords, a kernel's values and the kernel's temporary, each
+    # of at most _WINDOW_ELEMS elements (a fourth array's worth covers the
+    # block's per-point rows); only the output rows and the reduced points
+    # grow with the point count
+    import tracemalloc
+
+    from torusqi.analysis import offset_eval_axis
+
+    qs = _kernel_sweep((8192,), [((0,), (0.8,)), ((1,), (1.0,)), ((2,), (1.5,))])
+    pts = offset_eval_axis(8192)[:, None]
+    assert len(_blocks(qs, len(pts))) > qi._BLOCKS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_many(qs, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (4 * qi._WINDOW_ELEMS + (len(qs) + 1) * len(pts))
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_window_budget_changes_no_value(monkeypatch, n):
+    # m = 2 spans 16 nodes, a dense product that BLAS rounds by row tile,
+    # and is truncated on 256; a budget of 127 points rounds down to
+    # 64-point blocks, and one past the points leaves a single block
+    qs = _kernel_sweep((n,), [((2,), (1.0,))])
+    assert _spans(qs[0], 0) == (n == 16)
+    pts = _sweep_points(2000, 1)
+    height = min(2 * qs[0].stencil_halfwidths[0] + 1, n)
+    monkeypatch.setattr(qi, "_WINDOW_ELEMS", 127 * height)
+    assert {b.stop - b.start for b in _blocks(qs, len(pts))} == {64}
+    small = evaluate_many(qs, pts)
+    monkeypatch.setattr(qi, "_WINDOW_ELEMS", 1 << 40)
+    assert len(_blocks(qs, len(pts))) == 1
+    assert np.array_equal(_bits(small), _bits(evaluate_many(qs, pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,29 @@ MUTANTS = (
         "        KernelParams(int(m), gamma * (TWO_PI / n) * (1 - 1e-9))\n",
         _REFEREE,
     ),
+    Mutant(
+        # blocks sized by the point count alone: window arrays grow with it
+        "blocks-ignore-window-height",
+        "qi.py",
+        "    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // height))\n",
+        "    cap = _CHUNK_ELEMS // rest\n",
+        (
+            "tests/test_qi.py::test_1d_window_arrays_stay_within_the_budget",
+            "tests/test_qi.py::test_point_blocks_partition",
+        ),
+    ),
+    Mutant(
+        # a capped block that is not whole row tiles moves a dense row's
+        # offset within its BLAS tile
+        "blocks-not-whole-tiles",
+        "qi.py",
+        "        size = max(1, cap - cap % _ROW_TILE if cap >= _ROW_TILE else cap)\n",
+        "        size = max(1, cap)\n",
+        (
+            "tests/test_qi.py::test_window_budget_changes_no_value",
+            "tests/test_qi.py::test_point_blocks_partition",
+        ),
+    ),
 )
 
 _OUTCOME = re.compile(r"^(FAILED|ERROR) (\S+)")
