@@ -123,12 +123,22 @@ def psi_from_chord(p: KernelParams, t):
     offsets.  Accepts scalars or arrays; returns the same shape.
     """
     t = np.asarray(t, dtype=float)
-    # L(u) * exp(-u) / (sqrt(2 pi) c) at u = t / c^2, in place, in two
-    # arrays the size of t.  Horner runs at v = -u from the leading
+    out = _psi_from_chord(p, t, np.empty_like(t))
+    return out if out.ndim else float(out)
+
+
+def _psi_from_chord(p: KernelParams, t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`psi_from_chord` of an array into a new array, with one scratch.
+
+    ``scratch`` has the shape of ``t`` and may be ``t`` itself; it holds
+    v = t / (-c^2) and then exp(v), so its values are spent.
+    """
+    # L(u) * exp(-u) / (sqrt(2 pi) c) at u = t / c^2, in place, in the
+    # result and the scratch.  Horner runs at v = -u from the leading
     # coefficient, with the coefficients' signs alternated: each step is
     # laguerre_general's step at u up to the sign, which IEEE arithmetic
     # mirrors exactly, so L has the same bits
-    v = np.divide(t, -(p.c**2), out=np.empty_like(t))
+    v = np.divide(t, -(p.c**2), out=scratch)
     # u is clamped at 746 so that Horner cannot overflow for a tiny c:
     # exp(-u) is 0 past u = 746, and L(u) keeps its sign there (every root
     # is below 746), so L(u) exp(-u) keeps its bits, sign included
@@ -144,7 +154,7 @@ def psi_from_chord(p: KernelParams, t):
             out += coeff
     out *= np.exp(v, out=v)
     out /= SQRT_2PI * p.c
-    return out if out.ndim else float(out)
+    return out
 
 
 _HORNER_CLAMP = 746.0

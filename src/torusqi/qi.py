@@ -27,13 +27,17 @@ of a CSR matrix-vector product), or one dense product.  A grid of d >= 2 dimensi
 one sparse (CSR) matrix product for its largest dimension, then
 elementwise per-point contractions for the others; each window becomes a
 CSR matrix once per kernel.  Each kernel matrix is built at its first use
-and dropped after its last.  The points are cut into a fixed partition of
-blocks (up to four, or more where a block's window arrays would exceed a
-fixed element budget; from the point count and the grids alone), each
-evaluated into its own columns of the result: on the calling thread for
-1D grids, on a per-call thread pool over the usable CPUs for d >= 2.  The
-blocks are whole BLAS row tiles, so the values are those of one unblocked
-evaluation, bitwise equal at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
+and dropped after its last.  A kernel needs one scratch array the size of
+its chords, into which a 1D window sum then gathers its samples; the
+group's last kernel spends its own chord rows as that scratch, unless the
+group of half its count, built next, reads them.  The points are cut into
+a fixed partition of blocks (up to four, or more where a block's chords
+and one kernel's values would together exceed a fixed element budget; from
+the point count and the grids alone), each evaluated into its own columns
+of the result: on the calling thread for 1D grids, on a per-call thread
+pool over the usable CPUs for d >= 2.  The blocks are whole BLAS row
+tiles, so the values are those of one unblocked evaluation, bitwise equal
+at any CPU count.  Tensor-product evaluation grids (``evaluate_on_grid``)
 contract one axis at a time, last first, each as one sparse product of
 that axis's window matrix, built as ``evaluate_many`` builds it.  Only
 CSR matrices need scipy: this module imports ``scipy.sparse`` inside the
@@ -84,7 +88,7 @@ from .grid import (
 )
 from .kernel import (
     KernelParams,
-    psi_from_chord,
+    _psi_from_chord,
     psi_restricted,
 )
 from .specfun import NumericsError, laguerre_coeffs
@@ -111,9 +115,9 @@ MAX_GAMMA = 8.0
 _CHUNK_ELEMS = 1 << 21
 _BLOCKS = 4
 _MIN_BLOCK = 1024
-# a block's window arrays (chords, kernel values and the kernel's
-# temporaries) hold at most this many elements each, points times the
-# tallest window height, so none of them grows with the point count
+# a block's chords and one kernel's values hold at most this many elements
+# together, points times twice the tallest window height, so no window array
+# grows with the point count
 _WINDOW_ELEMS = 1 << 17
 # BLAS kernels compute a product's rows in tiles of a few rows (a divisor
 # of 64), and a row's rounding may depend on its offset within the tile
@@ -374,12 +378,14 @@ class _Window:
 
     ``values[k, p]`` weights node ``center[p] + k - hw`` (reduced mod n) at
     point p, for k = 0 .. 2 hw; 2 hw + 1 < n, so each point's nodes are
-    distinct.
+    distinct.  ``scratch``, of the same shape, is the array the kernel
+    spent while it computed the values; :func:`_window_sum` gathers into it.
     """
 
     values: np.ndarray  # (2 hw + 1) x P
     center: np.ndarray  # P nodes round(x / h), in 0 .. n
     n: int
+    scratch: np.ndarray  # (2 hw + 1) x P, free to overwrite
 
     def extended(self, a: np.ndarray) -> np.ndarray:
         """Per-node values ``a`` at the nodes -hw .. n + hw, wrapped.
@@ -387,7 +393,7 @@ class _Window:
         Entry ``center[p] + k`` is ``a`` at point p's k-th window node.
         """
         hw = self.values.shape[0] // 2
-        return np.take(a, np.arange(-hw, self.n + hw + 1), mode="wrap")
+        return np.concatenate((a[self.n - hw :], a, a[: hw + 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +419,11 @@ def _finish_chords(half_offsets: np.ndarray) -> None:
 
 
 def _dim_windows(
-    x: np.ndarray, n: int, widths: dict[KernelParams, int], finer: _Chords | None = None
+    x: np.ndarray,
+    n: int,
+    widths: dict[KernelParams, int],
+    finer: _Chords | None = None,
+    spend: bool = False,
 ) -> tuple[Callable, _Chords]:
     """Kernel matrices at coordinates x on an n-node axis, built on demand.
 
@@ -435,6 +445,13 @@ def _dim_windows(
     and each truncated row that lies inside the finer window is one gather
     from it; only the other rows call ``sin``.  Each kernel only evaluates
     ``psi_from_chord``, so its values equal a window computed for it alone.
+
+    Each kernel needs one scratch array of its own chords' size.  With
+    ``spend``, the last kernel of ``widths`` (the order in which the caller
+    builds them) uses its own chord rows, or the spanning chord, as that
+    scratch, and overwrites them: only pass it when no kernel is built after
+    that one and nothing reads the returned chords.  Every other kernel gets
+    a new array.
     """
     spacing = TWO_PI / n
     # x / 2 - (h * node) / 2 is exactly (x - h * node) / 2
@@ -472,12 +489,16 @@ def _dim_windows(
             dense = np.subtract.outer(half_x, spacing / 2.0 * np.arange(n))
             _finish_chords(dense)
 
+    last = next(reversed(widths))
+
     def matrix(params: KernelParams):
         hw = widths[params]
         spans = 2 * hw + 1 >= n
-        kern = psi_from_chord(params, dense if spans else chord[wide - hw : wide + hw + 1])
+        rows = dense if spans else chord[wide - hw : wide + hw + 1]
+        scratch = rows if spend and params == last else np.empty_like(rows)
+        kern = _psi_from_chord(params, rows, scratch)
         kern *= spacing
-        return kern if spans else _Window(kern, base, n)
+        return kern if spans else _Window(kern, base, n, scratch)
 
     return matrix, _Chords(base, chord, dense)
 
@@ -486,17 +507,24 @@ def _window_sum(win: _Window, samples: np.ndarray) -> np.ndarray:
     """Each point's kernel-weighted sum of 1D samples over its window.
 
     One sequential sum per point from +0.0, in window order: the bits of
-    the CSR matrix-vector product over the same window.  (A one-point
-    ``np.add.reduce`` over the window would sum pairwise instead.)
+    the CSR matrix-vector product over the same window.  The samples are
+    gathered into the window's scratch, one row per window node, multiplied
+    by the values in one call, and summed over the rows in one
+    ``np.add.reduce``, which adds row after row to every point's sum.  A
+    one-point block is summed row by row, because numpy sums a (W, 1)
+    reduce pairwise.
     """
     ext = win.extended(samples)
-    out = np.zeros(win.center.size)
-    term = np.empty(win.center.size)
-    for k, row in enumerate(win.values):
-        ext[k:].take(win.center, out=term, mode="clip")
-        term *= row
-        out += term
-    return out
+    terms = win.scratch
+    for k, row in enumerate(terms):
+        ext[k:].take(win.center, out=row, mode="clip")
+    terms *= win.values
+    if win.center.size == 1:
+        out = np.zeros(1)
+        for term in terms:
+            out += term
+        return out
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def _window_csr(win: _Window):
@@ -592,18 +620,18 @@ def _point_blocks(count: int, rest: int, height: int) -> list[slice]:
     ``_MIN_BLOCK`` points (one below two of them), of ceil(count / blocks)
     points rounded up to a multiple of ``_ROW_TILE``, so that each dense
     product sees every point at the row offset modulo the tile it has in
-    one product over all points.  At most ``_WINDOW_ELEMS // height``
-    points, and never under one tile, which bounds the window arrays:
-    ``height`` is the tallest window, min(2 hw + 1, n), of the call's
-    kernels.  At most ``_CHUNK_ELEMS // rest`` points, which bounds the
-    per-point intermediates: ``rest`` is the largest product of the axes
-    left after a grid's largest.  A capped size is rounded down to the
-    tile where that leaves one.  Depends on the counts only, never on
-    the CPU count.
+    one product over all points.  At most ``_WINDOW_ELEMS // (2 height)``
+    points, and never under one tile, which bounds a block's chords and one
+    kernel's values together: ``height`` is the tallest window,
+    min(2 hw + 1, n), of the call's kernels.  At most
+    ``_CHUNK_ELEMS // rest`` points, which bounds the per-point
+    intermediates: ``rest`` is the largest product of the axes left after
+    a grid's largest.  A capped size is rounded down to the tile where
+    that leaves one.  Depends on the counts only, never on the CPU count.
     """
     parts = min(_BLOCKS, max(1, count // _MIN_BLOCK))
     size = _ROW_TILE * max(1, -(-count // (parts * _ROW_TILE)))
-    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // height))
+    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // (2 * height)))
     if cap < size:
         size = max(1, cap - cap % _ROW_TILE if cap >= _ROW_TILE else cap)
     return [slice(start, start + size) for start in range(0, count, size)]
@@ -638,7 +666,8 @@ def _evaluate_block(rows, groups, last_user, last_row, block, out) -> None:
         if (r, n, params) not in mats:
             if (r, n) not in windows:
                 windows[r, n], made = _dim_windows(
-                    block[:, r], n, groups[r, n], chords.pop((r, n), None)
+                    block[:, r], n, groups[r, n], chords.pop((r, n), None),
+                    spend=(r, n) not in halved,
                 )
                 if (r, n) in halved:
                     chords[r, n // 2] = made
@@ -684,13 +713,13 @@ def evaluate_many(qs, points) -> np.ndarray:
     depends only on the point count and the component grids: whole tiles
     of 64 rows, about a quarter of the points each (fewer blocks when a
     quarter would be under 1024 points), but no more points than keep a
-    block's window arrays (points times the tallest window
-    min(2 hw + 1, n) of the call's kernels) within ``_WINDOW_ELEMS`` =
-    2^17 elements, and never under one tile; smaller still where the
-    per-point intermediates of d >= 2 contractions need it (see
-    :func:`_point_blocks`).  So no window array grows with the point
-    count.  Each block is evaluated on its own and writes its own columns
-    of the result.  Per
+    block's chords and one kernel's values (each points times at most the
+    tallest window min(2 hw + 1, n) of the call's kernels) within
+    ``_WINDOW_ELEMS`` = 2^17 elements together, and never under one tile;
+    smaller still where the per-point intermediates of d >= 2 contractions
+    need it (see :func:`_point_blocks`).  So no window array grows with the
+    point count.  Each block is evaluated on its own and writes its own
+    columns of the result.  Per
     block, the kernels are grouped by (dimension, node count): the group's
     first use computes the node offsets and their chords once, over its
     widest truncated window and over the axis, or takes most of them from
@@ -701,7 +730,10 @@ def evaluate_many(qs, points) -> np.ndarray:
     every grid with that kernel on that dimension, and is dropped after the
     last component that uses it.  A group's chords outlive its matrices
     only when the next group built on that dimension has half its count,
-    and only until that group is built.  Each
+    and only until that group is built; otherwise the group's last kernel
+    uses its own chord rows as scratch, and every other kernel one new
+    array of its window's size, which a 1D window sum reuses for its
+    gathered samples.  Each
     component object (by identity, as
     :func:`build_sparse_levels` shares them across levels) is evaluated
     once for all rows; its values are dropped after the last row using it.
@@ -873,7 +905,7 @@ def evaluate_on_grid(q: QuasiInterpolant, axes: Sequence[np.ndarray]) -> np.ndar
     res = q.samples
     for r in reversed(range(q.grid.dims)):
         n, params = q.grid.counts[r], q.params[r]
-        mat = _dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]})[0](params)
+        mat = _dim_windows(xs[r], n, {params: q.stencil_halfwidths[r]}, spend=True)[0](params)
         mat = sparse.csr_matrix(mat) if isinstance(mat, np.ndarray) else _window_csr(mat)
         others = res.shape[:r] + res.shape[r + 1 :]
         vals = mat @ np.moveaxis(res, r, 0).reshape(n, -1)

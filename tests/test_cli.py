@@ -844,7 +844,7 @@ commands = [
     ["strangfix", "--m", "0,1", "--nmin", "64", "--nmax", "256"],
     ["kernel", "--m", "2"],
 ]
-lazy = ("scipy.", "numpy.polynomial.", "concurrent.futures.")
+lazy = ("scipy.", "numpy.polynomial.", "concurrent.futures.", "numpy.ma.")
 
 
 def loaded():
@@ -863,8 +863,9 @@ assert not any(seen.values()), seen
 def test_cli_commands_import_no_scipy(tmp_path):
     # every command evaluates 1D interpolants only, which sum their windows
     # in numpy on the calling thread; scipy.sparse and concurrent.futures
-    # are imported by d >= 2 evaluation alone, and scipy.special and
-    # numpy.polynomial by the Hankel-quadrature test oracle
+    # are imported by d >= 2 evaluation alone, scipy.special and
+    # numpy.polynomial by the Hankel-quadrature test oracle, and numpy.ma
+    # (which np.unique loads) by none
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

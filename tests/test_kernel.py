@@ -8,6 +8,7 @@ from psi_hat_oracles import miller_bucket, psi_hat_scalar
 from torusqi.kernel import (
     FOURIER_MAX_FREQ,
     KernelParams,
+    _psi_from_chord,
     comb_identity_residual,
     f2_phi_closed,
     f2_phi_quadrature,
@@ -122,6 +123,21 @@ def test_psi_from_chord_in_place_keeps_the_bits_and_the_input():
         got = psi_from_chord(p, window)
         assert np.array_equal(got, inline, equal_nan=True), m
         assert np.array_equal(window, before, equal_nan=True)
+
+
+def test_psi_from_chord_spending_its_input_keeps_the_bits():
+    # the evaluator passes a kernel's own chord rows as the scratch, a
+    # window of rows of a wider chord array; the values keep their bits
+    rng = np.random.default_rng(5)
+    chords = 2.0 * np.sin(rng.uniform(-7.0, 7.0, (41, 300)) / 2.0) ** 2
+    for m in range(9):
+        p = KernelParams(m, 0.3)
+        spent = chords.copy()
+        rows = spent[7:34]
+        got = _psi_from_chord(p, rows, rows)
+        assert np.array_equal(got, psi_from_chord(p, chords[7:34])), m
+        assert not np.shares_memory(got, spent)
+        assert np.array_equal(spent[:7], chords[:7]) and np.array_equal(spent[34:], chords[34:])
 
 
 def test_psi_from_chord_past_the_clamp_keeps_the_formula_bits():

@@ -20,7 +20,12 @@ from torusqi.grid import (
     full_grid_nodes,
     sparse_grid_count_formula,
 )
-from torusqi.kernel import KernelParams, psi_fourier_quadrature, psi_restricted
+from torusqi.kernel import (
+    KernelParams,
+    psi_fourier_quadrature,
+    psi_from_chord,
+    psi_restricted,
+)
 from torusqi.qi import (
     build_aniso,
     build_full,
@@ -1498,16 +1503,17 @@ def test_rows_built_from_finer_chords_are_bitwise_lone_evaluations():
 def test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count(monkeypatch):
     # 1D blocks run one after another, so when a group is built the only
     # chords alive are those it is given: the previous group's, exactly
-    # when that group has twice its count (4096 .. 2, then 24, 12, 6)
+    # when that group has twice its count (4096 .. 2, then 24, 12, 6); a
+    # group may spend its chords exactly when the next one does not read them
     real = qi._dim_windows
     refs, built = [], []
 
-    def recording(x, n, widths, finer=None):
+    def recording(x, n, widths, finer=None, spend=False):
         alive = [c for c in (ref() for ref in refs) if c is not None]
         assert alive == ([finer] if finer is not None else [])
-        matrix, chords = real(x, n, widths, finer)
+        matrix, chords = real(x, n, widths, finer, spend)
         refs.append(weakref.ref(chords))
-        built.append((n, finer is not None))
+        built.append((n, finer is not None, spend))
         return matrix, chords
 
     monkeypatch.setattr(qi, "_dim_windows", recording)
@@ -1515,10 +1521,66 @@ def test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count(mo
     evaluate_many(qs, x[:, None])
     blocks = len(_blocks(qs, x.size))
     assert blocks > 1
-    for (prev, _), (n, reused) in zip(built, built[1:]):
-        assert reused == (prev == 2 * n), (prev, n)
+    for (prev, _, spent), (n, reused, _) in zip(built, built[1:]):
+        assert reused == (prev == 2 * n) == (not spent), (prev, n)
+    assert built[-1][2]
     # 2048 .. 2 and 12, 6 in every block
-    assert sum(reused for _, reused in built) == 13 * blocks
+    assert sum(reused for _, reused, _ in built) == 13 * blocks
+
+
+def test_no_kernel_reads_chords_that_another_kernel_spent(monkeypatch):
+    # a group's last-built kernel spends its own chord rows (or the spanning
+    # chord) as scratch, unless the group of half its count reads them next;
+    # every kernel matrix must still be psi_from_chord of fresh chords times
+    # the spacing, in groups whose last kernel is narrower than an earlier
+    # one, whose spanning kernels share one chord, and along 2n -> n chains
+    real = qi._dim_windows
+    built, spent = [], []
+
+    def recording(x, n, widths, finer=None, spend=False):
+        matrix, chords = real(x, n, widths, finer, spend)
+        h = TWO_PI / n
+
+        def checked(params):
+            mat = matrix(params)
+            if isinstance(mat, qi._Window):
+                hw = widths[params]
+                offsets = x - h * (mat.center + np.arange(-hw, hw + 1)[:, None])
+                got = mat.values
+                if spend and params == next(reversed(widths)):
+                    assert np.shares_memory(mat.scratch, chords.window)
+                    spent.append(n)
+            else:
+                offsets = x[:, None] - h * np.arange(n)
+                got = mat
+            want = h * psi_from_chord(params, 2.0 * np.sin(offsets / 2.0) ** 2)
+            assert np.array_equal(_bits(got), _bits(want)), (n, params)
+            built.append((n, params))
+            return mat
+
+        return checked, chords
+
+    # the chains end on spanning groups (2 and 6 nodes); a lone 1000-node
+    # group, built last, ends on a window narrower than an earlier one
+    qs = _halving_chain() + _kernel_sweep((1000,), [((m,), (gamma,))
+                                                    for m, gamma in _CHAIN_KERNELS])
+    x = _chain_points()
+    by_count = {}
+    for q in qs:
+        by_count.setdefault(q.grid.counts[0], []).append(q)
+    narrower_last = [n for n, group in by_count.items() if not _spans(group[-1], 0)
+                     and group[-1].stencil_halfwidths[0]
+                     < max(q.stencil_halfwidths[0] for q in group if not _spans(q, 0))]
+    assert 1000 in narrower_last and len(narrower_last) > 1
+    assert all(sum(_spans(q, 0) for q in by_count[n]) > 1 for n in (2, 6))
+    monkeypatch.setattr(qi, "_dim_windows", recording)
+    rows = evaluate_many(qs, x[:, None])
+    blocks = len(_blocks(qs, x.size))
+    assert blocks > 1 and len(built) == len(qs) * blocks
+    assert spent == [1000] * blocks
+    monkeypatch.undo()
+    for q, row in zip(qs, rows):
+        assert np.array_equal(_bits(row), _bits(evaluate(q, x[:, None]))), q.params
 
 
 def test_product_levels_take_most_chords_from_the_finer_count(monkeypatch):
@@ -1796,10 +1858,11 @@ def test_point_blocks_partition(count, rest, height):
     assert blocks[0].start == 0 and blocks[-1].start < count <= blocks[-1].stop
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     size = blocks[0].stop - blocks[0].start
-    # the window budget never cuts a block below one row tile
-    cap = min(qi._CHUNK_ELEMS // rest, max(qi._ROW_TILE, qi._WINDOW_ELEMS // height))
+    # the chords and one kernel's values share the window budget, which
+    # never cuts a block below one row tile
+    cap = min(qi._CHUNK_ELEMS // rest, max(qi._ROW_TILE, qi._WINDOW_ELEMS // (2 * height)))
     assert size <= max(1, cap)
-    assert size * height <= max(qi._WINDOW_ELEMS, qi._ROW_TILE * height)
+    assert 2 * size * height <= max(qi._WINDOW_ELEMS, 2 * qi._ROW_TILE * height)
     if len(blocks) > 1 and cap >= qi._ROW_TILE:
         assert size % qi._ROW_TILE == 0
     if cap >= count:
@@ -1808,11 +1871,13 @@ def test_point_blocks_partition(count, rest, height):
 
 
 def test_1d_window_arrays_stay_within_the_budget():
-    # table1's three kernels at N = 8192 (32,769 offset points): a block
-    # holds its chords, a kernel's values and the kernel's temporary, each
-    # of at most _WINDOW_ELEMS elements (a fourth array's worth covers the
-    # block's per-point rows); only the output rows and the reduced points
-    # grow with the point count
+    # table1's three kernels at N = 8192 (32,769 offset points): a block's
+    # chords and a kernel's values hold at most _WINDOW_ELEMS elements
+    # together, the last kernel spends the chords as its scratch, and an
+    # earlier one's new scratch is at most half the budget (another half
+    # covers the block's per-point rows); only the output rows and the
+    # reduced points grow with the point count.  Three arrays of up to
+    # _WINDOW_ELEMS elements each, as blocks held before, pass the bound
     import tracemalloc
 
     from torusqi.analysis import offset_eval_axis
@@ -1827,19 +1892,20 @@ def test_1d_window_arrays_stay_within_the_budget():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (4 * qi._WINDOW_ELEMS + (len(qs) + 1) * len(pts))
+    assert peak < 8 * (2 * qi._WINDOW_ELEMS + (len(qs) + 1) * len(pts))
 
 
 @pytest.mark.parametrize("n", [16, 256])
 def test_window_budget_changes_no_value(monkeypatch, n):
     # m = 2 spans 16 nodes, a dense product that BLAS rounds by row tile,
-    # and is truncated on 256; a budget of 127 points rounds down to
-    # 64-point blocks, and one past the points leaves a single block
+    # and is truncated on 256; a budget of 127 points (the chords and one
+    # kernel's values, 2 x 127 x height elements) rounds down to 64-point
+    # blocks, and one past the points leaves a single block
     qs = _kernel_sweep((n,), [((2,), (1.0,))])
     assert _spans(qs[0], 0) == (n == 16)
     pts = _sweep_points(2000, 1)
     height = min(2 * qs[0].stencil_halfwidths[0] + 1, n)
-    monkeypatch.setattr(qi, "_WINDOW_ELEMS", 127 * height)
+    monkeypatch.setattr(qi, "_WINDOW_ELEMS", 2 * 127 * height)
     assert {b.stop - b.start for b in _blocks(qs, len(pts))} == {64}
     small = evaluate_many(qs, pts)
     monkeypatch.setattr(qi, "_WINDOW_ELEMS", 1 << 40)

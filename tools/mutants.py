@@ -67,8 +67,8 @@ MUTANTS = (
         # the window's rows summed last to first
         "window-sum-reversed",
         "qi.py",
-        "    for k, row in enumerate(win.values):\n",
-        "    for k, row in reversed(list(enumerate(win.values))):\n",
+        "    return np.add.reduce(terms, axis=0, initial=0.0)\n",
+        "    return np.add.reduce(terms[::-1], axis=0, initial=0.0)\n",
         (
             "tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",
             "tests/test_qi.py::test_1d_rows_are_bitwise_the_csr_product",
@@ -79,19 +79,17 @@ MUTANTS = (
         # a window of -0.0 terms sums to -0.0, where CSR's sum gives +0.0
         "window-sum-from-negative-zero",
         "qi.py",
-        "    out = np.zeros(win.center.size)\n",
-        "    out = np.full(win.center.size, -0.0)\n",
+        "    return np.add.reduce(terms, axis=0, initial=0.0)\n",
+        "    return np.add.reduce(terms, axis=0, initial=-0.0)\n",
         ("tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",),
     ),
     Mutant(
-        # one reduction over the window, which numpy sums pairwise when
-        # the block holds one point
+        # no one-point guard: one reduction over the window, which numpy
+        # sums pairwise when the block holds one point
         "window-sum-by-reduce",
         "qi.py",
-        "    out = np.zeros(win.center.size)\n",
-        "    terms = ext[win.center + np.arange(len(win.values))[:, None]] * win.values\n"
-        "    return np.add.reduce(terms, axis=0, initial=0.0)\n"
-        "    out = np.zeros(win.center.size)\n",
+        "    if win.center.size == 1:\n",
+        "    if False:\n",
         ("tests/test_qi.py::test_window_sum_is_bitwise_the_csr_product",),
     ),
     Mutant(
@@ -175,6 +173,27 @@ MUTANTS = (
         "                if (r, n) in halved:\n                    chords[r, n // 2] = made\n",
         "                chords[r, n // 2] = made\n",
         ("tests/test_qi.py::test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count",),
+    ),
+    Mutant(
+        # every kernel of a group spends the chord rows as its scratch, so a
+        # later kernel of the group reads rows an earlier one overwrote
+        "consume-every-kernel",
+        "qi.py",
+        "        scratch = rows if spend and params == last else np.empty_like(rows)\n",
+        "        scratch = rows if spend else np.empty_like(rows)\n",
+        ("tests/test_qi.py::test_no_kernel_reads_chords_that_another_kernel_spent",),
+    ),
+    Mutant(
+        # a group spends its chords also when the group of half its count,
+        # built next, takes its rows from them
+        "spend-chords-the-next-group-reads",
+        "qi.py",
+        "                    spend=(r, n) not in halved,\n",
+        "                    spend=True,\n",
+        (
+            "tests/test_qi.py::test_no_kernel_reads_chords_that_another_kernel_spent",
+            "tests/test_qi.py::test_chords_outlive_their_group_only_for_the_next_group_of_half_its_count",
+        ),
     ),
     Mutant(
         "d1-gamma-check-dropped",
@@ -334,8 +353,20 @@ MUTANTS = (
         # blocks sized by the point count alone: window arrays grow with it
         "blocks-ignore-window-height",
         "qi.py",
-        "    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // height))\n",
+        "    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // (2 * height)))\n",
         "    cap = _CHUNK_ELEMS // rest\n",
+        (
+            "tests/test_qi.py::test_1d_window_arrays_stay_within_the_budget",
+            "tests/test_qi.py::test_point_blocks_partition",
+        ),
+    ),
+    Mutant(
+        # the budget for one window array, not for the chords and a kernel's
+        # values together
+        "blocks-budget-per-window-array",
+        "qi.py",
+        "    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // (2 * height)))\n",
+        "    cap = min(_CHUNK_ELEMS // rest, max(_ROW_TILE, _WINDOW_ELEMS // height))\n",
         (
             "tests/test_qi.py::test_1d_window_arrays_stay_within_the_budget",
             "tests/test_qi.py::test_point_blocks_partition",
